@@ -3,8 +3,7 @@
 Everything is integer or rational and exact: deterministic primality
 testing, Legendre symbols with per-prime lookup tables, integer
 polynomials in one formal variable T, and reduced row echelon form over
-the rationals (and over F_p, for reduction checks).  No floating point
-anywhere.
+the rationals.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -204,18 +203,6 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
 
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    return a * b
-
-
-def poly_pow(a: IntPoly, n: int) -> IntPoly:
-    return a**n
-
-
-def poly_eq(a: IntPoly, b: IntPoly) -> bool:
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # Exact rational row reduction
 
@@ -280,36 +267,6 @@ def primitive_rows(rows) -> tuple[tuple[int, ...], ...]:
             ints = [-x for x in ints]
         out.append(tuple(ints))
     return tuple(out)
-
-
-def echelon_mod(rows, p: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon form over F_p, zero rows dropped."""
-    m = [[x % p for x in row] for row in rows]
-    if not m:
-        return ()
-    ncols = len(m[0])
-    piv = 0
-    for col in range(ncols):
-        for r in range(piv, len(m)):
-            if m[r][col]:
-                break
-        else:
-            continue
-        m[piv], m[r] = m[r], m[piv]
-        inv = pow(m[piv][col], p - 2, p)
-        m[piv] = [x * inv % p for x in m[piv]]
-        for r in range(len(m)):
-            if r != piv and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[piv])]
-        piv += 1
-        if piv == len(m):
-            break
-    return tuple(tuple(row) for row in m[:piv])
-
-
-def rank_mod(rows, p: int) -> int:
-    return len(echelon_mod(rows, p))
 
 
 def det(matrix) -> int:

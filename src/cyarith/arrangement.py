@@ -10,11 +10,10 @@ general divisors holds automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import combinations
+from dataclasses import dataclass
 from math import gcd
 
-from .arith import all_minors, echelon, echelon_mod, primitive_rows, require_odd_prime
+from .arith import all_minors, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -111,11 +110,14 @@ def load_arrangement(path) -> Arrangement:
 class Stratum:
     """A flat cut out by >= 2 hyperplanes of the arrangement.
 
+    hyperplanes: indices of every hyperplane containing the flat.  Their
+    forms span the flat's defining space, so this set (or `mask`, the
+    same set as a bitmask) determines the flat, and containment of flats
+    is subset testing on the masks.
+
     basis: primitive integer rows of the reduced echelon form of the
-    defining linear forms -- the canonical key for the flat.  The
-    containing-hyperplane set determines the flat (its span equals the
-    defining-form space), so containment of flats is subset testing on
-    the index masks.
+    defining linear forms -- the canonical key for the flat, equal to
+    `primitive_rows(echelon(rows))` for any spanning set of rows.
     """
 
     basis: tuple[tuple[int, ...], ...]
@@ -139,82 +141,138 @@ class Stratum:
         return (self.dim, self.mult)
 
 
+def _lead(v) -> int:
+    return next(x for x in v if x)
+
+
 def _canonical_basis(rows) -> tuple[tuple[int, ...], ...]:
-    return primitive_rows(echelon(rows))
+    """`primitive_rows(echelon(rows))` by fraction-free integer elimination.
+
+    Each step replaces a row r by a*r - b*pivot_row and divides out its
+    content, so no fractions arise and the entries stay small.
+    Once every pivot column is cleared above and below, each pivot row
+    is proportional to the matching row of the reduced echelon form over
+    Q; scaling it to a primitive vector with positive lead gives exactly
+    the primitive form of that row.
+    """
+    m = [list(row) for row in rows]
+    if not m:
+        return ()
+    piv = 0
+    for col in range(len(m[0])):
+        for r in range(piv, len(m)):
+            if m[r][col]:
+                break
+        else:
+            continue
+        m[piv], m[r] = m[r], m[piv]
+        prow = m[piv]
+        a = prow[col]
+        for r, row in enumerate(m):
+            b = row[col]
+            if r != piv and b:
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[r] = [x // g for x in row] if g else row
+        piv += 1
+        if piv == len(m):
+            break
+    return tuple(_pivot_q(row) for row in m[:piv])
 
 
-def intersection_poset(arr: Arrangement, method: str = "closure") -> list[Stratum]:
+def _pivot_q(v) -> tuple[int, ...]:
+    """The primitive integer vector with positive lead spanning v's line."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if _lead(v) > 0 else tuple(-x // g for x in v)
+
+
+def _reduce_q(v, w, col: int) -> tuple[int, ...]:
+    """Clear column `col` of v with w, fraction-free, then `_pivot_q`."""
+    a, b = w[col], v[col]
+    return _pivot_q([a * x - b * y for x, y in zip(v, w)])
+
+
+def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Every flat of rank 1..n of the hyperplanes `vectors` (forms on
+    k^(n+1)), keyed by the bitmask of the hyperplanes containing it.
+
+    Value: (rank, gens), where gens lists one hyperplane per rank step;
+    their forms are a basis of the flat's defining space.
+
+    Flats are built one rank at a time, starting from the whole space
+    (mask 0).  A flat keeps, for every hyperplane not containing it, the
+    residual of its form against the flat's triangular basis: reduced to
+    zero on every pivot column, then scaled by `pivot` to a canonical
+    representative of its line.  Two such residuals span the same space
+    over the flat exactly when they are equal, so grouping the residuals
+    gives each covering flat, with its full hyperplane set, in one pass
+    per parent.  A covering flat already reached from another parent is
+    skipped; otherwise the residuals of the hyperplanes still outside it
+    are cleared on the new pivot column by `reduce(v, w, col)`.
+
+    `pivot` and `reduce` are the only field-specific inputs: fraction-free
+    integer arithmetic for Q, arithmetic mod p for F_p.
+    """
+    level = {0: ((), [(i, pivot(v)) for i, v in enumerate(vectors)])}
+    flats = {}
+    for rank in range(1, n + 1):
+        nxt = {}
+        for mask, (gens, residuals) in level.items():
+            groups: dict[tuple[int, ...], int] = {}
+            for i, r in residuals:
+                groups[r] = groups.get(r, 0) | 1 << i
+            for w, add in groups.items():
+                child = mask | add
+                if child in nxt:
+                    continue
+                first = (add & -add).bit_length() - 1
+                rest = []  # a rank-n flat is a point: one more hyperplane empties it
+                if rank < n:
+                    col = next(c for c, x in enumerate(w) if x)
+                    rest = [(i, reduce(r, w, col)) for i, r in residuals if not add >> i & 1]
+                nxt[child] = (gens + (first,), rest)
+        for mask, (gens, _) in nxt.items():
+            flats[mask] = (rank, gens)
+        level = nxt
+    return flats
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def intersection_poset(arr: Arrangement) -> list[Stratum]:
     """All flats obtainable as intersections of >= 2 hyperplanes.
 
-    `closure`: breadth-first -- seed with pairwise intersections and
-    repeatedly intersect the frontier with single hyperplanes.  Every
-    flat D_{i1} cap ... cap D_{ir} is reached one hyperplane at a time,
-    so this is equivalent to `subsets` (kept as the oracle mode), which
-    ranks all 2^N subsets.
+    The flats come from the mask-keyed enumerator `_flats` over Q, with
+    fraction-free integer reduction; each flat's canonical basis is
+    computed once, from the forms of its rank generators.  Multiplicity
+    is the full containing-hyperplane count, dimension is n - rank;
+    empty intersections (rank n+1) are never built.
 
-    Flats are deduplicated by canonical echelon basis.  Multiplicity is
-    the full containing-hyperplane count, dimension is n - rank; empty
-    intersections (rank n+1) are discarded.
+    A flat is near-pencil when dropping one of its hyperplanes leaves
+    the mask of a flat one dimension up.  Strata are ordered by
+    descending dimension, then multiplicity, then basis.
     """
     n = arr.dim
     vectors = [h.coeffs for h in arr.hyperplanes]
-    found: dict[tuple, dict] = {}
-
-    def visit(rows) -> tuple | None:
-        basis = _canonical_basis(rows)
-        rank = len(basis)
-        if rank > n or basis in found:
-            return basis if basis in found else None
-        members = tuple(
-            i for i, v in enumerate(vectors) if len(_canonical_basis(basis + (v,))) == rank
-        )
-        if len(members) < 2:
-            return None
-        found[basis] = {"dim": n - rank, "members": members}
-        return basis
-
-    if method == "closure":
-        frontier = []
-        for i, j in combinations(range(arr.size), 2):
-            key = visit((vectors[i], vectors[j]))
-            if key is not None:
-                frontier.append(key)
-        seen_frontier = set(frontier)
-        while frontier:
-            nxt = []
-            for basis in frontier:
-                members = set(found[basis]["members"])
-                for k, v in enumerate(vectors):
-                    if k in members:
-                        continue
-                    key = visit(basis + (v,))
-                    if key is not None and key not in seen_frontier:
-                        seen_frontier.add(key)
-                        nxt.append(key)
-            frontier = nxt
-    elif method == "subsets":
-        for r in range(2, arr.size + 1):
-            for idx in combinations(range(arr.size), r):
-                visit(tuple(vectors[i] for i in idx))
-    else:
-        raise ValueError(f"unknown poset method {method!r}")
-
-    strata = [
-        Stratum(basis, info["dim"], info["members"]) for basis, info in found.items()
-    ]
-    # near-pencil: contained in a flat one dimension up with one fewer hyperplane
-    by_mask = {s.mask: s for s in strata}
-    flagged = []
-    for s in strata:
+    flats = {
+        mask: info
+        for mask, info in _flats(vectors, n, _pivot_q, _reduce_q).items()
+        if mask & (mask - 1)  # at least two hyperplanes
+    }
+    strata = []
+    for mask, (rank, gens) in flats.items():
         near = False
-        for drop in s.hyperplanes:
-            parent = by_mask.get(s.mask & ~(1 << drop))
-            if parent is not None and parent.dim == s.dim + 1:
+        for i in _indices(mask):
+            parent = flats.get(mask & ~(1 << i))
+            if parent is not None and parent[0] == rank - 1:
                 near = True
                 break
-        flagged.append(replace(s, near_pencil=near))
-    flagged.sort(key=lambda s: (-s.dim, s.mult, s.basis))
-    return flagged
+        basis = _canonical_basis([vectors[i] for i in gens])
+        strata.append(Stratum(basis, n - rank, _indices(mask), near))
+    strata.sort(key=lambda s: (-s.dim, s.mult, s.basis))
+    return strata
 
 
 def admissible(dim: int, mult: int, ambient: int) -> bool:
@@ -284,23 +342,27 @@ def classify(arr: Arrangement, poset: list[Stratum] | None = None) -> Classifica
     )
     positive = [t for t in type_keys if t[0] >= 1]
     pos_index = {t: i for i, t in enumerate(positive)}
-    by_type: dict[tuple[int, int, bool], list[Stratum]] = {t: [] for t in type_keys}
+    # masks computed once: the incidence scan below is quadratic in strata
+    by_type: dict[tuple[int, int, bool], list[int]] = {t: [] for t in type_keys}
+    columns = []  # (mask, type column) of every positive-dimensional stratum
     for s in poset:
-        by_type[(s.dim, s.mult, s.near_pencil)].append(s)
+        key = (s.dim, s.mult, s.near_pencil)
+        mask = s.mask
+        by_type[key].append(mask)
+        if s.dim >= 1:
+            columns.append((mask, pos_index[key]))
 
-    def incidence_vector(s: Stratum) -> tuple[int, ...]:
+    def incidence_vector(mask: int) -> tuple[int, ...]:
         counts = [0] * len(positive)
-        for other in poset:
-            if other is s or other.dim < 1:
-                continue
-            if other.mask != s.mask and other.mask & s.mask == other.mask:
-                counts[pos_index[(other.dim, other.mult, other.near_pencil)]] += 1
+        for other, col in columns:
+            if other != mask and other & mask == other:
+                counts[col] += 1
         return tuple(counts)
 
     rows = []
     for idx, key in enumerate(type_keys, start=1):
         members = by_type[key]
-        vectors = {incidence_vector(s) for s in members}
+        vectors = {incidence_vector(mask) for mask in members}
         uniform = len(vectors) == 1
         vec = vectors.pop() if uniform else tuple(-1 for _ in positive)
         rows.append(
@@ -422,51 +484,35 @@ class ModPComparison:
 
 def poset_mod_p(arr: Arrangement, p: int) -> dict[tuple[int, ...], int]:
     """Flats of the reduced arrangement over F_p, keyed by the containing-
-    hyperplane index set, value = dimension."""
+    hyperplane index set, value = dimension.
+
+    The same mask-keyed enumerator as `intersection_poset`, with every
+    residual reduced mod p and scaled to lead coefficient 1.  Raises
+    ValueError when a hyperplane reduces to zero mod p, and returns {}
+    when two hyperplanes reduce to the same vector mod p.
+    """
     require_odd_prime(p)
-    n = arr.dim
     vectors = [tuple(c % p for c in h.coeffs) for h in arr.hyperplanes]
     if any(not any(v) for v in vectors):
         raise ValueError(f"a hyperplane degenerates to zero mod {p}")
     if len(set(vectors)) != len(vectors):
         # two hyperplanes coincide mod p; the stratification cannot match
         return {}
-    found: dict[tuple, dict] = {}
 
-    def visit(rows):
-        basis = echelon_mod(rows, p)
-        rank = len(basis)
-        if rank > n or basis in found:
-            return basis if basis in found else None
-        members = tuple(
-            i
-            for i, v in enumerate(vectors)
-            if len(echelon_mod(basis + (v,), p)) == rank
-        )
-        if len(members) < 2:
-            return None
-        found[basis] = {"dim": n - rank, "members": members}
-        return basis
+    def pivot(v) -> tuple[int, ...]:
+        inv = pow(_lead(v), -1, p)
+        return tuple(x * inv % p for x in v)
 
-    frontier = []
-    for i, j in combinations(range(arr.size), 2):
-        key = visit((vectors[i], vectors[j]))
-        if key is not None:
-            frontier.append(key)
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for basis in frontier:
-            members = set(found[basis]["members"])
-            for k, v in enumerate(vectors):
-                if k in members:
-                    continue
-                key = visit(basis + (v,))
-                if key is not None and key not in seen:
-                    seen.add(key)
-                    nxt.append(key)
-        frontier = nxt
-    return {info["members"]: info["dim"] for info in found.values()}
+    def reduce(v, w, col: int) -> tuple[int, ...]:
+        f = v[col]
+        return pivot([(x - f * y) % p for x, y in zip(v, w)])
+
+    n = arr.dim
+    return {
+        _indices(mask): n - rank
+        for mask, (rank, _) in _flats(vectors, n, pivot, reduce).items()
+        if mask & (mask - 1)
+    }
 
 
 def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum] | None = None) -> ModPComparison:

@@ -177,9 +177,9 @@ def cmd_classify_arrangement(args) -> int:
             "exceptional_odd_primes": list(rep.exceptional_odd_primes),
             "max_abs_minor": rep.max_abs_minor,
         }
-        if args.check_prime:
-            cmp = poset_matches_mod_p(arr, args.check_prime, poset)
-            payload["good_reduction"][f"poset_matches_mod_{args.check_prime}"] = cmp.equal
+    if args.check_prime is not None:
+        cmp = poset_matches_mod_p(arr, args.check_prime, poset)
+        payload.setdefault("good_reduction", {})[f"poset_matches_mod_{args.check_prime}"] = cmp.equal
     if args.csv:
         print("label,dim,mult,count,near_pencil,admissible,incidence")
         for row in payload["types"]:

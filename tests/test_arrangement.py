@@ -4,11 +4,14 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyarith.arith import rank
+from cyarith.arith import echelon, primitive_rows, rank
 from cyarith.arrangement import (
     Arrangement,
     Hyperplane,
+    _canonical_basis,
     admissible,
     classify,
     crepant_resolvable,
@@ -16,6 +19,7 @@ from cyarith.arrangement import (
     intersection_poset,
     parse_arrangement,
     poset_matches_mod_p,
+    poset_mod_p,
     resolution_schedule,
 )
 from cyarith.registry import (
@@ -23,12 +27,32 @@ from cyarith.registry import (
     AHLGREN_REFERENCE_TABLE,
     load_bundled_arrangement,
 )
+from oracles import closure_poset, closure_poset_mod_p, subsets_poset, subsets_poset_mod_p
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def lines(*rows):
     return Arrangement.from_rows(2, rows)
+
+
+def random_arrangement(rng, n, count, bound=2):
+    """`count` distinct hyperplanes in P^n, coefficients in [-bound, bound]."""
+    seen = set()
+    rows = []
+    while len(rows) < count:
+        row = tuple(rng.randint(-bound, bound) for _ in range(n + 1))
+        if not any(row):
+            continue
+        h = Hyperplane.from_coeffs(row)
+        if h.coeffs not in seen:
+            seen.add(h.coeffs)
+            rows.append(h.coeffs)
+    return Arrangement.from_rows(n, rows)
+
+
+def fields(poset):
+    return [(s.basis, s.dim, s.hyperplanes, s.near_pencil) for s in poset]
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +221,6 @@ def test_pair_census_all_bundled():
 def test_closure_completeness(ahlgren, ahlgren_poset):
     # intersecting any stratum with any hyperplane yields a stratum or empty
     keys = {s.basis for s in ahlgren_poset}
-    from cyarith.arrangement import _canonical_basis
-
     for s in ahlgren_poset[:60]:  # a sample is enough; full loop is O(452*12)
         for i, h in enumerate(ahlgren.hyperplanes):
             if i in s.hyperplanes:
@@ -220,44 +242,23 @@ def test_ahlgren_schedule(ahlgren, ahlgren_poset):
 
 
 def test_subset_mode_oracle_matches_closure(ahlgren, ahlgren_poset):
-    subsets = intersection_poset(ahlgren, method="subsets")
-    assert [(s.basis, s.dim, s.hyperplanes) for s in subsets] == [
-        (s.basis, s.dim, s.hyperplanes) for s in ahlgren_poset
-    ]
-
-
-def test_unknown_method_rejected(ahlgren):
-    with pytest.raises(ValueError):
-        intersection_poset(ahlgren, method="magic")
+    assert fields(ahlgren_poset) == fields(subsets_poset(ahlgren))
 
 
 def test_random_arrangements_closure_equals_subsets():
+    # the engine against both old loops, in P^2..P^4 with up to 9 planes
     rng = random.Random(42)
-    for _ in range(25):
-        n = rng.choice((2, 3))
-        count = rng.randint(2, 6)
-        seen = set()
-        rows = []
-        while len(rows) < count:
-            row = tuple(rng.randint(-2, 2) for _ in range(n + 1))
-            if not any(row):
-                continue
-            h = Hyperplane.from_coeffs(row)
-            if h.coeffs not in seen:
-                seen.add(h.coeffs)
-                rows.append(h.coeffs)
-        arr = Arrangement.from_rows(n, rows)
-        a = intersection_poset(arr, method="closure")
-        b = intersection_poset(arr, method="subsets")
-        assert [(s.basis, s.dim, s.hyperplanes, s.near_pencil) for s in a] == [
-            (s.basis, s.dim, s.hyperplanes, s.near_pencil) for s in b
-        ]
+    shapes = [(n, count) for n in (2, 3, 4) for count in range(2, 10)]
+    for n, count in shapes + [rng.choice(shapes) for _ in range(12)]:
+        arr = random_arrangement(rng, n, count)
+        expected = fields(subsets_poset(arr))
+        assert fields(intersection_poset(arr)) == expected
+        if count <= 6:
+            assert fields(closure_poset(arr)) == expected
 
 
 def test_canonical_form_iff_same_flat():
     rng = random.Random(7)
-    from cyarith.arrangement import _canonical_basis
-
     for _ in range(50):
         rows_a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(1, 3))]
         rows_b = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(1, 3))]
@@ -265,6 +266,19 @@ def test_canonical_form_iff_same_flat():
             continue
         same_space = rank(rows_a) == rank(rows_b) == rank(rows_a + rows_b)
         assert (_canonical_basis(rows_a) == _canonical_basis(rows_b)) == same_space
+
+
+matrix_strategy = st.integers(1, 6).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols), max_size=6
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_strategy)
+def test_canonical_basis_equals_fraction_echelon(rows):
+    assert _canonical_basis(rows) == primitive_rows(echelon(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +326,31 @@ def test_mod_p_detects_changed_intersection():
     arr = lines((1, 1, 0), (1, -2, 0), (0, 0, 1))
     cmp = poset_matches_mod_p(arr, 3)
     assert not cmp.equal
+
+
+def test_mod_p_contract():
+    with pytest.raises(ValueError, match="degenerates"):
+        # Hyperplane.from_coeffs would divide out the content 3
+        poset_mod_p(Arrangement(2, (Hyperplane((1, 0, 0)), Hyperplane((3, 3, 3)))), 3)
+    assert poset_mod_p(lines((1, 1, 0), (1, -2, 0), (0, 0, 1)), 3) == {}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_poset_mod_p_matches_subset_oracle(p):
+    # random draws with coefficients in [-p-1, p+1]: about half reduce to a
+    # different poset, a few to coinciding planes ({} on both sides)
+    rng = random.Random(1000 + p)
+    changed = 0
+    for _ in range(150):
+        n = rng.choice((2, 3, 4))
+        arr = random_arrangement(rng, n, rng.randint(3, 7), bound=p + 1)
+        got = poset_mod_p(arr, p)
+        assert got == subsets_poset_mod_p(arr, p)
+        rational = {s.hyperplanes: s.dim for s in intersection_poset(arr)}
+        if got and got != rational:
+            changed += 1
+            assert got == closure_poset_mod_p(arr, p)
+    assert changed >= 10
 
 
 # ---------------------------------------------------------------------------

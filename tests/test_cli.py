@@ -104,6 +104,16 @@ def test_classify_arrangement_file_and_options(tmp_path, capsys):
     assert data["good_reduction"]["all_minors_unimodular"] is True
 
 
+def test_classify_arrangement_check_prime_alone(capsys):
+    # --check-prime runs the mod-p comparison without --good-reduction
+    code, out, _ = run(capsys, "classify-arrangement", "octic", "--check-prime", "5", "--json")
+    assert code == 0
+    assert json.loads(out)["good_reduction"] == {"poset_matches_mod_5": True}
+    code, _, err = run(capsys, "classify-arrangement", "octic", "--check-prime", "9")
+    assert code == 1
+    assert "odd prime" in err
+
+
 def test_classify_arrangement_malformed_file(tmp_path, capsys):
     path = tmp_path / "broken.arr"
     path.write_text("2 2\n1 0 0\n")
