@@ -2,8 +2,9 @@
 
 Everything is integer or rational and exact: deterministic primality
 testing, Legendre symbols with per-prime lookup tables, integer
-polynomials in one formal variable T, and reduced row echelon form over
-the rationals.  No floating point anywhere.
+polynomials in one formal variable T, truncated products of integer
+coefficient lists by Kronecker substitution, and reduced row echelon
+form over the rationals.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -201,6 +202,44 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"
+
+
+# ---------------------------------------------------------------------------
+# Truncated products of coefficient lists by Kronecker substitution
+
+
+def _pack(values: list[int], width: int) -> int:
+    """sum_i values[i] * 2^(8*width*i), built from bytes in one pass per sign."""
+    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in values)
+    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in values)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
+    """Coefficients 0..top of the product of the integer polynomials with
+    ascending coefficient lists a and b.
+
+    Kronecker substitution: each list is evaluated at X = 2^(8*width) as
+    one Python int, and a single bigint product holds the product
+    polynomial evaluated at X.  `width` bytes are enough that every output
+    coefficient c has |c| < X/2, so adding X/2 to every digit of the low
+    top+1 digits makes them all non-negative, and one `to_bytes` call
+    splits them apart.  Exact for any signed integer input.
+    """
+    a = a[: top + 1]
+    b = b[: top + 1]
+    n = top + 1
+    if not any(a) or not any(b):
+        return [0] * n
+    # bound >= every |input| too, since both lists have a nonzero entry
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = (bound.bit_length() + 8) // 8  # bound < 2^(8*width - 1)
+    bits = 8 * width * n
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # X/2 in every digit
+    low = (_pack(a, width) * _pack(b, width) + offset) & ((1 << bits) - 1)
+    digits = low.to_bytes(width * n, "little")
+    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ general divisors holds automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 
 from .arith import all_minors, require_odd_prime
@@ -480,6 +481,26 @@ class ModPComparison:
     missing: tuple[tuple[int, ...], ...]  # hyperplane index sets present over Q only
     extra: tuple[tuple[int, ...], ...]  # present over F_p only
     changed_dim: tuple[tuple[int, ...], ...]
+    coincident: bool  # two hyperplanes reduce to the same line mod p
+
+
+def _monic_mod(p: int, v) -> tuple[int, ...]:
+    """The residue vector v scaled to lead coefficient 1 mod p."""
+    inv = pow(_lead(v), -1, p)
+    return tuple(x * inv % p for x in v)
+
+
+def _lines_mod_p(arr: Arrangement, p: int) -> list[tuple[int, ...]]:
+    """Each hyperplane's form mod p as `_monic_mod`, so two hyperplanes
+    coincide mod p exactly when their entries are equal."""
+    require_odd_prime(p)
+    lines = []
+    for h in arr.hyperplanes:
+        v = [c % p for c in h.coeffs]
+        if not any(v):
+            raise ValueError(f"a hyperplane degenerates to zero mod {p}")
+        lines.append(_monic_mod(p, v))
+    return lines
 
 
 def poset_mod_p(arr: Arrangement, p: int) -> dict[tuple[int, ...], int]:
@@ -489,19 +510,14 @@ def poset_mod_p(arr: Arrangement, p: int) -> dict[tuple[int, ...], int]:
     The same mask-keyed enumerator as `intersection_poset`, with every
     residual reduced mod p and scaled to lead coefficient 1.  Raises
     ValueError when a hyperplane reduces to zero mod p, and returns {}
-    when two hyperplanes reduce to the same vector mod p.
+    when two hyperplanes reduce to the same line mod p.
     """
-    require_odd_prime(p)
-    vectors = [tuple(c % p for c in h.coeffs) for h in arr.hyperplanes]
-    if any(not any(v) for v in vectors):
-        raise ValueError(f"a hyperplane degenerates to zero mod {p}")
-    if len(set(vectors)) != len(vectors):
+    lines = _lines_mod_p(arr, p)
+    if len(set(lines)) != len(lines):
         # two hyperplanes coincide mod p; the stratification cannot match
         return {}
 
-    def pivot(v) -> tuple[int, ...]:
-        inv = pow(_lead(v), -1, p)
-        return tuple(x * inv % p for x in v)
+    pivot = partial(_monic_mod, p)
 
     def reduce(v, w, col: int) -> tuple[int, ...]:
         f = v[col]
@@ -510,7 +526,7 @@ def poset_mod_p(arr: Arrangement, p: int) -> dict[tuple[int, ...], int]:
     n = arr.dim
     return {
         _indices(mask): n - rank
-        for mask, (rank, _) in _flats(vectors, n, pivot, reduce).items()
+        for mask, (rank, _) in _flats(lines, n, pivot, reduce).items()
         if mask & (mask - 1)
     }
 
@@ -520,13 +536,17 @@ def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum] | None = 
 
     Flats on both sides are identified with their containing-hyperplane
     index sets (which span the defining forms), so poset equality is set
-    equality plus matching dimensions.
+    equality plus matching dimensions.  Two hyperplanes that coincide
+    mod p never compare equal, even when both posets are empty.
     """
     if poset is None:
         poset = intersection_poset(arr)
+    lines = _lines_mod_p(arr, p)
+    coincident = len(set(lines)) != len(lines)
     rational = {s.hyperplanes: s.dim for s in poset}
     modp = poset_mod_p(arr, p)
     missing = tuple(sorted(k for k in rational if k not in modp))
     extra = tuple(sorted(k for k in modp if k not in rational))
     changed = tuple(sorted(k for k in rational if k in modp and rational[k] != modp[k]))
-    return ModPComparison(p, not (missing or extra or changed), missing, extra, changed)
+    equal = not (coincident or missing or extra or changed)
+    return ModPComparison(p, equal, missing, extra, changed, coincident)

@@ -108,7 +108,7 @@ def cmd_elliptic_ap(args) -> int:
 
 
 def cmd_verify_ahlgren(args) -> int:
-    rows = verify_ahlgren(args.pmax, brute_max=args.brute_max, threads=args.threads)
+    rows = verify_ahlgren(args.pmax, brute_max=args.brute_max)
     data = [
         {
             "p": r.p,
@@ -149,6 +149,13 @@ def cmd_tensor_factor(args) -> int:
 
 
 def cmd_classify_arrangement(args) -> int:
+    if args.csv and (args.schedule or args.good_reduction or args.check_prime is not None):
+        print(
+            "--csv holds the type table only; use --json with --schedule, "
+            "--good-reduction or --check-prime",
+            file=sys.stderr,
+        )
+        return 2
     try:
         if args.file in registry.ARRANGEMENT_FILES:
             arr = registry.load_bundled_arrangement(args.file)
@@ -215,7 +222,7 @@ def cmd_euler(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    reports = run_suite(args.name, pmax=args.pmax, brute_max=args.brute_max, threads=args.threads)
+    reports = run_suite(args.name, pmax=args.pmax, brute_max=args.brute_max)
     if args.json:
         print(reports_to_json(reports))
     else:
@@ -236,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, pmax_default=100):
         p.add_argument("--json", action="store_true", help="JSON output (default)")
         p.add_argument("--csv", action="store_true", help="CSV output where supported")
-        p.add_argument("--threads", type=int, default=1, metavar="K")
         p.add_argument("--pmax", type=int, default=pmax_default, metavar="P")
 
     p = sub.add_parser("eta-expand", help="expand an eta product")
@@ -274,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify-arrangement", help="intersection-lattice classification")
     p.add_argument("file", help="arrangement file, or bundled name: ahlgren | octic | sextic")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true", help="the type table only (exit 2 with the options below)")
     p.add_argument("--schedule", action="store_true", help="include blow-up schedule")
     p.add_argument("--good-reduction", action="store_true")
     p.add_argument("--check-prime", type=int, default=None, metavar="P")

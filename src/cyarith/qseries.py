@@ -1,6 +1,11 @@
 """Truncated integer q-expansions: Dedekind eta products and Hecke
 multiplicative expansion of eigenforms.
 
+An eta product is expanded factor by factor: each power of the
+pentagonal series comes from J.C.P. Miller's power recurrence, in
+O(N^1.5) integer operations whatever the exponent, and the factors are
+multiplied by Kronecker substitution (`arith._kronecker_mul`).
+
 All series here are cusp forms, so coefficients start at q^1 and c_0 is
 identically zero.  A QSeries never reads beyond its stated precision.
 """
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .arith import primes_up_to
+from .arith import _kronecker_mul, primes_up_to
 
 DEFAULT_PRECISION = 200  # every bundled comparison needs far less
 
@@ -78,33 +83,7 @@ def series_match(a: QSeries, b: QSeries, upto: int) -> MatchResult:
 
 
 # ---------------------------------------------------------------------------
-# Dense truncated series helpers (plain lists indexed by exponent)
-
-
-def _mul_trunc(a: list[int], b: list[int], top: int) -> list[int]:
-    out = [0] * (top + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > top:
-            continue
-        jmax = top - i
-        for j, bj in enumerate(b[: jmax + 1]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _pow_trunc(a: list[int], k: int, top: int) -> list[int]:
-    # binary exponentiation on truncated series: O(log k) truncated products
-    result = [0] * (top + 1)
-    result[0] = 1
-    base = list(a[: top + 1])
-    while k:
-        if k & 1:
-            result = _mul_trunc(result, base, top)
-        k >>= 1
-        if k:
-            base = _mul_trunc(base, base, top)
-    return result
+# Eta products
 
 
 def eta_unit_part(scale: int, top: int) -> list[int]:
@@ -128,6 +107,27 @@ def eta_unit_part(scale: int, top: int) -> list[int]:
             out[g2] = s
         m += 1
     return out
+
+
+def eta_unit_power(k: int, top: int) -> list[int]:
+    """prod_{n>=1} (1 - q^n)^k truncated at q^top, for k >= 1.
+
+    Miller's power recurrence: f = E^k with E the pentagonal series
+    satisfies E f' = k E' f, which gives
+    n f_n = sum_{j>=1} e_j ((k+1) j - n) f_{n-j}.  Only the O(sqrt(top))
+    nonzero e_j enter, and the division by n is exact.
+    """
+    terms = [(j, c, (k + 1) * j) for j, c in enumerate(eta_unit_part(1, top)) if j and c]
+    f = [0] * (top + 1)
+    f[0] = 1
+    for n in range(1, top + 1):
+        s = 0
+        for j, c, kj in terms:
+            if j > n:
+                break
+            s += c * (kj - n) * f[n - j]
+        f[n] = s // n
+    return f
 
 
 @dataclass(frozen=True)
@@ -166,17 +166,22 @@ class EtaProduct:
         return total // 2 if total % 2 == 0 else Fraction(total, 2)
 
     def expand(self, precision: int = DEFAULT_PRECISION) -> QSeries:
-        """Exact coefficients through q^precision."""
+        """Exact coefficients through q^precision.
+
+        Each factor prod (1 - q^(m n))^k is `eta_unit_power(k, top // m)`
+        spread onto the exponents divisible by m; every factor after the
+        first costs one truncated Kronecker product.
+        """
         shift = self.q_shift
         top = precision - shift
         vals = [0] * (precision + 1)
         if top >= 0:
-            unit = [0] * (top + 1)
-            unit[0] = 1
-            for m, k in self.factors:
-                unit = _mul_trunc(unit, _pow_trunc(eta_unit_part(m, top), k, top), top)
-            for e, c in enumerate(unit):
-                vals[e + shift] = c
+            unit = [1] + [0] * top
+            for i, (m, k) in enumerate(self.factors):
+                factor = [0] * (top + 1)
+                factor[::m] = eta_unit_power(k, top // m)
+                unit = _kronecker_mul(unit, factor, top) if i else factor
+            vals[shift:] = unit
         return QSeries(tuple(vals))
 
     def __str__(self) -> str:

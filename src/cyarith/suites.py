@@ -1,8 +1,8 @@
 """Verification suites tying each headline identity to one runnable check.
 
 Every suite recomputes its claims from scratch and returns deterministic
-VerificationReport objects; reports are byte-identical across runs and
-thread counts (work is mapped in a fixed order and reduced in order).
+VerificationReport objects; reports are byte-identical across runs
+(work is done and reduced in a fixed order).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .tensor import verify_g4xg3, verify_power_factorization
 SUITES = ("eta", "cm", "tensor", "ahlgren", "arrangement", "euler", "all")
 
 
-def suite_eta(pmax: int = 100, threads: int = 1) -> list[VerificationReport]:
+def suite_eta(pmax: int = 100) -> list[VerificationReport]:
     """The five bundled eta products: four against the printed coefficients,
     the weight-6 level-4 power against the point-count oracle."""
     report = VerificationReport("eta-expansions")
@@ -50,7 +50,7 @@ def suite_eta(pmax: int = 100, threads: int = 1) -> list[VerificationReport]:
         report.check(str(eta), computed, dict(sorted(printed.items())), PUBLISHED)
     # eta(q^2)^12 has no printed coefficients; its oracle is the brute-force
     # fivefold count through p = 13 (solved for a_p)
-    rows = verify_ahlgren(13, brute_max=13, threads=threads)
+    rows = verify_ahlgren(13, brute_max=13)
     series = registry.ETA_WEIGHT6_LEVEL4.expand(13)
     computed = {row.p: series.coeff(row.p) for row in rows}
     expected = {row.p: row.p**5 + 2 * row.p**3 - 4 * row.p**2 - 9 * row.p - 1 - row.brute for row in rows}
@@ -58,7 +58,7 @@ def suite_eta(pmax: int = 100, threads: int = 1) -> list[VerificationReport]:
     return [report]
 
 
-def suite_cm(pmax: int = 100, threads: int = 1) -> list[VerificationReport]:
+def suite_cm(pmax: int = 100) -> list[VerificationReport]:
     reports = []
 
     printed = VerificationReport("grossencharakter-power-coefficients")
@@ -135,7 +135,7 @@ def model_mismatch_primes(curve, eta_series, pmax: int) -> list[int]:
     return out
 
 
-def suite_tensor(pmax: int = 100, threads: int = 1) -> list[VerificationReport]:
+def suite_tensor(pmax: int = 100) -> list[VerificationReport]:
     reports = []
     g4g3 = VerificationReport("tensor-w4xw3-factorization")
     rows = verify_g4xg3(pmax)
@@ -170,9 +170,9 @@ def suite_tensor(pmax: int = 100, threads: int = 1) -> list[VerificationReport]:
     return reports
 
 
-def suite_ahlgren(pmax: int = 100, brute_max: int | None = 13, threads: int = 1) -> list[VerificationReport]:
+def suite_ahlgren(pmax: int = 100, brute_max: int | None = 13) -> list[VerificationReport]:
     report = VerificationReport("ahlgren-fivefold-count-identity")
-    rows = verify_ahlgren(pmax, brute_max=brute_max, threads=threads)
+    rows = verify_ahlgren(pmax, brute_max=brute_max)
     report.check(
         f"N(p) = p^5 + 2p^3 - 4p^2 - 9p - 1 - a_p for odd p <= {pmax}",
         [r.p for r in rows if not r.match],
@@ -190,7 +190,7 @@ def suite_ahlgren(pmax: int = 100, brute_max: int | None = 13, threads: int = 1)
     return [report]
 
 
-def suite_arrangement(threads: int = 1) -> list[VerificationReport]:
+def suite_arrangement() -> list[VerificationReport]:
     reports = []
     arr = registry.load_bundled_arrangement("ahlgren")
     poset = intersection_poset(arr)
@@ -241,7 +241,7 @@ def suite_arrangement(threads: int = 1) -> list[VerificationReport]:
     return reports
 
 
-def suite_euler(threads: int = 1) -> list[VerificationReport]:
+def suite_euler() -> list[VerificationReport]:
     report = VerificationReport("double-cover-euler-calculus")
     fold = {n: fold_elliptic(n).e_cover for n in range(1, 11)}
     closed = {n: iterated_elliptic_euler(n) for n in range(1, 11)}
@@ -261,22 +261,22 @@ def suite_euler(threads: int = 1) -> list[VerificationReport]:
     return [report]
 
 
-def run_suite(name: str, pmax: int = 100, brute_max: int | None = 13, threads: int = 1) -> list[VerificationReport]:
+def run_suite(name: str, pmax: int = 100, brute_max: int | None = 13) -> list[VerificationReport]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if name == "eta":
-        return suite_eta(pmax, threads)
+        return suite_eta(pmax)
     if name == "cm":
-        return suite_cm(pmax, threads)
+        return suite_cm(pmax)
     if name == "tensor":
-        return suite_tensor(pmax, threads)
+        return suite_tensor(pmax)
     if name == "ahlgren":
-        return suite_ahlgren(pmax, brute_max, threads)
+        return suite_ahlgren(pmax, brute_max)
     if name == "arrangement":
-        return suite_arrangement(threads)
+        return suite_arrangement()
     if name == "euler":
-        return suite_euler(threads)
+        return suite_euler()
     reports = []
     for sub in ("eta", "cm", "tensor", "ahlgren", "arrangement", "euler"):
-        reports.extend(run_suite(sub, pmax=pmax, brute_max=brute_max, threads=threads))
+        reports.extend(run_suite(sub, pmax=pmax, brute_max=brute_max))
     return reports

@@ -1,15 +1,25 @@
-"""Slow reference implementations of the flat enumeration, kept as test
-oracles for the mask-keyed engine in `cyarith.arrangement`.
+"""Slow reference implementations kept as test oracles for the fast
+kernels of cyarith.
 
-They share no code with the engine: every rank and canonical key comes
-from a full `Fraction` echelon form over Q (or `echelon_mod` over F_p)
-recomputed from scratch for each candidate.
+Flat enumeration (`cyarith.arrangement`).  These share no code with the
+mask-keyed engine: every rank and canonical key comes from a full
+`Fraction` echelon form over Q (or `echelon_mod` over F_p) recomputed
+from scratch for each candidate.
 
 - `subsets_poset` ranks every subset of >= 2 hyperplanes.
 - `closure_poset` seeds with the pairwise intersections and intersects
   the frontier with one hyperplane at a time, breadth first.
 - `subsets_poset_mod_p` and `closure_poset_mod_p` are the same two
   loops over F_p, with the input checks of `poset_mod_p`.
+
+Series and point counts (`cyarith.qseries`, `cyarith.pointcount`).
+
+- `mul_trunc` is the schoolbook truncated product, the reference for
+  `arith._kronecker_mul`; `pow_trunc` is binary powering on top of it,
+  the reference for Miller's recurrence in `qseries.eta_unit_power`.
+- `ahlgren_count_loop` sums each fibre sum S(v) directly, in O(p^2),
+  the reference for the one-product correlation in
+  `pointcount.ahlgren_count_fast`.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import combinations
 
-from cyarith.arith import echelon, primitive_rows, require_odd_prime
+from cyarith.arith import LegendreTable, echelon, primitive_rows, require_odd_prime
 from cyarith.arrangement import Stratum
 
 
@@ -140,7 +150,8 @@ def _search_mod_p(arr, p: int):
     vectors = [tuple(c % p for c in h.coeffs) for h in arr.hyperplanes]
     if any(not any(v) for v in vectors):
         raise ValueError(f"a hyperplane degenerates to zero mod {p}")
-    if len(set(vectors)) != len(vectors):
+    # hyperplanes coincide when their lines do: compare echelon forms
+    if len({echelon_mod([v], p) for v in vectors}) != len(vectors):
         return None
     return _Search(vectors, arr.dim, lambda rows: echelon_mod(rows, p))
 
@@ -157,3 +168,43 @@ def closure_poset_mod_p(arr, p: int) -> dict[tuple[int, ...], int]:
     if search is None:
         return {}
     return {members: dim for dim, members in search.closure().values()}
+
+
+def mul_trunc(a: list[int], b: list[int], top: int) -> list[int]:
+    out = [0] * (top + 1)
+    for i, ai in enumerate(a):
+        if ai == 0 or i > top:
+            continue
+        jmax = top - i
+        for j, bj in enumerate(b[: jmax + 1]):
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def pow_trunc(a: list[int], k: int, top: int) -> list[int]:
+    # binary exponentiation on truncated series: O(log k) truncated products
+    result = [0] * (top + 1)
+    result[0] = 1
+    base = list(a[: top + 1])
+    while k:
+        if k & 1:
+            result = mul_trunc(result, base, top)
+        k >>= 1
+        if k:
+            base = mul_trunc(base, base, top)
+    return result
+
+
+def ahlgren_count_loop(p: int) -> int:
+    """N(p) = sum_v (p^4 + S(v)^4) with each S(v) summed directly."""
+    require_odd_prime(p)
+    chi = LegendreTable(p).values
+    p4 = p**4
+    total = 0
+    for v in range(p):
+        s = 0
+        for x in range(p):
+            s += chi[x * (x - 1) % p * (x - v) % p]
+        total += p4 + s**4
+    return total

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cyarith.arith import (
     IntPoly,
+    _kronecker_mul,
     LegendreTable,
     all_minors,
     det,
@@ -18,7 +19,7 @@ from cyarith.arith import (
     rank,
     require_odd_prime,
 )
-from oracles import echelon_mod
+from oracles import echelon_mod, mul_trunc
 
 SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 31, 97)
 
@@ -216,3 +217,34 @@ def test_all_minors_count():
     # 3*2 size-1 plus 3 size-2
     assert len(minors) == 6 + 3
     assert {v for _, _, _, v in minors} <= {-1, 0, 1}
+
+
+# ---------------------------------------------------------------------------
+# truncated products by Kronecker substitution
+
+coefficient_lists = st.lists(
+    st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**200), 2**200)),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_lists, coefficient_lists, st.integers(0, 90))
+def test_kronecker_mul_matches_schoolbook(a, b, top):
+    # top ranges from far below to far above len(a) + len(b) - 2
+    assert _kronecker_mul(a, b, top) == mul_trunc(a, b, top)
+
+
+@pytest.mark.parametrize("n", [127, 128, 255, 256, 32767, 32768])
+def test_kronecker_mul_digit_width_boundary(n):
+    # the middle coefficient reaches the bound n exactly, with either sign
+    ones = [1] * n
+    assert _kronecker_mul(ones, ones, 2 * n)[n - 1] == n
+    assert _kronecker_mul(ones, [-1] * n, 2 * n)[n - 1] == -n
+    assert _kronecker_mul([-1] * n, [-1] * n, n - 1) == list(range(1, n + 1))
+
+
+def test_kronecker_mul_empty_and_zero_inputs():
+    assert _kronecker_mul([], [1, 2], 3) == [0, 0, 0, 0]
+    assert _kronecker_mul([0, 0], [0], 2) == [0, 0, 0]
+    assert _kronecker_mul([5], [-7], 0) == [-35]

@@ -328,6 +328,23 @@ def test_mod_p_detects_changed_intersection():
     assert not cmp.equal
 
 
+def test_mod_p_coincidence_compares_lines():
+    # (2, -1, 0) = 2 * (1, 1, 0) mod 3: the same line, not the same residues
+    arr = lines((1, 1, 0), (2, -1, 0), (0, 0, 1))
+    assert poset_mod_p(arr, 3) == subsets_poset_mod_p(arr, 3) == {}
+    cmp = poset_matches_mod_p(arr, 3)
+    assert cmp.coincident and not cmp.equal
+
+
+def test_mod_p_coincidence_never_equal():
+    # two points of P^1 meeting mod 3: both posets are empty, yet unequal
+    arr = Arrangement.from_rows(1, [(1, 1), (1, -2)])
+    assert intersection_poset(arr) == [] and poset_mod_p(arr, 3) == {}
+    cmp = poset_matches_mod_p(arr, 3)
+    assert cmp.coincident and not cmp.equal
+    assert poset_matches_mod_p(arr, 5).equal
+
+
 def test_mod_p_contract():
     with pytest.raises(ValueError, match="degenerates"):
         # Hyperplane.from_coeffs would divide out the content 3

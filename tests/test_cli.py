@@ -114,6 +114,17 @@ def test_classify_arrangement_check_prime_alone(capsys):
     assert "odd prime" in err
 
 
+def test_classify_arrangement_csv_refuses_extra_results(capsys):
+    # the CSV type table has no place for these results: refuse, do not drop
+    for extra in (["--schedule"], ["--good-reduction"], ["--check-prime", "5"]):
+        code, out, err = run(capsys, "classify-arrangement", "octic", "--csv", *extra)
+        assert (code, out) == (2, "")
+        assert "--json" in err
+    code, out, _ = run(capsys, "classify-arrangement", "octic", "--csv")
+    assert code == 0
+    assert out.splitlines()[-1] == "resolvable,True"
+
+
 def test_classify_arrangement_malformed_file(tmp_path, capsys):
     path = tmp_path / "broken.arr"
     path.write_text("2 2\n1 0 0\n")
@@ -156,12 +167,6 @@ def test_suite_json_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["exit_code"] == 0
     assert all(rep["status"] == "pass" for rep in payload["reports"])
-
-
-def test_suite_thread_invariance(capsys):
-    _, seq, _ = run(capsys, "suite", "ahlgren", "--json", "--pmax", "50")
-    _, par, _ = run(capsys, "suite", "ahlgren", "--json", "--pmax", "50", "--threads", "3")
-    assert seq == par
 
 
 def test_suite_unknown_name_rejected():

@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
+from cyarith import pointcount
 from cyarith.arith import LegendreTable, odd_primes_up_to
+from cyarith.cli import main
 from cyarith.cmforms import EISENSTEIN, GAUSSIAN
 from cyarith.pointcount import (
     AHLGREN_ETA,
@@ -19,6 +23,8 @@ from cyarith.registry import (
     ETA_WEIGHT2_EISENSTEIN,
     ETA_WEIGHT2_GAUSSIAN,
 )
+from cyarith.suites import run_suite
+from oracles import ahlgren_count_loop
 
 
 def test_curve_model_validation():
@@ -106,9 +112,15 @@ def test_bruteforce_matches_formula_side():
     assert ahlgren_predicted(5, 54) == 3175
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_fast_equals_bruteforce(p):
     assert ahlgren_count_fast(p) == ahlgren_count_bruteforce(p)
+
+
+def test_fast_equals_fibre_loop():
+    # the one-product correlation against the direct O(p^2) fibre sums
+    for p in odd_primes_up_to(211):
+        assert ahlgren_count_fast(p) == ahlgren_count_loop(p), p
 
 
 def test_bruteforce_cap():
@@ -165,7 +177,18 @@ def test_verify_ahlgren_rows():
         assert r.predicted == ahlgren_predicted(r.p, r.ap)
 
 
-def test_verify_ahlgren_thread_determinism():
-    seq = verify_ahlgren(50)
-    par = verify_ahlgren(50, threads=4)
-    assert seq == par
+def test_fast_brute_mismatch_is_a_fail_row(monkeypatch, capsys):
+    # a wrong fast count at p = 7 must surface as a FAIL row, not a traceback
+    real = pointcount.ahlgren_count_fast
+    monkeypatch.setattr(pointcount, "ahlgren_count_fast", lambda p: real(p) + (p == 7))
+    rows = {r.p: r for r in verify_ahlgren(13, brute_max=13)}
+    assert (rows[7].count, rows[7].brute, rows[7].match) == (17322, 17321, False)
+    assert all(r.match for p, r in rows.items() if p != 7)
+
+    [report] = run_suite("ahlgren", pmax=13, brute_max=13)
+    assert report.status == "fail"
+    assert main(["suite", "ahlgren", "--pmax", "13"]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
+    assert main(["verify-ahlgren", "--pmax", "13", "--brute-max", "13"]) == 1
+    row = next(r for r in json.loads(capsys.readouterr().out) if r["p"] == 7)
+    assert (row["count"], row["brute"], row["match"]) == (17322, 17321, False)

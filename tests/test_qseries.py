@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyarith.cmforms import GAUSSIAN
 from cyarith.qseries import (
@@ -7,9 +9,11 @@ from cyarith.qseries import (
     QSeries,
     eta_product_expand,
     eta_unit_part,
+    eta_unit_power,
     hecke_expand,
     series_match,
 )
+from oracles import mul_trunc, pow_trunc
 from cyarith.registry import (
     ETA_WEIGHT2_EISENSTEIN,
     ETA_WEIGHT2_GAUSSIAN,
@@ -65,6 +69,35 @@ def _mul(a, b, top):
                 if b[j]:
                     out[i + j] += x * b[j]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Miller powers and Kronecker products against dense truncated products
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 300))
+def test_eta_unit_power_matches_dense_powering(k, top):
+    assert eta_unit_power(k, top) == pow_trunc(eta_unit_part(1, top), k, top)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 30)), min_size=1, max_size=3),
+    st.integers(1, 300),
+)
+def test_eta_product_matches_dense_oracle(factors, precision):
+    # pad with a power of eta(q) so that sum(m*k) is divisible by 24
+    pad = -sum(m * k for m, k in factors) % 24
+    eta = EtaProduct(tuple(factors) + (((1, pad),) if pad else ()))
+    top = precision - eta.q_shift
+    expected = [0] * (precision + 1)
+    if top >= 0:
+        unit = [1] + [0] * top
+        for m, k in eta.factors:
+            unit = mul_trunc(unit, pow_trunc(eta_unit_part(m, top), k, top), top)
+        expected[eta.q_shift :] = unit
+    assert eta.expand(precision).values == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
