@@ -3,8 +3,12 @@
 Everything is integer or rational and exact: deterministic primality
 testing, Legendre symbols with per-prime lookup tables, integer
 polynomials in one formal variable T, truncated products of integer
-coefficient lists by Kronecker substitution, and reduced row echelon
-form over the rationals.  No floating point anywhere.
+coefficient lists by Kronecker substitution, reduced row echelon form
+over the rationals, and every square minor of an integer matrix by one
+level-by-level Laplace pass.  No floating point anywhere.
+
+A checked identity that fails raises `IdentityViolation`, which the CLI
+reports as a failure with exit code 1.
 """
 
 from __future__ import annotations
@@ -16,6 +20,14 @@ from math import gcd, lcm
 # Strong-pseudoprime witnesses; deterministic for every n < 3.3e24,
 # far beyond any modulus used here.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class IdentityViolation(ArithmeticError):
+    """A mathematical identity that the computation checks does not hold.
+
+    Raised instead of `assert` (which `python -O` strips), so that a
+    broken identity is a reported failure, never a silent pass.
+    """
 
 
 def is_prime(n: int) -> bool:
@@ -243,7 +255,7 @@ def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational row reduction
+# Exact rational row reduction and integer minors
 
 
 def echelon(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -308,41 +320,43 @@ def primitive_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def det(matrix) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    m = [list(map(int, row)) for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def minors_by_size(matrix):
+    """Every square minor of an integer matrix, one size at a time.
 
-
-def all_minors(matrix, max_size: int | None = None):
-    """Yield (size, row_idx, col_idx, value) for every square minor."""
+    Yields (k, minors) for k = 1 .. min(rows, cols), where `minors` maps
+    (row_mask, col_mask), the bitmasks of the chosen rows and columns, to
+    the determinant of that k x k submatrix.  Each size-k minor is its
+    Laplace expansion along its last row: k entries of that row times
+    size-(k-1) minors of the previous level, so a minor costs k products
+    and only two levels are held at once.
+    """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    top = min(nrows, ncols)
-    if max_size is not None:
-        top = min(top, max_size)
-    for size in range(1, top + 1):
-        for ridx in combinations(range(nrows), size):
-            for cidx in combinations(range(ncols), size):
-                sub = [[matrix[r][c] for c in cidx] for r in ridx]
-                yield size, ridx, cidx, det(sub)
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError("ragged matrix")
+    prev = {(1 << r, 1 << c): x for r, row in enumerate(matrix) for c, x in enumerate(row)}
+    if not prev:
+        return
+    yield 1, prev
+    for k in range(2, min(nrows, ncols) + 1):
+        # column j of a k x k submatrix enters the last-row expansion with sign (-1)^(k-1+j)
+        plan = []
+        for cols in combinations(range(ncols), k):
+            col_mask = sum(1 << c for c in cols)
+            plan.append((col_mask, [(c, col_mask ^ (1 << c), (k - 1 + j) % 2) for j, c in enumerate(cols)]))
+        level = {}
+        for rows in combinations(range(nrows), k):
+            row = matrix[rows[-1]]
+            row_mask = sum(1 << r for r in rows)
+            sub = row_mask ^ (1 << rows[-1])
+            for col_mask, terms in plan:
+                v = 0
+                for c, sub_cols, odd in terms:
+                    x = row[c]
+                    if x:
+                        m = prev[sub, sub_cols]
+                        if m:
+                            v = v - x * m if odd else v + x * m
+                level[row_mask, col_mask] = v
+        yield k, level
+        prev = level

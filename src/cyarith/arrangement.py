@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import gcd
 
-from .arith import all_minors, require_odd_prime
+from .arith import minors_by_size, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -441,21 +441,19 @@ class GoodReductionReport:
 
 
 def good_reduction_report(arr: Arrangement) -> GoodReductionReport:
-    """Scan every minor (all sizes) of the N x (n+1) coefficient matrix.
+    """Every square minor (all sizes) of the N x (n+1) coefficient matrix.
 
     Minors in {0, +-1} force the mod-p stratification to agree with the
     rational one at every odd prime.  Otherwise the odd primes dividing
-    some nonzero minor are the only candidates for a changed poset.
+    some nonzero minor are the only candidates for a changed poset.  The
+    minors come from one level-by-level Laplace pass
+    (`arith.minors_by_size`), and each distinct |minor| is factored once.
     """
-    matrix = arr.coefficient_matrix()
-    exceptional: set[int] = set()
-    max_abs = 0
-    for _, _, _, value in all_minors(matrix):
-        v = abs(value)
-        max_abs = max(max_abs, v)
-        if v > 1:
-            for q in _odd_prime_divisors(v):
-                exceptional.add(q)
+    values: set[int] = set()
+    for _, level in minors_by_size(arr.coefficient_matrix()):
+        values.update(map(abs, level.values()))
+    max_abs = max(values, default=0)
+    exceptional = {q for v in values if v > 1 for q in _odd_prime_divisors(v)}
     return GoodReductionReport(max_abs <= 1, tuple(sorted(exceptional)), max_abs)
 
 

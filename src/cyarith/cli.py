@@ -4,7 +4,9 @@ Subcommands map one-to-one onto the toolkit's verifiable claims:
 eta-expand, cm-coeffs, gross-normalize, elliptic-ap, verify-ahlgren,
 tensor-factor, classify-arrangement, euler, suite.  All output is
 deterministic; exit codes for `suite`: 0 all pass, 1 any fail,
-2 computed-vs-transcribed discrepancies only.
+2 computed-vs-transcribed discrepancies only.  A checked identity that
+breaks mid-computation (`IdentityViolation`) is one `FAIL` line on
+stderr and exit code 1, never a traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import sys
 
 from . import registry
-from .arith import odd_primes_up_to
+from .arith import IdentityViolation, odd_primes_up_to
 from .arrangement import (
     classify,
     good_reduction_report,
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except IdentityViolation as exc:
+        print(f"FAIL identity violated: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .arith import IntPoly, is_prime
+from .arith import IdentityViolation, IntPoly, is_prime
 from .pointcount import EllipticCurveModel, elliptic_ap
 from .qseries import DEFAULT_PRECISION, HeckeCoefficientSpec, QSeries, hecke_expand
 
@@ -179,7 +179,7 @@ def normalize_prime_element(p: int, field: CMField) -> QuadOrderElem:
         raise ValueError(f"p = {p} is not a split prime for d = {field.d}")
     hits = [e for e in norm_p_elements(p, field) if is_normalized(e)]
     if len(hits) != 2 or {hits[0].trace, hits[1].trace} != {hits[0].trace}:
-        raise AssertionError(f"normalization not unique at p = {p}: {[str(h) for h in hits]}")
+        raise IdentityViolation(f"normalization not unique at p = {p}: {[str(h) for h in hits]}")
     return next(e for e in hits if e.y > 0)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arith import IdentityViolation
+
 
 @dataclass(frozen=True)
 class KummerData:
@@ -48,7 +50,8 @@ def iterated_elliptic_euler(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 6**n + 3 * (-2) ** n
-    assert total % 2 == 0
+    if total % 2:
+        raise IdentityViolation(f"6^{n} + 3(-2)^{n} = {total} is odd")
     return total // 2
 
 

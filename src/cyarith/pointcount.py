@@ -6,8 +6,9 @@ correlation, computed as a single Kronecker-substitution product."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .arith import LegendreTable, _kronecker_mul, odd_primes_up_to, require_odd_prime
+from .arith import IdentityViolation, LegendreTable, _kronecker_mul, odd_primes_up_to, require_odd_prime
 from .qseries import EtaProduct, QSeries
 
 # default cap for the p^5 enumeration; ~371k points at p = 13
@@ -53,7 +54,7 @@ def elliptic_ap(curve: EllipticCurveModel, p: int) -> int:
         total += chi[(x * x % p * x + a * x + b) % p]
     ap = -total
     if ap * ap > 4 * p:  # Hasse bound; failure would mean a bug
-        raise AssertionError(f"Hasse bound violated at p={p} for {curve}")
+        raise IdentityViolation(f"Hasse bound violated at p={p} for {curve}")
     return ap
 
 
@@ -69,11 +70,17 @@ def ahlgren_count_bruteforce(p: int, limit: int = BRUTE_FORCE_LIMIT, force: bool
     f = prod_{s in {x,y,z,t}} s(s-1)(s-v) over all of F_p^5.  The number
     of w for a given value is read off a squares histogram built by
     enumeration, so this path is independent of any character-sum
-    identity and serves as the oracle for the fast count.
+    identity and serves as the oracle for the fast count.  Each p is
+    enumerated at most once per process.
     """
     require_odd_prime(p)
     if p > limit and not force:
         raise ValueError(f"p = {p} exceeds the brute-force cap {limit} (pass force=True)")
+    return _ahlgren_enumerate(p)
+
+
+@lru_cache(maxsize=None)
+def _ahlgren_enumerate(p: int) -> int:
     nsol = [0] * p
     for w in range(p):
         nsol[w * w % p] += 1

@@ -36,9 +36,6 @@ from .qseries import hecke_expand
 from .report import DERIVED, PUBLISHED, VerificationReport
 from .tensor import verify_g4xg3, verify_power_factorization
 
-SUITES = ("eta", "cm", "tensor", "ahlgren", "arrangement", "euler", "all")
-
-
 def suite_eta(pmax: int = 100) -> list[VerificationReport]:
     """The five bundled eta products: four against the printed coefficients,
     the weight-6 level-4 power against the point-count oracle."""
@@ -261,22 +258,20 @@ def suite_euler() -> list[VerificationReport]:
     return [report]
 
 
+#: suite name -> runner(pmax, brute_max); `all` runs them in this order
+_RUNNERS = {
+    "eta": lambda pmax, brute_max: suite_eta(pmax),
+    "cm": lambda pmax, brute_max: suite_cm(pmax),
+    "tensor": lambda pmax, brute_max: suite_tensor(pmax),
+    "ahlgren": suite_ahlgren,
+    "arrangement": lambda pmax, brute_max: suite_arrangement(),
+    "euler": lambda pmax, brute_max: suite_euler(),
+}
+SUITES = (*_RUNNERS, "all")
+
+
 def run_suite(name: str, pmax: int = 100, brute_max: int | None = 13) -> list[VerificationReport]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    if name == "eta":
-        return suite_eta(pmax)
-    if name == "cm":
-        return suite_cm(pmax)
-    if name == "tensor":
-        return suite_tensor(pmax)
-    if name == "ahlgren":
-        return suite_ahlgren(pmax, brute_max)
-    if name == "arrangement":
-        return suite_arrangement()
-    if name == "euler":
-        return suite_euler()
-    reports = []
-    for sub in ("eta", "cm", "tensor", "ahlgren", "arrangement", "euler"):
-        reports.extend(run_suite(sub, pmax=pmax, brute_max=brute_max))
-    return reports
+    names = _RUNNERS if name == "all" else (name,)
+    return [report for sub in names for report in _RUNNERS[sub](pmax, brute_max)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .arith import IntPoly
+from .arith import IdentityViolation, IntPoly
 from .cmforms import CMField, CMForm, cm_euler_factor, power_trace
 
 MAX_DEFAULT_FACTORS = 4  # degree 16; larger tensors only behind allow_large
@@ -141,7 +141,7 @@ def power_factorization_rhs(curve_ap: int | None, p: int, field: CMField, n: int
     if n % 2 == 0:
         middle = comb(n, n // 2)
         if middle % 2:
-            raise AssertionError(f"odd middle multiplicity C({n},{n // 2}) = {middle}")
+            raise IdentityViolation(f"odd middle multiplicity C({n},{n // 2}) = {middle}")
         half = middle // 2
         pn2 = p ** (n // 2)
         out = out * IntPoly((1, -pn2)) ** half * IntPoly((1, -field.chi(p) * pn2)) ** half

@@ -20,6 +20,14 @@ Series and point counts (`cyarith.qseries`, `cyarith.pointcount`).
 - `ahlgren_count_loop` sums each fibre sum S(v) directly, in O(p^2),
   the reference for the one-product correlation in
   `pointcount.ahlgren_count_fast`.
+
+Minors (`cyarith.arith`, `cyarith.arrangement`).
+
+- `det` is fraction-free (Bareiss) elimination and `all_minors` applies
+  it to every square submatrix, the reference for the level-by-level
+  Laplace pass `arith.minors_by_size`.
+- `good_reduction_scan` builds a `GoodReductionReport` from `all_minors`,
+  factoring every distinct |minor| by trial division.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import replace
 from itertools import combinations
 
 from cyarith.arith import LegendreTable, echelon, primitive_rows, require_odd_prime
-from cyarith.arrangement import Stratum
+from cyarith.arrangement import GoodReductionReport, Stratum
 
 
 def echelon_mod(rows, p: int) -> tuple[tuple[int, ...], ...]:
@@ -208,3 +216,58 @@ def ahlgren_count_loop(p: int) -> int:
             s += chi[x * (x - 1) % p * (x - v) % p]
         total += p4 + s**4
     return total
+
+
+def det(matrix) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    m = [list(map(int, row)) for row in matrix]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def all_minors(matrix):
+    """Yield (size, row_idx, col_idx, value) for every square minor."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    for size in range(1, min(nrows, ncols) + 1):
+        for ridx in combinations(range(nrows), size):
+            for cidx in combinations(range(ncols), size):
+                sub = [[matrix[r][c] for c in cidx] for r in ridx]
+                yield size, ridx, cidx, det(sub)
+
+
+def good_reduction_scan(arr) -> GoodReductionReport:
+    values = {abs(value) for _, _, _, value in all_minors(arr.coefficient_matrix())}
+    exceptional = set()
+    for v in values:
+        q = 2
+        while v > 1:
+            if q * q > v:
+                q = v
+            if v % q == 0:
+                v //= q
+                if q > 2:
+                    exceptional.add(q)
+            else:
+                q += 1
+    max_abs = max(values, default=0)
+    return GoodReductionReport(max_abs <= 1, tuple(sorted(exceptional)), max_abs)

@@ -9,17 +9,16 @@ from cyarith.arith import (
     IntPoly,
     _kronecker_mul,
     LegendreTable,
-    all_minors,
-    det,
     echelon,
     is_prime,
     legendre,
+    minors_by_size,
     odd_primes_up_to,
     primitive_rows,
     rank,
     require_odd_prime,
 )
-from oracles import echelon_mod, mul_trunc
+from oracles import all_minors, det, echelon_mod, mul_trunc
 
 SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 31, 97)
 
@@ -211,12 +210,69 @@ def test_det_matches_cofactor_expansion(m):
     assert det(m) == _det_by_permutations(m)
 
 
+def _minors_as_tuples(matrix):
+    """(size, row indices, column indices, value) from minors_by_size."""
+
+    def indices(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    return sorted(
+        (size, indices(rows), indices(cols), value)
+        for size, level in minors_by_size(matrix)
+        for (rows, cols), value in level.items()
+    )
+
+
 def test_all_minors_count():
     matrix = [[1, 0], [0, 1], [1, 1]]
-    minors = list(all_minors(matrix))
+    minors = _minors_as_tuples(matrix)
     # 3*2 size-1 plus 3 size-2
     assert len(minors) == 6 + 3
     assert {v for _, _, _, v in minors} <= {-1, 0, 1}
+    assert minors == sorted(all_minors(matrix))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 9 x 6, with zero-size shapes, zero rows and columns, 1 x n and
+    n x 1 shapes, and entries up to 2^64 in absolute value."""
+    nrows = draw(st.integers(0, 9))
+    ncols = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**64), 2**64))
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for r in draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)):
+        if r < nrows:
+            m[r] = [0] * ncols
+    for c in draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)):
+        for row in m:
+            if c < ncols:
+                row[c] = 0
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices())
+def test_minors_by_size_matches_bareiss_scan(matrix):
+    assert _minors_as_tuples(matrix) == sorted(all_minors(matrix))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (9, 1), (0, 4), (4, 0), (9, 6)])
+def test_minors_by_size_shapes(shape):
+    nrows, ncols = shape
+    matrix = [[(3 * r + 5 * c) % 7 - 3 for c in range(ncols)] for r in range(nrows)]
+    assert _minors_as_tuples(matrix) == sorted(all_minors(matrix))
+
+
+def test_minors_by_size_levels():
+    levels = list(minors_by_size([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
+    assert [(k, len(level)) for k, level in levels] == [(1, 9), (2, 9), (3, 1)]
+    assert levels[1][1][0b011, 0b101] == 1 * 6 - 3 * 4
+    assert levels[2][1] == {(0b111, 0b111): -3}
+
+
+def test_minors_by_size_rejects_ragged():
+    with pytest.raises(ValueError, match="ragged"):
+        next(minors_by_size([[1, 2], [3]]))
 
 
 # ---------------------------------------------------------------------------

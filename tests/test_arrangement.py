@@ -27,7 +27,13 @@ from cyarith.registry import (
     AHLGREN_REFERENCE_TABLE,
     load_bundled_arrangement,
 )
-from oracles import closure_poset, closure_poset_mod_p, subsets_poset, subsets_poset_mod_p
+from oracles import (
+    closure_poset,
+    closure_poset_mod_p,
+    good_reduction_scan,
+    subsets_poset,
+    subsets_poset_mod_p,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -306,6 +312,26 @@ def test_odd_exceptional_prime_detected():
     arr = lines((1, 0, 0), (0, 1, 0), (1, 3, 0))
     rep = good_reduction_report(arr)
     assert rep.exceptional_odd_primes == (3,)
+
+
+@pytest.mark.parametrize("name", ["ahlgren", "octic", "sextic"])
+def test_good_reduction_matches_bareiss_scan_bundled(name):
+    arr = load_bundled_arrangement(name)
+    assert good_reduction_report(arr) == good_reduction_scan(arr)
+
+
+def test_good_reduction_matches_bareiss_scan_random():
+    # the shapes of the lattice benchmark, with coefficients up to 5 so that
+    # some minors have large odd prime factors
+    rng = random.Random(2024)
+    exceptional = set()
+    for _ in range(40):
+        n = rng.choice((2, 3, 4))
+        arr = random_arrangement(rng, n, rng.randint(2, 9), bound=rng.choice((1, 2, 5)))
+        rep = good_reduction_report(arr)
+        assert rep == good_reduction_scan(arr)
+        exceptional.update(rep.exceptional_odd_primes)
+    assert max(exceptional) > 100
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cyarith import cmforms
 from cyarith.cli import main
 from cyarith.report import suite_exit_code
 from cyarith.suites import run_suite
@@ -188,3 +189,17 @@ def test_run_suite_api_statuses():
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+def test_identity_violation_exits_1_without_traceback(monkeypatch, capsys):
+    # a third normalized element of norm p breaks the uniqueness of the
+    # normalization, which must end as a FAIL line with exit code 1
+    real = cmforms.norm_p_elements
+    monkeypatch.setattr(
+        cmforms, "norm_p_elements", lambda p, field: real(p, field) + [cmforms.QuadOrderElem(field, 1, 0)]
+    )
+    code, out, err = run(capsys, "suite", "cm")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("FAIL identity violated: normalization not unique at p = 5")
+    assert "Traceback" not in err

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cyarith import pointcount
-from cyarith.arith import LegendreTable, odd_primes_up_to
+from cyarith.arith import IdentityViolation, LegendreTable, odd_primes_up_to
 from cyarith.cli import main
 from cyarith.cmforms import EISENSTEIN, GAUSSIAN
 from cyarith.pointcount import (
@@ -192,3 +192,29 @@ def test_fast_brute_mismatch_is_a_fail_row(monkeypatch, capsys):
     assert main(["verify-ahlgren", "--pmax", "13", "--brute-max", "13"]) == 1
     row = next(r for r in json.loads(capsys.readouterr().out) if r["p"] == 7)
     assert (row["count"], row["brute"], row["match"]) == (17322, 17321, False)
+
+
+def test_suite_all_enumerates_each_prime_once(monkeypatch):
+    # suite eta and suite ahlgren both check the fivefold against the brute
+    # count through p = 13; the p^5 enumeration runs once per prime
+    pointcount._ahlgren_enumerate.cache_clear()
+    enumerated = []
+    real = pointcount._ahlgren_value_tables
+    monkeypatch.setattr(pointcount, "_ahlgren_value_tables", lambda p: enumerated.append(p) or real(p))
+    run_suite("all")
+    assert enumerated == [3, 5, 7, 11, 13]
+
+
+def test_hasse_violation_is_a_fail_line(monkeypatch, capsys):
+    # a character table of all ones gives a_p = -p, far outside the Hasse bound
+    class AllSquares:
+        def __init__(self, p):
+            self.values = [1] * p
+
+    monkeypatch.setattr(pointcount, "LegendreTable", AllSquares)
+    with pytest.raises(IdentityViolation, match="Hasse bound violated at p=13"):
+        elliptic_ap(EllipticCurveModel(-1, 0), 13)
+    assert main(["elliptic-ap", "--curve=-1,0", "--pmax", "13"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "FAIL identity violated: Hasse bound violated at p=5 for y^2 = x^3 - 1*x\n"
