@@ -7,7 +7,7 @@ hyperplane arrangements.  Everything is exact integer or rational
 arithmetic; every headline identity is runnable via the `cyarith` CLI.
 """
 
-from .arith import IntPoly, LegendreTable, echelon, is_prime, legendre
+from .arith import IdentityViolation, IntPoly, LegendreTable, echelon, is_prime, legendre
 from .arrangement import (
     Arrangement,
     Hyperplane,

@@ -36,6 +36,7 @@ from .qseries import hecke_expand
 from .report import DERIVED, PUBLISHED, VerificationReport
 from .tensor import verify_g4xg3, verify_power_factorization
 
+
 def suite_eta(pmax: int = 100) -> list[VerificationReport]:
     """The five bundled eta products: four against the printed coefficients,
     the weight-6 level-4 power against the point-count oracle."""

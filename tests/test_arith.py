@@ -240,12 +240,12 @@ def integer_matrices(draw):
     ncols = draw(st.integers(0, 6))
     entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**64), 2**64))
     m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
-    for r in draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)):
+    for r in draw(st.sets(st.integers(0, 8), max_size=2)):
         if r < nrows:
             m[r] = [0] * ncols
-    for c in draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)):
-        for row in m:
-            if c < ncols:
+    for c in draw(st.sets(st.integers(0, 5), max_size=2)):
+        if c < ncols:
+            for row in m:
                 row[c] = 0
     return m
 
