@@ -6,7 +6,8 @@ tensor-factor, classify-arrangement, euler, suite.  All output is
 deterministic; exit codes for `suite`: 0 all pass, 1 any fail,
 2 computed-vs-transcribed discrepancies only.  A checked identity that
 breaks mid-computation (`IdentityViolation`) is one `FAIL` line on
-stderr and exit code 1, never a traceback.
+stderr and exit code 1, never a traceback; inside `suite` it is a `FAIL`
+report for its sub-suite, and the other sub-suites still run.
 """
 
 from __future__ import annotations
@@ -146,7 +147,13 @@ def cmd_tensor_factor(args) -> int:
         }
         for r in rows
     ]
-    _json_out(data)
+    if args.csv:
+        print("p,equal,lhs,rhs")
+        for r in data:
+            lhs, rhs = (";".join(str(c) for c in r[key]) for key in ("lhs_poly", "rhs_poly"))
+            print(f"{r['p']},{r['equal']},{lhs},{rhs}")
+    else:
+        _json_out(data)
     return 0 if all(r.equal for r in rows) else 1
 
 

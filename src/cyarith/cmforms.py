@@ -117,6 +117,14 @@ class QuadOrderElem:
             return QuadOrderElem(self.field, self.x, -self.y)
         return QuadOrderElem(self.field, self.x + self.y, -self.y)
 
+    def __mul__(self, other: "QuadOrderElem") -> "QuadOrderElem":
+        # i^2 = -1; w^2 = w - 1 adds y1*y2 to the w coordinate
+        x = self.x * other.x - self.y * other.y
+        y = self.x * other.y + self.y * other.x
+        if self.field.d == 3:
+            y += self.y * other.y
+        return QuadOrderElem(self.field, x, y)
+
     def __str__(self) -> str:
         unit = "i" if self.field.d == 4 else "w"
         if self.y == 0:

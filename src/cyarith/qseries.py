@@ -40,14 +40,6 @@ class QSeries:
             vals[n] = c
         return cls(tuple(vals))
 
-    @classmethod
-    def from_map(cls, coeffs: Mapping[int, int], precision: int) -> "QSeries":
-        vals = [0] * (precision + 1)
-        for n, c in coeffs.items():
-            if 1 <= n <= precision:
-                vals[n] = c
-        return cls(tuple(vals))
-
     @property
     def precision(self) -> int:
         return len(self.values) - 1
@@ -56,9 +48,6 @@ class QSeries:
         if not 1 <= n <= self.precision:
             raise IndexError(f"coefficient q^{n} outside precision {self.precision}")
         return self.values[n]
-
-    def coeffs_upto(self, n: int) -> tuple[int, ...]:
-        return self.values[1 : n + 1]
 
 
 @dataclass(frozen=True)

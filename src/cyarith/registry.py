@@ -55,9 +55,11 @@ PRINTED_ETA_COEFFS = {
 #: printed coefficients of the Grossencharakter-power forms, keyed by
 #: (family name, weight) -> {index: coefficient}
 PRINTED_CM_COEFFS = {
+    ("gaussian", 3): {9: 9},
     ("gaussian", 4): {1: 1, 5: 22, 9: -27, 13: -18, 17: -94, 25: 359},
     ("gaussian", 6): {1: 1, 5: -82, 9: -243, 13: -1194, 17: 2242, 25: 3599},
     ("eisenstein", 3): {1: 1, 4: 4, 7: -13, 13: -1, 16: 16, 19: 11, 25: 25},
+    ("eisenstein", 4): {4: -8, 7: 20, 13: -70},
 }
 
 # ---------------------------------------------------------------------------

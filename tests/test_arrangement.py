@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -43,7 +43,17 @@ def lines(*rows):
 
 
 def random_arrangement(rng, n, count, bound=2):
-    """`count` distinct hyperplanes in P^n, coefficients in [-bound, bound]."""
+    """`count` distinct hyperplanes in P^n, coefficients in [-bound, bound].
+
+    ValueError when there are fewer than `count` such hyperplanes.
+    """
+    # the (2 bound + 1)^n rows (1, x_1, ..., x_n) are distinct hyperplanes;
+    # past that many, count them all
+    if count > (2 * bound + 1) ** n:
+        rows = product(range(-bound, bound + 1), repeat=n + 1)
+        available = len({Hyperplane.from_coeffs(row).coeffs for row in rows if any(row)})
+        if count > available:
+            raise ValueError(f"only {available} hyperplanes in P^{n} with coefficients in [-{bound}, {bound}]")
     seen = set()
     rows = []
     while len(rows) < count:
@@ -55,6 +65,13 @@ def random_arrangement(rng, n, count, bound=2):
             seen.add(h.coeffs)
             rows.append(h.coeffs)
     return Arrangement.from_rows(n, rows)
+
+
+def test_random_arrangement_refuses_more_planes_than_exist():
+    # P^1 with coefficients in [-1, 1] has only 4 points: 0, infinity, 1, -1
+    with pytest.raises(ValueError, match="only 4 hyperplanes"):
+        random_arrangement(random.Random(0), 1, 5, bound=1)
+    assert len(random_arrangement(random.Random(0), 1, 4, bound=1).hyperplanes) == 4
 
 
 def fields(poset):

@@ -78,6 +78,12 @@ def test_tensor_factor_cli(capsys):
     rows = json.loads(out)
     assert all(r["equal"] for r in rows)
     assert rows[0]["lhs_poly"] == rows[0]["rhs_poly"]
+    code, out, _ = run(capsys, "tensor-factor", "--pmax", "7", "--csv")
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert rows[0] == "p,equal,lhs,rhs"
+    assert rows[1] == "3,True,1;0;486;0;59049,1;0;486;0;59049"
+    assert [row.split(",")[0] for row in rows[1:]] == ["3", "5", "7"]
 
 
 def test_tensor_factor_rejects_unknown_forms(capsys):
@@ -193,13 +199,28 @@ def test_run_suite_rejects_unknown():
 
 def test_identity_violation_exits_1_without_traceback(monkeypatch, capsys):
     # a third normalized element of norm p breaks the uniqueness of the
-    # normalization, which must end as a FAIL line with exit code 1
+    # normalization: a FAIL report inside `suite all`, whose other
+    # sub-suites still run, and a FAIL line on stderr for other commands
     real = cmforms.norm_p_elements
     monkeypatch.setattr(
         cmforms, "norm_p_elements", lambda p, field: real(p, field) + [cmforms.QuadOrderElem(field, 1, 0)]
     )
-    code, out, err = run(capsys, "suite", "cm")
+    code, out, err = run(capsys, "suite", "all")
     assert code == 1
-    assert out == ""
+    assert err == ""
+    assert "[FAIL] suite cm\n  FAIL identity violated: normalization not unique at p = 5" in out
+    assert "[PASS] double-cover-euler-calculus" in out and "[DISCREPANCY]" in out
+    assert "Traceback" not in out
+    code, out, err = run(capsys, "gross-normalize", "5")
+    assert (code, out) == (1, "")
     assert err.startswith("FAIL identity violated: normalization not unique at p = 5")
     assert "Traceback" not in err
+
+
+def test_quotient_traces_catch_a_wrong_power_trace(monkeypatch):
+    # the quotient-trace rows compare against tr(alpha^n), not against
+    # power_trace itself, so a wrong s_6 must fail them
+    real = cmforms.power_trace
+    monkeypatch.setattr(cmforms, "power_trace", lambda a, p, m: -real(a, p, m) if m == 6 else real(a, p, m))
+    statuses = {r.claim: r.status for r in run_suite("cm", pmax=30)}
+    assert statuses["quotient-frobenius-traces"] == "fail"

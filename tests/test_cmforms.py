@@ -127,13 +127,14 @@ def _units(field):
     return [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
 
 
-def _mul(field, a, b):
-    x1, y1 = a
-    x2, y2 = b
-    if field.d == 4:
-        return (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2)
-    # (x1 + y1 w)(x2 + y2 w) with w^2 = w - 1
-    return (x1 * x2 - y1 * y2, x1 * y2 + y1 * x2 + y1 * y2)
+def test_order_multiplication():
+    i, w = QuadOrderElem(GAUSSIAN, 0, 1), QuadOrderElem(EISENSTEIN, 0, 1)
+    assert i * i == QuadOrderElem(GAUSSIAN, -1, 0)
+    assert w * w == QuadOrderElem(EISENSTEIN, -1, 1)  # w^2 = w - 1
+    for field in (GAUSSIAN, EISENSTEIN):
+        a, b = QuadOrderElem(field, 3, -2), QuadOrderElem(field, -5, 7)
+        assert (a * b).norm == a.norm * b.norm
+        assert (a * a.conjugate()) == QuadOrderElem(field, a.norm, 0)
 
 
 def test_normalize_uniqueness_up_to_1000():
@@ -153,9 +154,7 @@ def test_normalize_uniqueness_up_to_1000():
             assert a.trace == b.trace
             # associates of one fixed generator: exactly one normalized
             gen = elems[0]
-            orbit = [
-                QuadOrderElem(field, *_mul(field, (gen.x, gen.y), u)) for u in _units(field)
-            ]
+            orbit = [gen * QuadOrderElem(field, *u) for u in _units(field)]
             assert sum(is_normalized(e) for e in orbit) == 1
             # the canonical pick matches the reference curve trace
             family = GAUSSIAN_FAMILY if field is GAUSSIAN else EISENSTEIN_FAMILY
