@@ -119,12 +119,21 @@ class Stratum:
     basis: primitive integer rows of the reduced echelon form of the
     defining linear forms -- the canonical key for the flat, equal to
     `primitive_rows(echelon(rows))` for any spanning set of rows.
+
+    covers: masks, ascending, of the strata one dimension up that contain
+    this one -- its cover edges in the intersection lattice.  Single
+    hyperplanes are not strata, so a flat of two hyperplanes has no
+    covers; were they kept, each (n-2, 2) flat would sit on a
+    one-hyperplane flat and read as near-pencil.
+
+    near_pencil: some cover has exactly one hyperplane fewer.
     """
 
     basis: tuple[tuple[int, ...], ...]
     dim: int
     hyperplanes: tuple[int, ...]
     near_pencil: bool = False
+    covers: tuple[int, ...] = ()
 
     @property
     def mult(self) -> int:
@@ -193,12 +202,14 @@ def _reduce_q(v, w, col: int) -> tuple[int, ...]:
     return _pivot_q([a * x - b * y for x, y in zip(v, w)])
 
 
-def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[int, ...]]]:
+def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[int, ...], list[int]]]:
     """Every flat of rank 1..n of the hyperplanes `vectors` (forms on
     k^(n+1)), keyed by the bitmask of the hyperplanes containing it.
 
-    Value: (rank, gens), where gens lists one hyperplane per rank step;
-    their forms are a basis of the flat's defining space.
+    Value: (rank, gens, parents).  gens lists one hyperplane per rank
+    step; their forms are a basis of the flat's defining space.  parents
+    are the masks of the flats of rank one less that contain it (mask 0,
+    the whole space, for a hyperplane): the cover edges of the lattice.
 
     Flats are built one rank at a time, starting from the whole space
     (mask 0).  A flat keeps, for every hyperplane not containing it, the
@@ -207,33 +218,35 @@ def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[int, ..
     representative of its line.  Two such residuals span the same space
     over the flat exactly when they are equal, so grouping the residuals
     gives each covering flat, with its full hyperplane set, in one pass
-    per parent.  A covering flat already reached from another parent is
-    skipped; otherwise the residuals of the hyperplanes still outside it
-    are cleared on the new pivot column by `reduce(v, w, col)`.
+    per parent.  Every parent of a flat reaches it this way; the first
+    builds it, clearing the residuals of the hyperplanes still outside
+    it on the new pivot column by `reduce(v, w, col)`, and each later
+    one only adds its mask to the flat's parents.
 
     `pivot` and `reduce` are the only field-specific inputs: fraction-free
     integer arithmetic for Q, arithmetic mod p for F_p.
     """
-    level = {0: ((), [(i, pivot(v)) for i, v in enumerate(vectors)])}
+    level = {0: ((), [(i, pivot(v)) for i, v in enumerate(vectors)], [])}
     flats = {}
     for rank in range(1, n + 1):
         nxt = {}
-        for mask, (gens, residuals) in level.items():
+        for mask, (gens, residuals, _) in level.items():
             groups: dict[tuple[int, ...], int] = {}
             for i, r in residuals:
                 groups[r] = groups.get(r, 0) | 1 << i
             for w, add in groups.items():
                 child = mask | add
                 if child in nxt:
+                    nxt[child][2].append(mask)
                     continue
                 first = (add & -add).bit_length() - 1
                 rest = []  # a rank-n flat is a point: one more hyperplane empties it
                 if rank < n:
                     col = next(c for c, x in enumerate(w) if x)
                     rest = [(i, reduce(r, w, col)) for i, r in residuals if not add >> i & 1]
-                nxt[child] = (gens + (first,), rest)
-        for mask, (gens, _) in nxt.items():
-            flats[mask] = (rank, gens)
+                nxt[child] = (gens + (first,), rest, [mask])
+        for mask, (gens, _, parents) in nxt.items():
+            flats[mask] = (rank, gens, parents)
         level = nxt
     return flats
 
@@ -251,27 +264,20 @@ def intersection_poset(arr: Arrangement) -> list[Stratum]:
     is the full containing-hyperplane count, dimension is n - rank;
     empty intersections (rank n+1) are never built.
 
-    A flat is near-pencil when dropping one of its hyperplanes leaves
-    the mask of a flat one dimension up.  Strata are ordered by
-    descending dimension, then multiplicity, then basis.
+    A flat's covers are its `_flats` parents, none at rank 2, where the
+    parents are single hyperplanes.  Strata are ordered by descending
+    dimension, then multiplicity, then basis.
     """
     n = arr.dim
     vectors = [h.coeffs for h in arr.hyperplanes]
-    flats = {
-        mask: info
-        for mask, info in _flats(vectors, n, _pivot_q, _reduce_q).items()
-        if mask & (mask - 1)  # at least two hyperplanes
-    }
     strata = []
-    for mask, (rank, gens) in flats.items():
-        near = False
-        for i in _indices(mask):
-            parent = flats.get(mask & ~(1 << i))
-            if parent is not None and parent[0] == rank - 1:
-                near = True
-                break
+    for mask, (rank, gens, parents) in _flats(vectors, n, _pivot_q, _reduce_q).items():
+        if rank < 2:  # a single hyperplane
+            continue
+        covers = tuple(sorted(parents)) if rank > 2 else ()
+        near = any(c.bit_count() == mask.bit_count() - 1 for c in covers)
         basis = _canonical_basis([vectors[i] for i in gens])
-        strata.append(Stratum(basis, n - rank, _indices(mask), near))
+        strata.append(Stratum(basis, n - rank, _indices(mask), near, covers))
     strata.sort(key=lambda s: (-s.dim, s.mult, s.basis))
     return strata
 
@@ -331,69 +337,57 @@ def classify(arr: Arrangement, poset: list[Stratum] | None = None) -> Classifica
     disagree on the near-pencil flag is split into two rows so every
     row's flags are exact.  The incidence columns count, for each
     stratum, the strata of every positive-dimensional type strictly
-    containing it; a type's vector is reported when it is constant
-    across the type (incidence_uniform), with -1 sentinels otherwise.
+    containing it: its up-set, which is its covers together with their
+    up-sets, built in one pass by descending dimension.  A type's vector
+    is reported when it is constant across the type (incidence_uniform),
+    with -1 sentinels otherwise.
     """
     if poset is None:
         poset = intersection_poset(arr)
     n = arr.dim
     # key: (dim, mult, near_pencil); sorts like (dim, mult) when flags are constant
-    type_keys = sorted(
-        {(s.dim, s.mult, s.near_pencil) for s in poset}, key=lambda t: (-t[0], t[1], t[2])
-    )
-    positive = [t for t in type_keys if t[0] >= 1]
-    pos_index = {t: i for i, t in enumerate(positive)}
-    # masks computed once: the incidence scan below is quadratic in strata
-    by_type: dict[tuple[int, int, bool], list[int]] = {t: [] for t in type_keys}
-    columns = []  # (mask, type column) of every positive-dimensional stratum
-    for s in poset:
-        key = (s.dim, s.mult, s.near_pencil)
-        mask = s.mask
-        by_type[key].append(mask)
-        if s.dim >= 1:
-            columns.append((mask, pos_index[key]))
-
-    def incidence_vector(mask: int) -> tuple[int, ...]:
-        counts = [0] * len(positive)
-        for other, col in columns:
-            if other != mask and other & mask == other:
-                counts[col] += 1
-        return tuple(counts)
+    type_of = {s.mask: (s.dim, s.mult, s.near_pencil) for s in poset}
+    type_keys = sorted(set(type_of.values()), key=lambda t: (-t[0], t[1], t[2]))
+    # every stratum strictly containing another has positive dimension
+    column = {t: i for i, t in enumerate(t for t in type_keys if t[0] >= 1)}
+    vectors: dict[tuple[int, int, bool], list[tuple[int, ...]]] = {t: [] for t in type_keys}
+    up: dict[int, set[int]] = {}
+    for s in sorted(poset, key=lambda s: -s.dim):
+        above = set(s.covers)
+        for c in s.covers:
+            above |= up[c]
+        up[s.mask] = above
+        counts = [0] * len(column)
+        for m in above:
+            counts[column[type_of[m]]] += 1
+        vectors[(s.dim, s.mult, s.near_pencil)].append(tuple(counts))
 
     rows = []
     for idx, key in enumerate(type_keys, start=1):
-        members = by_type[key]
-        vectors = {incidence_vector(mask) for mask in members}
-        uniform = len(vectors) == 1
-        vec = vectors.pop() if uniform else tuple(-1 for _ in positive)
+        distinct = set(vectors[key])
+        uniform = len(distinct) == 1
         rows.append(
             TypeRow(
                 label=f"T{idx}",
                 dim=key[0],
                 mult=key[1],
-                count=len(members),
+                count=len(vectors[key]),
                 near_pencil=key[2],
                 admissible=admissible(key[0], key[1], n),
-                incidence=vec,
+                incidence=distinct.pop() if uniform else (-1,) * len(column),
                 incidence_uniform=uniform,
             )
         )
-    ok, violators = crepant_resolvable_from_poset(poset, n)
+    ok, violators = crepant_resolvable(arr, poset)
     return Classification(n, tuple(rows), ok, tuple(violators))
-
-
-def crepant_resolvable_from_poset(poset: list[Stratum], ambient: int):
-    violators = [
-        s for s in poset if not (s.near_pencil or admissible(s.dim, s.mult, ambient))
-    ]
-    return not violators, violators
 
 
 def crepant_resolvable(arr: Arrangement, poset: list[Stratum] | None = None):
     """True iff every stratum is near-pencil or admissible, plus violators."""
     if poset is None:
         poset = intersection_poset(arr)
-    return crepant_resolvable_from_poset(poset, arr.dim)
+    violators = [s for s in poset if not (s.near_pencil or admissible(s.dim, s.mult, arr.dim))]
+    return not violators, violators
 
 
 @dataclass(frozen=True)
@@ -414,7 +408,7 @@ def resolution_schedule(arr: Arrangement, poset: list[Stratum] | None = None) ->
     """
     if poset is None:
         poset = intersection_poset(arr)
-    ok, violators = crepant_resolvable_from_poset(poset, arr.dim)
+    ok, violators = crepant_resolvable(arr, poset)
     if not ok:
         raise ValueError(f"arrangement is not crepant-resolvable: {len(violators)} violating strata")
     centers = sorted(
@@ -488,9 +482,13 @@ def _monic_mod(p: int, v) -> tuple[int, ...]:
     return tuple(x * inv % p for x in v)
 
 
-def _lines_mod_p(arr: Arrangement, p: int) -> list[tuple[int, ...]]:
-    """Each hyperplane's form mod p as `_monic_mod`, so two hyperplanes
-    coincide mod p exactly when their entries are equal."""
+def _reduced_flats(arr: Arrangement, p: int) -> dict[tuple[int, ...], int] | None:
+    """The flats of `poset_mod_p`, or None when two hyperplanes reduce to
+    the same line mod p.
+
+    Each hyperplane's form is reduced once, as `_monic_mod`, so two
+    hyperplanes coincide mod p exactly when their entries are equal.
+    """
     require_odd_prime(p)
     lines = []
     for h in arr.hyperplanes:
@@ -498,7 +496,21 @@ def _lines_mod_p(arr: Arrangement, p: int) -> list[tuple[int, ...]]:
         if not any(v):
             raise ValueError(f"a hyperplane degenerates to zero mod {p}")
         lines.append(_monic_mod(p, v))
-    return lines
+    if len(set(lines)) != len(lines):
+        return None
+
+    pivot = partial(_monic_mod, p)
+
+    def reduce(v, w, col: int) -> tuple[int, ...]:
+        f = v[col]
+        return pivot([(x - f * y) % p for x, y in zip(v, w)])
+
+    n = arr.dim
+    return {
+        _indices(mask): n - rank
+        for mask, (rank, _, _) in _flats(lines, n, pivot, reduce).items()
+        if rank >= 2
+    }
 
 
 def poset_mod_p(arr: Arrangement, p: int) -> dict[tuple[int, ...], int]:
@@ -510,23 +522,7 @@ def poset_mod_p(arr: Arrangement, p: int) -> dict[tuple[int, ...], int]:
     ValueError when a hyperplane reduces to zero mod p, and returns {}
     when two hyperplanes reduce to the same line mod p.
     """
-    lines = _lines_mod_p(arr, p)
-    if len(set(lines)) != len(lines):
-        # two hyperplanes coincide mod p; the stratification cannot match
-        return {}
-
-    pivot = partial(_monic_mod, p)
-
-    def reduce(v, w, col: int) -> tuple[int, ...]:
-        f = v[col]
-        return pivot([(x - f * y) % p for x, y in zip(v, w)])
-
-    n = arr.dim
-    return {
-        _indices(mask): n - rank
-        for mask, (rank, _) in _flats(lines, n, pivot, reduce).items()
-        if mask & (mask - 1)
-    }
+    return _reduced_flats(arr, p) or {}
 
 
 def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum] | None = None) -> ModPComparison:
@@ -539,10 +535,10 @@ def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum] | None = 
     """
     if poset is None:
         poset = intersection_poset(arr)
-    lines = _lines_mod_p(arr, p)
-    coincident = len(set(lines)) != len(lines)
+    modp = _reduced_flats(arr, p)
+    coincident = modp is None
+    modp = modp or {}
     rational = {s.hyperplanes: s.dim for s in poset}
-    modp = poset_mod_p(arr, p)
     missing = tuple(sorted(k for k in rational if k not in modp))
     extra = tuple(sorted(k for k in modp if k not in rational))
     changed = tuple(sorted(k for k in rational if k in modp and rational[k] != modp[k]))

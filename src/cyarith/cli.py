@@ -134,9 +134,6 @@ def cmd_verify_ahlgren(args) -> int:
 
 
 def cmd_tensor_factor(args) -> int:
-    if args.forms != "g4,g3":
-        print(f"unsupported form pair {args.forms!r}: only g4,g3 is bundled", file=sys.stderr)
-        return 1
     rows = verify_g4xg3(args.pmax)
     data = [
         {
@@ -281,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute-max", type=int, default=None, metavar="Q")
     p.set_defaults(func=cmd_verify_ahlgren)
 
-    p = sub.add_parser("tensor-factor", help="tensor-product Euler factor identity")
-    p.add_argument("--forms", default="g4,g3")
+    p = sub.add_parser("tensor-factor", help="the g4 x g3 Euler factor identity")
     common(p)
     p.set_defaults(func=cmd_tensor_factor)
 
@@ -303,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run a verification suite")
     p.add_argument("name", choices=SUITES)
-    common(p)
+    p.add_argument("--json", action="store_true", help="JSON output (default: text)")
+    p.add_argument("--pmax", type=int, default=100, metavar="P", help="at least 3")
     p.add_argument("--brute-max", type=int, default=13, metavar="Q")
     p.set_defaults(func=cmd_suite)
 

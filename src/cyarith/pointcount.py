@@ -63,7 +63,7 @@ def _ahlgren_value_tables(p: int) -> list[list[int]]:
     return [[s * (s - 1) % p * (s - v) % p for s in range(p)] for v in range(p)]
 
 
-def ahlgren_count_bruteforce(p: int, limit: int = BRUTE_FORCE_LIMIT, force: bool = False) -> int:
+def ahlgren_count_bruteforce(p: int, limit: int = BRUTE_FORCE_LIMIT) -> int:
     """N(p) for the affine (u = 1) Ahlgren fivefold by full enumeration.
 
     Counts solutions of w^2 = f(x,y,z,t,v) with
@@ -74,8 +74,8 @@ def ahlgren_count_bruteforce(p: int, limit: int = BRUTE_FORCE_LIMIT, force: bool
     enumerated at most once per process.
     """
     require_odd_prime(p)
-    if p > limit and not force:
-        raise ValueError(f"p = {p} exceeds the brute-force cap {limit} (pass force=True)")
+    if p > limit:
+        raise ValueError(f"p = {p} exceeds the brute-force cap {limit} (pass a larger limit)")
     return _ahlgren_enumerate(p)
 
 

@@ -281,8 +281,12 @@ SUITES = (*_RUNNERS, "all")
 
 
 def run_suite(name: str, pmax: int = 100, brute_max: int | None = 13) -> list[VerificationReport]:
+    """Reports of suite `name` (every sub-suite for `all`).  pmax < 3 is
+    rejected for every name: no sub-suite has an odd prime below 3."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if pmax < 3:
+        raise ValueError("pmax must be at least 3")
     reports = []
     for sub in _RUNNERS if name == "all" else (name,):
         try:

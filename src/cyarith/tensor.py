@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .arith import IdentityViolation, IntPoly
+from .arith import IdentityViolation, IntPoly, odd_primes_up_to
 from .cmforms import CMField, CMForm, cm_euler_factor, power_trace
+from .registry import GAUSSIAN_FAMILY
 
 MAX_DEFAULT_FACTORS = 4  # degree 16; larger tensors only behind allow_large
 
@@ -201,12 +202,9 @@ def g4xg3_row(family, p: int) -> TensorSplitRow:
     return TensorSplitRow(p, t_lhs, t_rhs, t_lhs == t_rhs, lhs, rhs, lhs == rhs)
 
 
-def verify_g4xg3(pmax: int, family=None) -> list[TensorSplitRow]:
-    """Run g4xg3_row over every good odd prime <= pmax (bad primes skipped:
-    equality of L-series is only claimed up to finitely many factors)."""
-    from .registry import GAUSSIAN_FAMILY
-
-    fam = family if family is not None else GAUSSIAN_FAMILY
-    from .arith import odd_primes_up_to
-
-    return [g4xg3_row(fam, p) for p in odd_primes_up_to(pmax) if p not in fam.bad_primes]
+def verify_g4xg3(pmax: int) -> list[TensorSplitRow]:
+    """Run g4xg3_row for the Gaussian family over every good odd prime <=
+    pmax (bad primes skipped: equality of L-series is only claimed up to
+    finitely many factors)."""
+    primes = [p for p in odd_primes_up_to(pmax) if p not in GAUSSIAN_FAMILY.bad_primes]
+    return [g4xg3_row(GAUSSIAN_FAMILY, p) for p in primes]

@@ -11,6 +11,9 @@ from scratch for each candidate.
   the frontier with one hyperplane at a time, breadth first.
 - `subsets_poset_mod_p` and `closure_poset_mod_p` are the same two
   loops over F_p, with the input checks of `poset_mod_p`.
+- Near-pencil flags, cover edges and `incidence_rows` come from the
+  hyperplane sets and dimensions those loops find, by their
+  definitions: no cover edge of the engine is reused.
 
 Series and point counts (`cyarith.qseries`, `cyarith.pointcount`).
 
@@ -128,19 +131,44 @@ def _canonical(rows):
 
 def _strata(found) -> list[Stratum]:
     strata = [Stratum(basis, dim, members) for basis, (dim, members) in found.items()]
-    # near-pencil: contained in a flat one dimension up with one fewer hyperplane
     by_mask = {s.mask: s for s in strata}
     flagged = []
     for s in strata:
+        # near-pencil: contained in a flat one dimension up with one fewer hyperplane
         near = False
         for drop in s.hyperplanes:
             parent = by_mask.get(s.mask & ~(1 << drop))
             if parent is not None and parent.dim == s.dim + 1:
                 near = True
                 break
-        flagged.append(replace(s, near_pencil=near))
+        # covers: the strata one dimension up whose hyperplanes all contain s
+        members = set(s.hyperplanes)
+        covers = sorted(t.mask for t in strata if t.dim == s.dim + 1 and members.issuperset(t.hyperplanes))
+        flagged.append(replace(s, near_pencil=near, covers=tuple(covers)))
     flagged.sort(key=lambda s: (-s.dim, s.mult, s.basis))
     return flagged
+
+
+def incidence_rows(poset) -> list[tuple]:
+    """`classify`'s rows as (dim, mult, near_pencil, count, incidence,
+    incidence_uniform), by definition: a stratum's incidence entry for a
+    positive-dimensional type counts the strata of that type whose
+    hyperplane sets are proper subsets of its own."""
+    def key(s):
+        return (s.dim, s.mult, s.near_pencil)
+
+    keys = sorted({key(s) for s in poset}, key=lambda t: (-t[0], t[1], t[2]))
+    columns = [t for t in keys if t[0] >= 1]
+    rows = []
+    for k in keys:
+        members = [s for s in poset if key(s) == k]
+        vectors = {
+            tuple(sum(key(t) == col and set(t.hyperplanes) < set(s.hyperplanes) for t in poset) for col in columns)
+            for s in members
+        }
+        uniform = len(vectors) == 1
+        rows.append((*k, len(members), vectors.pop() if uniform else (-1,) * len(columns), uniform))
+    return rows
 
 
 def subsets_poset(arr) -> list[Stratum]:

@@ -31,6 +31,7 @@ from oracles import (
     closure_poset,
     closure_poset_mod_p,
     good_reduction_scan,
+    incidence_rows,
     subsets_poset,
     subsets_poset_mod_p,
 )
@@ -75,7 +76,11 @@ def test_random_arrangement_refuses_more_planes_than_exist():
 
 
 def fields(poset):
-    return [(s.basis, s.dim, s.hyperplanes, s.near_pencil) for s in poset]
+    return [(s.basis, s.dim, s.hyperplanes, s.near_pencil, s.covers) for s in poset]
+
+
+def type_rows(cls):
+    return [(r.dim, r.mult, r.near_pencil, r.count, r.incidence, r.incidence_uniform) for r in cls.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +182,12 @@ def test_near_pencil_example():
     assert point.near_pencil
     line3 = by_key[(1, 3)][0]
     assert not line3.near_pencil
+    # the point's covers are the four lines through it: {x=y=0} on three
+    # planes, and the lines where z = 0 meets x, y and x+y on two each
+    assert line3.mask in point.covers
+    assert sorted(s.mult for s in poset if s.mask in point.covers) == [2, 2, 2, 3]
+    # a line cut out by two planes has no covers: single planes are not strata
+    assert all(s.covers == () for s in by_key[(1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +285,27 @@ def test_random_arrangements_closure_equals_subsets():
     shapes = [(n, count) for n in (2, 3, 4) for count in range(2, 10)]
     for n, count in shapes + [rng.choice(shapes) for _ in range(12)]:
         arr = random_arrangement(rng, n, count)
-        expected = fields(subsets_poset(arr))
+        oracle = subsets_poset(arr)
+        expected = fields(oracle)
         assert fields(intersection_poset(arr)) == expected
+        assert type_rows(classify(arr)) == incidence_rows(oracle)
         if count <= 6:
             assert fields(closure_poset(arr)) == expected
+
+
+def test_incidence_oracle_non_uniform_types():
+    # P^3 and P^4 with coefficients in [-1, 1]: a few draws have a type whose
+    # members disagree on their incidence vectors, reported with -1 sentinels
+    rng = random.Random(3)
+    non_uniform = 0
+    for _ in range(80):
+        arr = random_arrangement(rng, rng.choice((3, 4)), rng.randint(4, 8), bound=1)
+        oracle = subsets_poset(arr)
+        assert fields(intersection_poset(arr)) == fields(oracle)
+        rows = incidence_rows(oracle)
+        assert type_rows(classify(arr)) == rows
+        non_uniform += sum(not uniform for *_, uniform in rows)
+    assert non_uniform >= 1
 
 
 def test_canonical_form_iff_same_flat():

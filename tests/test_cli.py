@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from cyarith import cmforms
 from cyarith.cli import main
 from cyarith.report import suite_exit_code
-from cyarith.suites import run_suite
+from cyarith.suites import SUITES, run_suite
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -86,18 +89,22 @@ def test_tensor_factor_cli(capsys):
     assert [row.split(",")[0] for row in rows[1:]] == ["3", "5", "7"]
 
 
-def test_tensor_factor_rejects_unknown_forms(capsys):
-    code, _, err = run(capsys, "tensor-factor", "--forms", "g5,g2")
-    assert code == 1
-    assert "g4,g3" in err
-
-
 def test_classify_arrangement_bundled(capsys):
     code, out, _ = run(capsys, "classify-arrangement", "sextic")
     assert code == 0
     data = json.loads(out)
     assert data["resolvable"] is True
     assert [(t["dim"], t["mult"], t["count"]) for t in data["types"]] == [(0, 2, 3), (0, 3, 4)]
+
+
+def test_classify_arrangement_ahlgren_golden(capsys):
+    # the 452-flat lattice: type table with flags and incidence vectors,
+    # the 109-step schedule, the minor scan and the F_5 comparison
+    code, out, _ = run(
+        capsys, "classify-arrangement", "ahlgren", "--schedule", "--good-reduction", "--check-prime", "5", "--json"
+    )
+    assert code == 0
+    assert out == (GOLDEN / "ahlgren_classify_arrangement.json").read_text()
 
 
 def test_classify_arrangement_file_and_options(tmp_path, capsys):
@@ -195,6 +202,29 @@ def test_run_suite_api_statuses():
 def test_run_suite_rejects_unknown():
     with pytest.raises(ValueError):
         run_suite("nope")
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_run_suite_pmax_lower_bound(name):
+    with pytest.raises(ValueError, match="pmax must be at least 3"):
+        run_suite(name, pmax=2)
+
+
+@pytest.mark.parametrize("name", ["cm", "tensor"])
+def test_run_suite_accepts_pmax_3(name):
+    assert suite_exit_code(run_suite(name, pmax=3)) == 0
+
+
+def test_suite_pmax_2_is_an_error_line(capsys):
+    code, out, err = run(capsys, "suite", "cm", "--pmax", "2")
+    assert (code, out, err) == (1, "", "error: pmax must be at least 3\n")
+
+
+def test_suite_rejects_csv(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "euler", "--csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
 
 
 def test_identity_violation_exits_1_without_traceback(monkeypatch, capsys):
