@@ -7,7 +7,7 @@ hyperplane arrangements.  Everything is exact integer or rational
 arithmetic; every headline identity is runnable via the `cyarith` CLI.
 """
 
-from .arith import IdentityViolation, IntPoly, LegendreTable, echelon, is_prime, legendre
+from .arith import IdentityViolation, IntPoly, LegendreTable, is_prime, legendre
 from .arrangement import (
     Arrangement,
     Hyperplane,
@@ -39,6 +39,6 @@ from .pointcount import (
     verify_ahlgren,
 )
 from .qseries import EtaProduct, HeckeCoefficientSpec, QSeries, eta_product_expand, hecke_expand, series_match
-from .tensor import LocalRep, tensor_euler_factor, tensor_trace, verify_g4xg3, verify_power_factorization
+from .tensor import tensor_euler_factor, verify_g4xg3, verify_power_factorization
 
 __version__ = "0.1.0"

@@ -1,11 +1,10 @@
 """Exact arithmetic primitives shared by every other module.
 
-Everything is integer or rational and exact: deterministic primality
-testing, Legendre symbols with per-prime lookup tables, integer
-polynomials in one formal variable T, truncated products of integer
-coefficient lists by Kronecker substitution, reduced row echelon form
-over the rationals, and every square minor of an integer matrix by one
-level-by-level Laplace pass.  No floating point anywhere.
+Everything is integer and exact: deterministic primality testing,
+Legendre symbols with per-prime lookup tables, integer polynomials in
+one formal variable T, truncated products of integer coefficient lists
+by Kronecker substitution, and every square minor of an integer matrix
+by one level-by-level Laplace pass.  No floating point anywhere.
 
 A checked identity that fails raises `IdentityViolation`, which the CLI
 reports as a failure with exit code 1.
@@ -13,9 +12,7 @@ reports as a failure with exit code 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
 
 # Strong-pseudoprime witnesses; deterministic for every n < 3.3e24,
 # far beyond any modulus used here.
@@ -255,69 +252,7 @@ def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational row reduction and integer minors
-
-
-def echelon(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced row echelon form over Q, zero rows dropped.
-
-    Canonical: pivots are 1, pivot columns strictly increase, pivot
-    columns are cleared above and below.  Two matrices span the same row
-    space iff their echelon forms are equal, which makes this the
-    deduplication key for linear flats.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return ()
-    ncols = len(m[0])
-    for row in m:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-    piv = 0
-    for col in range(ncols):
-        for r in range(piv, len(m)):
-            if m[r][col] != 0:
-                break
-        else:
-            continue
-        m[piv], m[r] = m[r], m[piv]
-        inv = 1 / m[piv][col]
-        m[piv] = [x * inv for x in m[piv]]
-        for r in range(len(m)):
-            if r != piv and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[piv])]
-        piv += 1
-        if piv == len(m):
-            break
-    return tuple(tuple(row) for row in m[:piv])
-
-
-def rank(rows) -> int:
-    return len(echelon(rows))
-
-
-def primitive_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """Each row scaled to a primitive integer vector with positive lead.
-
-    Applied to echelon output this gives an integral canonical form,
-    convenient for hashing and for reduction mod p.
-    """
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        ints = [int(f * mult) for f in fracs]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g:
-            ints = [x // g for x in ints]
-        lead = next((x for x in ints if x != 0), 0)
-        if lead < 0:
-            ints = [-x for x in ints]
-        out.append(tuple(ints))
-    return tuple(out)
+# Integer minors
 
 
 def minors_by_size(matrix):

@@ -116,9 +116,9 @@ class Stratum:
     same set as a bitmask) determines the flat, and containment of flats
     is subset testing on the masks.
 
-    basis: primitive integer rows of the reduced echelon form of the
-    defining linear forms -- the canonical key for the flat, equal to
-    `primitive_rows(echelon(rows))` for any spanning set of rows.
+    basis: primitive integer rows of the reduced echelon form over Q of
+    the defining linear forms -- the canonical key for the flat, the same
+    for any spanning set of rows.
 
     covers: masks, ascending, of the strata one dimension up that contain
     this one -- its cover edges in the intersection lattice.  Single
@@ -156,7 +156,8 @@ def _lead(v) -> int:
 
 
 def _canonical_basis(rows) -> tuple[tuple[int, ...], ...]:
-    """`primitive_rows(echelon(rows))` by fraction-free integer elimination.
+    """Primitive rows of the reduced echelon form over Q, by fraction-free
+    integer elimination.
 
     Each step replaces a row r by a*r - b*pivot_row and divides out its
     content, so no fractions arise and the entries stay small.

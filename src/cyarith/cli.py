@@ -7,7 +7,9 @@ deterministic; exit codes for `suite`: 0 all pass, 1 any fail,
 2 computed-vs-transcribed discrepancies only.  A checked identity that
 breaks mid-computation (`IdentityViolation`) is one `FAIL` line on
 stderr and exit code 1, never a traceback; inside `suite` it is a `FAIL`
-report for its sub-suite, and the other sub-suites still run.
+report for its sub-suite, and the other sub-suites still run.  Every
+subcommand that takes `--pmax` rejects values below 3 the same way
+(`error: ...`, exit 1): no odd prime lies below 3.
 """
 
 from __future__ import annotations
@@ -246,10 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pmax_default=100):
+    def common(p):
         p.add_argument("--json", action="store_true", help="JSON output (default)")
         p.add_argument("--csv", action="store_true", help="CSV output where supported")
-        p.add_argument("--pmax", type=int, default=pmax_default, metavar="P")
+        p.add_argument("--pmax", type=int, default=100, metavar="P", help="at least 3")
 
     p = sub.add_parser("eta-expand", help="expand an eta product")
     p.add_argument("factors", help="comma list m:k, e.g. 8:2,4:2 for eta(q^8)^2 eta(q^4)^2")
@@ -310,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "pmax", 3) < 3:
+            raise ValueError("pmax must be at least 3")
         return args.func(args)
     except IdentityViolation as exc:
         print(f"FAIL identity violated: {exc}", file=sys.stderr)

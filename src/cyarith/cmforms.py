@@ -70,23 +70,29 @@ def power_trace(a: int, p: int, m: int) -> int:
     return cur
 
 
-def cm_euler_factor(weight: int, field: CMField, p: int, ap: int | None = None) -> IntPoly:
-    """Degree-2 local factor of the weight-k CM form at a good prime.
+def nebentypus(weight: int, field: CMField, n: int) -> int:
+    """Character of the weight-k CM form: trivial for even k, chi_{-d} for odd k."""
+    return 1 if weight % 2 == 0 else field.chi(n)
 
-    split p:            1 - s_{k-1} T + p^(k-1) T^2   (needs the curve trace a_p)
-    inert p, k odd:     1 - p^(k-1) T^2               (eigenvalues +-p^((k-1)/2))
-    inert p, k even:    1 + p^(k-1) T^2               (eigenvalues +-i p^((k-1)/2))
+
+def cm_euler_factor(weight: int, field: CMField, p: int, ap: int | None = None) -> IntPoly:
+    """Degree-2 local factor 1 - a_p T + chi(p) p^(k-1) T^2 of the weight-k
+    CM form at a good prime, chi its nebentypus.
+
+    split p: a_p = s_{k-1} from the curve trace ap, chi(p) = 1;
+    inert p: a_p = 0, so the eigenvalues are +-p^((k-1)/2) for odd k
+    (chi(p) = -1) and +-i p^((k-1)/2) for even k (chi(p) = 1).
     """
     if weight < 2:
         raise ValueError("weight must be >= 2")
     if field.is_ramified(p):
         raise ValueError(f"p = {p} is ramified in the CM field; no good Euler factor")
-    pk = p ** (weight - 1)
+    trace = 0
     if field.is_split(p):
         if ap is None:
             raise ValueError("split prime needs the weight-2 trace a_p")
-        return IntPoly((1, -power_trace(ap, p, weight - 1), pk))
-    return IntPoly((1, 0, -pk if weight % 2 else pk))
+        trace = power_trace(ap, p, weight - 1)
+    return IntPoly((1, -trace, nebentypus(weight, field, p) * p ** (weight - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +238,13 @@ def quotient_frobenius_trace(curve_ap: int, p: int, field: CMField, n: int) -> i
 
     Split p: the invariant subspace is spanned by the two pure tensors,
     on which Frobenius acts by alpha^n and conj(alpha)^n.  Inert p: the
-    matrix is antidiagonal, trace 0 for both parities.  Equals the prime
-    coefficient of the weight-(n+1) form of the family.
+    matrix is antidiagonal, trace 0 for both parities.  This is the
+    prime coefficient of the weight-(n+1) form of the family, read off
+    its Euler factor; a ramified p raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if field.is_split(p):
-        return power_trace(curve_ap, p, n)
-    return 0
+    return -cm_euler_factor(n + 1, field, p, curve_ap).coeff(1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +262,7 @@ class CMForm:
         return self.family.ap(self.weight, p)
 
     def character(self, n: int) -> int:
-        # nebentypus: trivial for even weight, chi_{-d} for odd weight
-        return 1 if self.weight % 2 == 0 else self.family.field.chi(n)
+        return nebentypus(self.weight, self.family.field, n)
 
     def euler_factor(self, p: int) -> IntPoly:
         fam = self.family

@@ -99,12 +99,6 @@ def _ahlgren_enumerate(p: int) -> int:
     return total
 
 
-def legendre_family_sum(p: int, v: int) -> int:
-    """S(v) = sum_s chi(s(s-1)(s-v)); equals -a_p of y^2 = x(x-1)(x-v) for v != 0, 1."""
-    chi = LegendreTable(p).values
-    return sum(chi[s * (s - 1) % p * (s - v) % p] for s in range(p))
-
-
 def ahlgren_count_fast(p: int) -> int:
     """N(p) = sum_v (p^4 + S(v)^4), a reduction of the brute count.
 

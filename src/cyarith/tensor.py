@@ -12,66 +12,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .arith import IdentityViolation, IntPoly, odd_primes_up_to
-from .cmforms import CMField, CMForm, cm_euler_factor, power_trace
+from .cmforms import CMField, cm_euler_factor, power_trace
 from .registry import GAUSSIAN_FAMILY
-
-MAX_DEFAULT_FACTORS = 4  # degree 16; larger tensors only behind allow_large
-
-
-@dataclass(frozen=True)
-class LocalRep:
-    """Degree-2 Frobenius datum of a weight-k CM form at a good prime p.
-
-    tr(Frob^m) is integral in every case: s_{(k-1)m} at split p; at
-    inert p it vanishes for odd m and equals 2 (+-1)^(m/2) p^(m(k-1)/2)
-    for even m (sign + for odd k, - for even k, from the eigenvalue
-    pairs +-p^((k-1)/2) resp. +-i p^((k-1)/2)).
-    """
-
-    p: int
-    weight: int
-    split: bool
-    ap: int | None
-    field: CMField
-
-    def __post_init__(self):
-        if self.split and self.ap is None:
-            raise ValueError("split local datum needs the weight-2 trace a_p")
-
-    @classmethod
-    def from_form(cls, form: CMForm, p: int) -> "LocalRep":
-        fam = form.family
-        if p in fam.bad_primes or fam.field.is_ramified(p):
-            raise ValueError(f"p = {p} is not a good prime for the {fam.name} family")
-        split = fam.field.is_split(p)
-        return cls(p, form.weight, split, fam.curve_ap(p) if split else None, fam.field)
-
-    def trace(self, m: int) -> int:
-        if m == 0:
-            return 2
-        if self.split:
-            return power_trace(self.ap, self.p, (self.weight - 1) * m)
-        if m % 2:
-            return 0
-        sign = 1 if self.weight % 2 else (-1) ** (m // 2)
-        return 2 * sign * self.p ** ((self.weight - 1) * m // 2)
-
-    def det(self) -> int:
-        pk = self.p ** (self.weight - 1)
-        if self.split:
-            return pk
-        return -pk if self.weight % 2 else pk
-
-    def euler_factor(self) -> IntPoly:
-        return IntPoly((1, -self.trace(1), self.det()))
-
-
-def tensor_trace(reps, m: int) -> int:
-    """tr(Frob^m) on the tensor product: the product of the factor traces."""
-    out = 1
-    for rep in reps:
-        out *= rep.trace(m)
-    return out
 
 
 def char_poly_from_power_sums(sums: list[int], degree: int) -> IntPoly:
@@ -94,30 +36,26 @@ def char_poly_from_power_sums(sums: list[int], degree: int) -> IntPoly:
     return IntPoly(tuple((-1) ** k * e[k] for k in range(degree + 1)))
 
 
-def power_sums_from_poly(poly: IntPoly, upto: int) -> list[int]:
-    """Inverse direction of Newton's identities, for round-trip checks."""
-    degree = poly.degree
-    e = [(-1) ** k * poly.coeff(k) for k in range(degree + 1)]
-    sums: list[int] = []
-    for k in range(1, upto + 1):
-        acc = 0
-        for i in range(1, min(k, degree) + 1):
-            acc += (-1) ** (i - 1) * e[i] * (sums[k - i - 1] if k - i >= 1 else k)
-        sums.append(acc)
-    return sums
+def tensor_euler_factor(factors) -> IntPoly:
+    """Exact degree-2^n local factor of the tensor product of n degree-2
+    Euler factors 1 - t T + d T^2.
 
-
-def tensor_euler_factor(reps, allow_large: bool = False) -> IntPoly:
-    """Exact degree-2^n local factor of an n-fold tensor product."""
-    reps = list(reps)
-    if not reps:
-        return IntPoly.one()
-    if len(reps) > MAX_DEFAULT_FACTORS and not allow_large:
-        raise ValueError(
-            f"{len(reps)} factors gives degree {2 ** len(reps)}; pass allow_large=True"
-        )
-    degree = 2 ** len(reps)
-    sums = [tensor_trace(reps, m) for m in range(1, degree + 1)]
+    One Lucas pass s_m = t s_{m-1} - d s_{m-2} (s_0 = 2, s_1 = t) per
+    factor gives its power sums tr(Frob^m), m = 1..2^n; their products
+    are the power sums of the tensor product, which Newton's identities
+    turn back into the factor.
+    """
+    factors = list(factors)
+    degree = 2 ** len(factors)
+    sums = [1] * degree
+    for factor in factors:
+        if factor.degree != 2 or factor.coeff(0) != 1:
+            raise ValueError(f"not a degree-2 Euler factor: {factor}")
+        t, d = -factor.coeff(1), factor.coeff(2)
+        prev, cur = 2, t
+        for m in range(degree):
+            sums[m] *= cur
+            prev, cur = cur, t * cur - d * prev
     return char_poly_from_power_sums(sums, degree)
 
 
@@ -126,8 +64,7 @@ def tensor_euler_factor(reps, allow_large: bool = False) -> IntPoly:
 
 
 def tensor_power_lhs(curve_ap: int | None, p: int, field: CMField, n: int) -> IntPoly:
-    rep = LocalRep(p, 2, field.is_split(p), curve_ap if field.is_split(p) else None, field)
-    return tensor_euler_factor([rep] * n, allow_large=True)
+    return tensor_euler_factor([cm_euler_factor(2, field, p, curve_ap)] * n)
 
 
 def power_factorization_rhs(curve_ap: int | None, p: int, field: CMField, n: int) -> IntPoly:
@@ -195,7 +132,7 @@ def g4xg3_row(family, p: int) -> TensorSplitRow:
     """At one good odd prime: a_p(w4) a_p(w3) = a_p(w6) + p^2 a_p(w2) and the
     full degree-4 factor identity L(w4 (x) w3) = L(w6) L(w2, shift 2)."""
     w2, w3, w4, w6 = (family.form(k) for k in (2, 3, 4, 6))
-    lhs = tensor_euler_factor([LocalRep.from_form(w4, p), LocalRep.from_form(w3, p)])
+    lhs = tensor_euler_factor([w4.euler_factor(p), w3.euler_factor(p)])
     rhs = w6.euler_factor(p) * w2.euler_factor(p).scale_arg(p**2)
     t_lhs = w4.ap(p) * w3.ap(p)
     t_rhs = w6.ap(p) + p**2 * w2.ap(p)

@@ -4,7 +4,8 @@ kernels of cyarith.
 Flat enumeration (`cyarith.arrangement`).  These share no code with the
 mask-keyed engine: every rank and canonical key comes from a full
 `Fraction` echelon form over Q (or `echelon_mod` over F_p) recomputed
-from scratch for each candidate.
+from scratch for each candidate.  `primitive_rows(echelon(rows))` is
+also the reference for `arrangement._canonical_basis`.
 
 - `subsets_poset` ranks every subset of >= 2 hyperplanes.
 - `closure_poset` seeds with the pairwise intersections and intersects
@@ -22,7 +23,7 @@ Series and point counts (`cyarith.qseries`, `cyarith.pointcount`).
   the reference for Miller's recurrence in `qseries.eta_unit_power`.
 - `ahlgren_count_loop` sums each fibre sum S(v) directly, in O(p^2),
   the reference for the one-product correlation in
-  `pointcount.ahlgren_count_fast`.
+  `pointcount.ahlgren_count_fast`; `legendre_family_sum` is one S(v).
 
 Minors (`cyarith.arith`, `cyarith.arrangement`).
 
@@ -31,15 +32,84 @@ Minors (`cyarith.arith`, `cyarith.arrangement`).
   Laplace pass `arith.minors_by_size`.
 - `good_reduction_scan` builds a `GoodReductionReport` from `all_minors`,
   factoring every distinct |minor| by trial division.
+
+Tensor factors (`cyarith.tensor`).
+
+- `power_sums_from_poly` runs Newton's identities from a polynomial back
+  to its power sums, the round trip of `char_poly_from_power_sums`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
-from cyarith.arith import LegendreTable, echelon, primitive_rows, require_odd_prime
+from cyarith.arith import IntPoly, LegendreTable, require_odd_prime
 from cyarith.arrangement import GoodReductionReport, Stratum
+
+
+def echelon(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Reduced row echelon form over Q, zero rows dropped.
+
+    Canonical: pivots are 1, pivot columns strictly increase, pivot
+    columns are cleared above and below.  Two matrices span the same row
+    space iff their echelon forms are equal, which makes this the
+    deduplication key for linear flats.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return ()
+    ncols = len(m[0])
+    for row in m:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+    piv = 0
+    for col in range(ncols):
+        for r in range(piv, len(m)):
+            if m[r][col] != 0:
+                break
+        else:
+            continue
+        m[piv], m[r] = m[r], m[piv]
+        inv = 1 / m[piv][col]
+        m[piv] = [x * inv for x in m[piv]]
+        for r in range(len(m)):
+            if r != piv and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[piv])]
+        piv += 1
+        if piv == len(m):
+            break
+    return tuple(tuple(row) for row in m[:piv])
+
+
+def rank(rows) -> int:
+    return len(echelon(rows))
+
+
+def primitive_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Each row scaled to a primitive integer vector with positive lead.
+
+    Applied to echelon output this gives an integral canonical form,
+    convenient for hashing and for reduction mod p.
+    """
+    out = []
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
+        ints = [int(f * mult) for f in fracs]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        if g:
+            ints = [x // g for x in ints]
+        lead = next((x for x in ints if x != 0), 0)
+        if lead < 0:
+            ints = [-x for x in ints]
+        out.append(tuple(ints))
+    return tuple(out)
 
 
 def echelon_mod(rows, p: int) -> tuple[tuple[int, ...], ...]:
@@ -232,18 +302,15 @@ def pow_trunc(a: list[int], k: int, top: int) -> list[int]:
     return result
 
 
+def legendre_family_sum(p: int, v: int) -> int:
+    """S(v) = sum_s chi(s(s-1)(s-v)); equals -a_p of y^2 = x(x-1)(x-v) for v != 0, 1."""
+    chi = LegendreTable(p).values
+    return sum(chi[s * (s - 1) % p * (s - v) % p] for s in range(p))
+
+
 def ahlgren_count_loop(p: int) -> int:
     """N(p) = sum_v (p^4 + S(v)^4) with each S(v) summed directly."""
-    require_odd_prime(p)
-    chi = LegendreTable(p).values
-    p4 = p**4
-    total = 0
-    for v in range(p):
-        s = 0
-        for x in range(p):
-            s += chi[x * (x - 1) % p * (x - v) % p]
-        total += p4 + s**4
-    return total
+    return sum(p**4 + legendre_family_sum(p, v) ** 4 for v in range(p))
 
 
 def det(matrix) -> int:
@@ -299,3 +366,22 @@ def good_reduction_scan(arr) -> GoodReductionReport:
                 q += 1
     max_abs = max(values, default=0)
     return GoodReductionReport(max_abs <= 1, tuple(sorted(exceptional)), max_abs)
+
+
+# ---------------------------------------------------------------------------
+# Tensor factors
+
+
+def power_sums_from_poly(poly: IntPoly, upto: int) -> list[int]:
+    """Power sums tr(Frob^m), m = 1..upto, of det(1 - Frob T) = poly, by
+    Newton's identities run the other way: the inverse of
+    `tensor.char_poly_from_power_sums`, for round-trip checks."""
+    degree = poly.degree
+    e = [(-1) ** k * poly.coeff(k) for k in range(degree + 1)]
+    sums: list[int] = []
+    for k in range(1, upto + 1):
+        acc = 0
+        for i in range(1, min(k, degree) + 1):
+            acc += (-1) ** (i - 1) * e[i] * (sums[k - i - 1] if k - i >= 1 else k)
+        sums.append(acc)
+    return sums

@@ -9,16 +9,13 @@ from cyarith.arith import (
     IntPoly,
     _kronecker_mul,
     LegendreTable,
-    echelon,
     is_prime,
     legendre,
     minors_by_size,
     odd_primes_up_to,
-    primitive_rows,
-    rank,
     require_odd_prime,
 )
-from oracles import all_minors, det, echelon_mod, mul_trunc
+from oracles import all_minors, det, echelon, echelon_mod, mul_trunc, primitive_rows, rank
 
 SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 31, 97)
 

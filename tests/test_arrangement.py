@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyarith.arith import echelon, primitive_rows, rank
 from cyarith.arrangement import (
     Arrangement,
     Hyperplane,
@@ -30,8 +29,11 @@ from cyarith.registry import (
 from oracles import (
     closure_poset,
     closure_poset_mod_p,
+    echelon,
     good_reduction_scan,
     incidence_rows,
+    primitive_rows,
+    rank,
     subsets_poset,
     subsets_poset_mod_p,
 )

@@ -220,6 +220,26 @@ def test_suite_pmax_2_is_an_error_line(capsys):
     assert (code, out, err) == (1, "", "error: pmax must be at least 3\n")
 
 
+_PMAX_COMMANDS = {
+    "cm-coeffs": ["--field", "i", "--weight", "3"],
+    "elliptic-ap": ["--curve=-1,0"],
+    "tensor-factor": [],
+}
+
+
+@pytest.mark.parametrize("command", _PMAX_COMMANDS)
+def test_pmax_2_is_an_error_line(command, capsys):
+    code, out, err = run(capsys, command, *_PMAX_COMMANDS[command], "--pmax", "2")
+    assert (code, out, err) == (1, "", "error: pmax must be at least 3\n")
+
+
+@pytest.mark.parametrize("command", _PMAX_COMMANDS)
+def test_pmax_3_is_accepted(command, capsys):
+    code, out, err = run(capsys, command, *_PMAX_COMMANDS[command], "--pmax", "3", "--csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("3,")  # one row, for p = 3
+
+
 def test_suite_rejects_csv(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "euler", "--csv"])
@@ -254,3 +274,15 @@ def test_quotient_traces_catch_a_wrong_power_trace(monkeypatch):
     monkeypatch.setattr(cmforms, "power_trace", lambda a, p, m: -real(a, p, m) if m == 6 else real(a, p, m))
     statuses = {r.claim: r.status for r in run_suite("cm", pmax=30)}
     assert statuses["quotient-frobenius-traces"] == "fail"
+
+
+def test_swapped_nebentypus_fails_hecke_and_tensor_reports(monkeypatch):
+    # the weight-parity rule lives only in nebentypus: swapping it must
+    # break the printed a_(p^2) coefficients through hecke_expand and both
+    # tensor identities through cm_euler_factor
+    real = cmforms.nebentypus
+    monkeypatch.setattr(cmforms, "nebentypus", lambda weight, field, n: real(weight + 1, field, n))
+    statuses = {r.claim: r.status for r in run_suite("cm", pmax=30) + run_suite("tensor", pmax=30)}
+    assert statuses["grossencharakter-power-coefficients"] == "fail"
+    assert statuses["tensor-w4xw3-factorization"] == "fail"
+    assert statuses["tensor-power-binomial-factorization"] == "fail"

@@ -212,6 +212,14 @@ def test_quotient_trace_examples():
     assert quotient_frobenius_trace(-2, 5, GAUSSIAN, 5) == -82
 
 
+def test_quotient_trace_ramified_rejected():
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="ramified"):
+            quotient_frobenius_trace(0, 2, GAUSSIAN, n)
+        with pytest.raises(ValueError, match="ramified"):
+            quotient_frobenius_trace(0, 3, EISENSTEIN, n)
+
+
 def test_quotient_traces_match_hecke_coefficients():
     for field, family in ((GAUSSIAN, GAUSSIAN_FAMILY), (EISENSTEIN, EISENSTEIN_FAMILY)):
         good = [

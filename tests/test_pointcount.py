@@ -13,7 +13,6 @@ from cyarith.pointcount import (
     ahlgren_count_fast,
     ahlgren_predicted,
     elliptic_ap,
-    legendre_family_sum,
     verify_ahlgren,
 )
 from cyarith.registry import (
@@ -24,7 +23,7 @@ from cyarith.registry import (
     ETA_WEIGHT2_GAUSSIAN,
 )
 from cyarith.suites import run_suite
-from oracles import ahlgren_count_loop
+from oracles import ahlgren_count_loop, legendre_family_sum
 
 
 def test_curve_model_validation():

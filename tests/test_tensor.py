@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -7,25 +7,23 @@ from cyarith.cmforms import EISENSTEIN, GAUSSIAN, cm_euler_factor
 from cyarith.registry import EISENSTEIN_FAMILY, GAUSSIAN_FAMILY
 from cyarith.tensor import (
     FactorizationCheck,
-    LocalRep,
     char_poly_from_power_sums,
     g4xg3_row,
-    power_sums_from_poly,
     tensor_euler_factor,
-    tensor_trace,
     verify_g4xg3,
     verify_power_factorization,
 )
+from oracles import power_sums_from_poly
 
 
-def _rep(family, weight, p):
-    return LocalRep.from_form(family.form(weight), p)
+def _factor(family, weight, p):
+    return family.form(weight).euler_factor(p)
 
 
 def test_single_rep_euler_factor_weight2():
-    rep = _rep(GAUSSIAN_FAMILY, 2, 5)
-    assert rep.euler_factor() == IntPoly((1, 2, 5))  # a_5 = -2
-    assert tensor_euler_factor([rep]) == rep.euler_factor()
+    factor = _factor(GAUSSIAN_FAMILY, 2, 5)
+    assert factor == IntPoly((1, 2, 5))  # a_5 = -2
+    assert tensor_euler_factor([factor]) == factor
 
 
 def test_single_rep_factor_reproduced_for_all_good_primes():
@@ -34,31 +32,28 @@ def test_single_rep_factor_reproduced_for_all_good_primes():
             for p in odd_primes_up_to(100):
                 if p in family.bad_primes:
                     continue
-                rep = _rep(family, weight, p)
-                assert tensor_euler_factor([rep]) == family.form(weight).euler_factor(p)
+                factor = _factor(family, weight, p)
+                assert tensor_euler_factor([factor]) == factor
 
 
 def test_tensor_trace_examples():
-    g4 = _rep(GAUSSIAN_FAMILY, 4, 5)
-    g3 = _rep(GAUSSIAN_FAMILY, 3, 5)
-    g2 = _rep(GAUSSIAN_FAMILY, 2, 5)
-    assert tensor_trace([g4, g3], 1) == 22 * -6 == -132
-    assert tensor_trace([g4], 1) == g4.trace(1) == 22
-    assert tensor_trace([g2, g2, g2], 1) == (-2) ** 3
+    # tr(Frob) on a tensor product is the product of the factor traces
+    g4, g3, g2 = (_factor(GAUSSIAN_FAMILY, k, 5) for k in (4, 3, 2))
+    assert -tensor_euler_factor([g4, g3]).coeff(1) == 22 * -6 == -132
+    assert -tensor_euler_factor([g4]).coeff(1) == 22
+    assert -tensor_euler_factor([g2, g2, g2]).coeff(1) == (-2) ** 3
 
 
 def test_inert_trace_pattern():
     # weight 4 (even) at inert p = 3: 0 for odd m, alternating sign for even m
-    rep = _rep(GAUSSIAN_FAMILY, 4, 3)
-    assert [rep.trace(m) for m in (1, 2, 3, 4)] == [0, -2 * 27, 0, 2 * 729]
+    assert power_sums_from_poly(_factor(GAUSSIAN_FAMILY, 4, 3), 4) == [0, -2 * 27, 0, 2 * 729]
     # weight 3 (odd): even traces all positive
-    rep = _rep(GAUSSIAN_FAMILY, 3, 3)
-    assert [rep.trace(m) for m in (1, 2, 3, 4)] == [0, 2 * 9, 0, 2 * 81]
+    assert power_sums_from_poly(_factor(GAUSSIAN_FAMILY, 3, 3), 4) == [0, 2 * 9, 0, 2 * 81]
 
 
 def test_degree4_factor_at_5_frozen():
-    g4 = _rep(GAUSSIAN_FAMILY, 4, 5)
-    g3 = _rep(GAUSSIAN_FAMILY, 3, 5)
+    g4 = _factor(GAUSSIAN_FAMILY, 4, 5)
+    g3 = _factor(GAUSSIAN_FAMILY, 3, 5)
     # expanded by hand: (1 + 82T + 3125T^2)(1 + 50T + 3125T^2)
     assert tensor_euler_factor([g4, g3]) == IntPoly((1, 132, 10350, 412500, 9765625))
 
@@ -87,22 +82,19 @@ def test_g4xg3_sweep_to_100():
 def test_functional_equation_symmetry_degree4():
     # weights (4, 3): motivic weight w = 3 + 2 = 5; c4 = p^(2w) c0, c3 = p^w c1
     for p in odd_primes_up_to(50):
-        if p == 2:
-            continue
-        g4 = _rep(GAUSSIAN_FAMILY, 4, p)
-        g3 = _rep(GAUSSIAN_FAMILY, 3, p)
-        poly = tensor_euler_factor([g4, g3])
+        poly = tensor_euler_factor([_factor(GAUSSIAN_FAMILY, 4, p), _factor(GAUSSIAN_FAMILY, 3, p)])
         assert poly.coeff(0) == 1
         assert poly.coeff(4) == p**10
         assert poly.coeff(3) == p**5 * poly.coeff(1)
 
 
 def test_newton_round_trip():
+    # the tensor factor's power sums are the products of the factors' power
+    # sums, each read back from its polynomial by the oracle
     for family, p in ((GAUSSIAN_FAMILY, 5), (GAUSSIAN_FAMILY, 3), (EISENSTEIN_FAMILY, 7)):
-        reps = [_rep(family, 4, p), _rep(family, 3, p), _rep(family, 2, p)]
-        poly = tensor_euler_factor(reps)
-        traces = [tensor_trace(reps, m) for m in range(1, 9)]
-        assert power_sums_from_poly(poly, 8) == traces
+        factors = [_factor(family, k, p) for k in (4, 3, 2)]
+        traces = [prod(m_sums) for m_sums in zip(*(power_sums_from_poly(f, 8) for f in factors))]
+        assert power_sums_from_poly(tensor_euler_factor(factors), 8) == traces
 
 
 def test_char_poly_rejects_inconsistent_traces():
@@ -110,11 +102,13 @@ def test_char_poly_rejects_inconsistent_traces():
         char_poly_from_power_sums([1, 0], 2)  # e_2 = (1*1 - 0)/2 not integral
 
 
-def test_factor_count_guard():
-    rep = _rep(GAUSSIAN_FAMILY, 2, 5)
-    with pytest.raises(ValueError, match="allow_large"):
-        tensor_euler_factor([rep] * 5)
-    assert tensor_euler_factor([rep] * 5, allow_large=True).degree == 32
+def test_tensor_factor_rejects_non_euler_factors():
+    g2 = _factor(GAUSSIAN_FAMILY, 2, 5)
+    for bad in (IntPoly((1, 2)), IntPoly((2, 2, 5)), g2 * g2):
+        with pytest.raises(ValueError, match="degree-2 Euler factor"):
+            tensor_euler_factor([g2, bad])
+    # no cap on the number of factors: five give the degree-32 factor
+    assert tensor_euler_factor([g2] * 5) == verify_power_factorization(-2, 5, GAUSSIAN, 5).rhs
 
 
 def test_power_factorization_examples():
@@ -160,15 +154,15 @@ def test_rhs_degree_bookkeeping():
         assert poly.degree == 2**n
 
 
-def test_local_rep_validation():
-    with pytest.raises(ValueError):
-        LocalRep(5, 2, True, None, GAUSSIAN)
-    with pytest.raises(ValueError):
-        LocalRep.from_form(GAUSSIAN_FAMILY.form(2), 2)  # bad prime
+def test_local_factor_validation():
+    with pytest.raises(ValueError, match="split prime needs"):
+        cm_euler_factor(2, GAUSSIAN, 5)
+    with pytest.raises(ValueError, match="bad prime"):
+        _factor(GAUSSIAN_FAMILY, 2, 2)
 
 
 def test_inert_euler_factor_det_sign():
     # odd weight inert: det -p^(k-1); even weight inert: +p^(k-1)
-    assert _rep(GAUSSIAN_FAMILY, 3, 3).det() == -9
-    assert _rep(GAUSSIAN_FAMILY, 4, 3).det() == 27
-    assert _rep(GAUSSIAN_FAMILY, 3, 3).euler_factor() == cm_euler_factor(3, GAUSSIAN, 3)
+    assert _factor(GAUSSIAN_FAMILY, 3, 3).coeff(2) == -9
+    assert _factor(GAUSSIAN_FAMILY, 4, 3).coeff(2) == 27
+    assert _factor(GAUSSIAN_FAMILY, 3, 3) == cm_euler_factor(3, GAUSSIAN, 3) == IntPoly((1, 0, -9))
