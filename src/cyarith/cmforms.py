@@ -6,11 +6,10 @@ traces of the cyclic-quotient constructions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 from .arith import IdentityViolation, IntPoly, is_prime
-from .pointcount import EllipticCurveModel, elliptic_ap
+from .pointcount import EllipticCurveModel
 from .qseries import DEFAULT_PRECISION, HeckeCoefficientSpec, QSeries, hecke_expand
 
 
@@ -197,6 +196,67 @@ def normalize_prime_element(p: int, field: CMField) -> QuadOrderElem:
     return next(e for e in hits if e.y > 0)
 
 
+def _sqrt_minus(m: int, p: int) -> int:
+    """A square root of -m mod a prime p that splits in Q(sqrt(-m)), m = 1 or 3.
+
+    m = 1: a 4th root of unity c^((p-1)/4), c a non-residue.
+    m = 3: 2w + 1, w = c^((p-1)/3) a primitive cube root of unity.
+    """
+    order = 4 if m == 1 else 3
+    for c in range(2, p):
+        r = pow(c, (p - 1) // order, p)
+        s = r if m == 1 else (2 * r + 1) % p
+        if s * s % p == p - m:
+            return s
+    raise IdentityViolation(f"no square root of -{m} mod {p}")
+
+
+def _cornacchia(m: int, p: int) -> tuple[int, int]:
+    """(x, y) with x^2 + m y^2 = p, m = 1 or 3, p split in Q(sqrt(-m)).
+
+    Cornacchia's algorithm (H. Cohen, GTM 138, Algorithm 1.5.2): run
+    Euclid on p and a root of -m in (p/2, p) until the remainder drops
+    below sqrt(p); that remainder is x.
+    """
+    r = _sqrt_minus(m, p)
+    a, b, limit = p, max(r, p - r), isqrt(p)
+    while b > limit:
+        a, b = b, a % b
+    c, rem = divmod(p - b * b, m)
+    y = isqrt(c)
+    if rem or y * y != c:
+        raise IdentityViolation(f"Cornacchia found no x^2 + {m}y^2 = {p}")
+    return b, y
+
+
+def normalized_trace(p: int, field: CMField) -> int:
+    """Trace of the normalized prime element above a split prime p.
+
+    Cornacchia gives one element pi of norm p: x + y*i from x^2 + y^2 = p,
+    or x + y*sqrt(-3) = (x - y) + 2y*w from x^2 + 3y^2 = p.  Exactly one
+    associate of pi passes is_normalized; its conjugate is the normalized
+    element of the conjugate ideal, with the same trace.  O(log p)
+    arithmetic steps (the root search tries O(1) bases c in expectation).
+    Shares only is_normalized and QuadOrderElem with the enumeration in
+    normalize_prime_element, which is its oracle.
+    """
+    if field.d == 4:
+        x, y = _cornacchia(1, p)
+        elem = QuadOrderElem(field, x, y)
+    else:
+        x, y = _cornacchia(3, p)
+        elem = QuadOrderElem(field, x - y, 2 * y)
+    unit = QuadOrderElem(field, 0, 1)  # i of order 4, resp. w of order 6
+    hits = []
+    for _ in range(4 if field.d == 4 else 6):
+        if is_normalized(elem):
+            hits.append(elem)
+        elem = elem * unit
+    if len(hits) != 1:
+        raise IdentityViolation(f"normalization not unique at p = {p}: {[str(h) for h in hits]}")
+    return hits[0].trace
+
+
 # ---------------------------------------------------------------------------
 # Invariant tensor dimensions and quotient traces
 
@@ -265,11 +325,9 @@ class CMForm:
         return nebentypus(self.weight, self.family.field, n)
 
     def euler_factor(self, p: int) -> IntPoly:
+        # curve_ap rejects bad primes and non-primes
         fam = self.family
-        if p in fam.bad_primes:
-            raise ValueError(f"p = {p} is a bad prime for the {fam.name} family")
-        a = fam.curve_ap(p) if fam.field.is_split(p) else None
-        return cm_euler_factor(self.weight, fam.field, p, a)
+        return cm_euler_factor(self.weight, fam.field, p, fam.curve_ap(p))
 
     def hecke_spec(self) -> HeckeCoefficientSpec:
         return HeckeCoefficientSpec(
@@ -290,9 +348,11 @@ class CMForm:
 class CMFormFamily:
     """All weights of one Grossencharakter power tower over a fixed curve.
 
-    The reference curve pins the weight-2 coefficients at split primes;
-    inert primes contribute 0 and the finitely many bad primes are
-    excluded from every comparison.
+    The weight-2 coefficients at split primes are the traces of the
+    normalized prime elements; the reference curve is what their point
+    counts must equal (`suite cm` checks it), never counted here.  Inert
+    primes contribute 0 and the finitely many bad primes are excluded
+    from every comparison.
     """
 
     field: CMField
@@ -301,9 +361,14 @@ class CMFormFamily:
     name: str
 
     def curve_ap(self, p: int) -> int:
+        """Weight-2 coefficient at a good prime: the trace of the normalized
+        prime element at split p (by Cornacchia, O(log p)), 0 at inert p.
+        Bad primes and non-primes raise ValueError."""
         if p in self.bad_primes:
             raise ValueError(f"p = {p} is a bad prime for the {self.name} family")
-        return _cached_curve_ap(self.curve, p)
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        return normalized_trace(p, self.field) if self.field.is_split(p) else 0
 
     def ap(self, weight: int, p: int) -> int:
         """Prime coefficient of the weight-k form: s_{k-1} split, 0 inert."""
@@ -317,8 +382,3 @@ class CMFormFamily:
 
     def form(self, weight: int) -> CMForm:
         return CMForm(self, weight)
-
-
-@lru_cache(maxsize=None)
-def _cached_curve_ap(curve: EllipticCurveModel, p: int) -> int:
-    return elliptic_ap(curve, p)

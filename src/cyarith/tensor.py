@@ -21,7 +21,7 @@ def char_poly_from_power_sums(sums: list[int], degree: int) -> IntPoly:
 
     Newton's identities: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i.
     Every e_k must come out integral; a failed division means the trace
-    data was inconsistent.
+    data was inconsistent, and raises IdentityViolation.
     """
     if len(sums) < degree:
         raise ValueError("need power sums up to the degree")
@@ -31,7 +31,7 @@ def char_poly_from_power_sums(sums: list[int], degree: int) -> IntPoly:
         for i in range(1, k + 1):
             acc += (-1) ** (i - 1) * e[k - i] * sums[i - 1]
         if acc % k:
-            raise ValueError(f"non-integer Newton step at k = {k}: inconsistent traces")
+            raise IdentityViolation(f"non-integer Newton step at k = {k}: inconsistent traces")
         e[k] = acc // k
     return IntPoly(tuple((-1) ** k * e[k] for k in range(degree + 1)))
 

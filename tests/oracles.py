@@ -3,9 +3,10 @@ kernels of cyarith.
 
 Flat enumeration (`cyarith.arrangement`).  These share no code with the
 mask-keyed engine: every rank and canonical key comes from a full
-`Fraction` echelon form over Q (or `echelon_mod` over F_p) recomputed
-from scratch for each candidate.  `primitive_rows(echelon(rows))` is
-also the reference for `arrangement._canonical_basis`.
+`Fraction` echelon form over Q (or `echelon_mod` over F_p), of a
+candidate's rows or of a smaller subset's key plus one row.
+`primitive_rows(echelon(rows))` is also the reference for
+`arrangement._canonical_basis`.
 
 - `subsets_poset` ranks every subset of >= 2 hyperplanes.
 - `closure_poset` seeds with the pairwise intersections and intersects
@@ -142,8 +143,8 @@ class _Search:
     """Flats of `vectors` in k^(n+1) found through a canonical-basis key.
 
     `key(rows)` is a canonical form of the row space (its length is the
-    rank); `found` maps each key of rank <= n with >= 2 containing
-    hyperplanes to (dim, containing-hyperplane indices).
+    rank).  Both searches return a dict mapping each key of rank <= n with
+    >= 2 containing hyperplanes to (dim, containing-hyperplane indices).
     """
 
     def __init__(self, vectors, n: int, key):
@@ -168,10 +169,23 @@ class _Search:
         return basis
 
     def subsets(self):
+        """Every subset of >= 2 vectors, keyed as the key of the subset
+        without its last member plus that member's row: one echelon of at
+        most n + 2 rows per distinct (prefix key, row) pair.  A flat's
+        containing hyperplanes are the union of the subsets spanning it,
+        since adding a member to a subset leaves its key unchanged."""
+        keys = {(i,): self.key((v,)) for i, v in enumerate(self.vectors)}
+        extended: dict[tuple, tuple] = {}
+        members: dict[tuple, set[int]] = {}
         for r in range(2, len(self.vectors) + 1):
             for idx in combinations(range(len(self.vectors)), r):
-                self.visit(tuple(self.vectors[i] for i in idx))
-        return self.found
+                step = (keys[idx[:-1]], idx[-1])
+                if step not in extended:
+                    extended[step] = self.key(step[0] + (self.vectors[idx[-1]],))
+                basis = keys[idx] = extended[step]
+                if len(basis) <= self.n:
+                    members.setdefault(basis, set()).update(idx)
+        return {basis: (self.n - len(basis), tuple(sorted(m))) for basis, m in members.items()}
 
     def closure(self):
         frontier = []

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from cyarith import cmforms
+from cyarith import cmforms, registry, tensor
 from cyarith.cli import main
 from cyarith.report import suite_exit_code
 from cyarith.suites import SUITES, run_suite
@@ -265,6 +266,48 @@ def test_identity_violation_exits_1_without_traceback(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("FAIL identity violated: normalization not unique at p = 5")
     assert "Traceback" not in err
+
+
+def test_inconsistent_tensor_power_sums_fail_only_the_tensor_suite(monkeypatch, capsys):
+    # tr(Frob^(m-1)) in place of tr(Frob^m): a non-integral Newton step is
+    # an IdentityViolation, so `suite all` prints a FAIL report for the
+    # tensor sub-suite and still runs the others
+    real = tensor.char_poly_from_power_sums
+    monkeypatch.setattr(tensor, "char_poly_from_power_sums", lambda sums, degree: real([degree] + sums[:-1], degree))
+    code, out, err = run(capsys, "suite", "all")
+    assert code == 1
+    assert err == ""
+    assert "[FAIL] suite tensor\n  FAIL identity violated: non-integer Newton step" in out
+    assert "[PASS] quotient-frobenius-traces" in out and "[PASS] double-cover-euler-calculus" in out
+
+
+def test_opposite_normalization_fails_the_normalized_element_row(monkeypatch):
+    # alpha = -1 in place of alpha = 1 modulo (2 + 2i), resp. 3: the
+    # enumerated and the fast trace both flip sign, and only the curve's
+    # point count catches it
+    real = cmforms.is_normalized
+    monkeypatch.setattr(cmforms, "is_normalized", lambda e: real(cmforms.QuadOrderElem(e.field, -e.x, -e.y)))
+    statuses = {r.claim: r.status for r in run_suite("cm", pmax=30)}
+    assert statuses["normalized-prime-elements"] == "fail"
+
+
+def test_wrong_fast_trace_fails_the_quotient_rows(monkeypatch):
+    # the fast curve_ap is checked against the enumerated alpha (n = 1)
+    real = cmforms.normalized_trace
+    monkeypatch.setattr(cmforms, "normalized_trace", lambda p, field: -real(p, field))
+    statuses = {r.claim: r.status for r in run_suite("cm", pmax=30)}
+    assert statuses["quotient-frobenius-traces"] == "fail"
+    assert statuses["normalized-prime-elements"] == "pass"
+
+
+def test_twisted_family_curve_fails_the_normalized_element_row(monkeypatch):
+    # y^2 = x^3 - 16 differs from the level-27 form at split p = 3 mod 4;
+    # the fast trace never reads the curve, the normalized-element row does
+    twisted = replace(registry.EISENSTEIN_FAMILY, curve=registry.CURVE_EISENSTEIN_TWIST)
+    monkeypatch.setitem(registry.FAMILIES, "zeta3", twisted)
+    statuses = {r.claim: r.status for r in run_suite("cm", pmax=30)}
+    assert statuses["normalized-prime-elements"] == "fail"
+    assert statuses["quotient-frobenius-traces"] == "pass"
 
 
 def test_quotient_traces_catch_a_wrong_power_trace(monkeypatch):

@@ -2,7 +2,8 @@ from math import isqrt
 
 import pytest
 
-from cyarith.arith import IntPoly, legendre, odd_primes_up_to
+from cyarith import cmforms, pointcount
+from cyarith.arith import IntPoly, is_prime, legendre, odd_primes_up_to
 from cyarith.cmforms import (
     EISENSTEIN,
     GAUSSIAN,
@@ -15,8 +16,9 @@ from cyarith.cmforms import (
     power_trace,
     quotient_frobenius_trace,
 )
+from cyarith.pointcount import elliptic_ap
 from cyarith.qseries import hecke_expand
-from cyarith.registry import EISENSTEIN_FAMILY, GAUSSIAN_FAMILY
+from cyarith.registry import CURVE_EISENSTEIN, CURVE_GAUSSIAN, EISENSTEIN_FAMILY, GAUSSIAN_FAMILY
 
 
 def test_field_characters():
@@ -162,6 +164,56 @@ def test_normalize_uniqueness_up_to_1000():
 
 
 # ---------------------------------------------------------------------------
+# curve traces by Cornacchia
+
+
+def _split_primes(family, pmax):
+    return [p for p in odd_primes_up_to(pmax) if p not in family.bad_primes and family.field.is_split(p)]
+
+
+def test_curve_ap_equals_point_count_up_to_2000():
+    for family, curve in ((GAUSSIAN_FAMILY, CURVE_GAUSSIAN), (EISENSTEIN_FAMILY, CURVE_EISENSTEIN)):
+        for p in _split_primes(family, 2000):
+            assert family.curve_ap(p) == elliptic_ap(curve, p), p
+
+
+def test_curve_ap_equals_enumerated_normalized_trace_up_to_20000():
+    for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
+        for p in _split_primes(family, 20000):
+            assert family.curve_ap(p) == normalize_prime_element(p, family.field).trace, p
+
+
+def test_curve_ap_calls_neither_enumeration_nor_point_count(monkeypatch):
+    # the oracles of curve_ap stay off its code path
+    def forbidden(*args):
+        raise AssertionError("oracle called from curve_ap")
+
+    for module, name in (
+        (cmforms, "norm_p_elements"),
+        (cmforms, "normalize_prime_element"),
+        (cmforms, "elliptic_ap"),
+        (pointcount, "elliptic_ap"),
+    ):
+        monkeypatch.setattr(module, name, forbidden, raising=False)
+    for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
+        assert [family.curve_ap(p) for p in (5, 7, 13)] == [elliptic_ap(family.curve, p) for p in (5, 7, 13)]
+
+
+def test_curve_ap_hasse_and_torsion_near_10_12():
+    # beyond the reach of the character sum: |a_p| <= 2 sqrt(p), and the
+    # rational torsion divides #E(F_p) = p + 1 - a_p (8 for y^2 = x^3 - x
+    # at p = 1 mod 4, the 3-torsion point (0, 4) of y^2 = x^3 + 16), which
+    # pins the sign of a_p among the associates' traces
+    for family, torsion in ((GAUSSIAN_FAMILY, 8), (EISENSTEIN_FAMILY, 3)):
+        primes = [p for p in range(10**12, 10**12 + 3000) if is_prime(p) and family.field.is_split(p)][:3]
+        assert len(primes) == 3
+        for p in primes:
+            a = family.curve_ap(p)
+            assert a * a <= 4 * p, p
+            assert (p + 1 - a) % torsion == 0, p
+
+
+# ---------------------------------------------------------------------------
 # invariant dimensions
 
 
@@ -238,6 +290,15 @@ def test_family_bad_prime_handling():
     assert GAUSSIAN_FAMILY.ap(2, 2) == 0
     assert EISENSTEIN_FAMILY.ap(4, 3) == 0
     with pytest.raises(ValueError):
-        GAUSSIAN_FAMILY.curve_ap(2)
-    with pytest.raises(ValueError):
         EISENSTEIN_FAMILY.form(2).euler_factor(3)
+    for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
+        (bad,) = family.bad_primes
+        with pytest.raises(ValueError, match="bad prime"):
+            family.curve_ap(bad)
+        # 221 = 13 * 17 and 91 = 7 * 13 are products of split primes
+        for n in (-5, 0, 1, 25, 91, 221):
+            with pytest.raises(ValueError, match="not prime"):
+                family.curve_ap(n)
+    # inert primes: a_p = 0, with no point count
+    assert [GAUSSIAN_FAMILY.curve_ap(p) for p in (3, 7, 11)] == [0, 0, 0]
+    assert [EISENSTEIN_FAMILY.curve_ap(p) for p in (2, 5, 11)] == [0, 0, 0]

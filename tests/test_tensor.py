@@ -2,7 +2,7 @@ from math import comb, prod
 
 import pytest
 
-from cyarith.arith import IntPoly, odd_primes_up_to
+from cyarith.arith import IdentityViolation, IntPoly, odd_primes_up_to
 from cyarith.cmforms import EISENSTEIN, GAUSSIAN, cm_euler_factor
 from cyarith.registry import EISENSTEIN_FAMILY, GAUSSIAN_FAMILY
 from cyarith.tensor import (
@@ -98,7 +98,7 @@ def test_newton_round_trip():
 
 
 def test_char_poly_rejects_inconsistent_traces():
-    with pytest.raises(ValueError, match="Newton"):
+    with pytest.raises(IdentityViolation, match="Newton"):
         char_poly_from_power_sums([1, 0], 2)  # e_2 = (1*1 - 0)/2 not integral
 
 
