@@ -232,7 +232,8 @@ def hecke_expand(spec: HeckeCoefficientSpec, precision: int = DEFAULT_PRECISION)
     a = [0] * (n + 1)
     if n >= 1:
         a[1] = 1
-    for p in primes_up_to(n):
+    primes = primes_up_to(n)
+    for p in primes:
         ap = spec.ap(p)
         cpk = spec.chi(p) * p ** (spec.weight - 1)
         a[p] = ap
@@ -243,7 +244,7 @@ def hecke_expand(spec: HeckeCoefficientSpec, precision: int = DEFAULT_PRECISION)
             a[pe] = cur
     # multiplicative fill via smallest prime factor
     spf = list(range(n + 1))
-    for p in primes_up_to(n):
+    for p in primes:
         for m in range(p * p, n + 1, p):
             if spf[m] == m:
                 spf[m] = p

@@ -4,12 +4,19 @@ and the product-side factorizations they are checked against.
 Euler factors are compared as full polynomials, not just first traces:
 at inert primes every odd trace vanishes, so a trace-only comparison
 would be vacuous exactly where the sign conventions matter most.
+
+The two sides share no algorithm.  The tensor side turns power sums
+into the factor by Newton's identities, O(4^n) products per factor;
+the product side (`euler_product`) multiplies the local factors of
+degree <= 2 into one coefficient list, one pass per factor, so every
+product has a small integer on one side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .arith import IdentityViolation, IntPoly, odd_primes_up_to
 from .cmforms import CMField, cm_euler_factor, power_trace
@@ -19,21 +26,20 @@ from .registry import GAUSSIAN_FAMILY
 def char_poly_from_power_sums(sums: list[int], degree: int) -> IntPoly:
     """det(1 - Frob T) from power sums tr(Frob^m), m = 1..degree.
 
-    Newton's identities: k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i.
-    Every e_k must come out integral; a failed division means the trace
-    data was inconsistent, and raises IdentityViolation.
+    Newton's identities for the coefficients c_k = (-1)^k e_k themselves:
+    k c_k = -sum_{i=1..k} c_{k-i} p_i, one dot product and one division
+    per step.  Every c_k must come out integral; a failed division means
+    the trace data was inconsistent, and raises IdentityViolation.
     """
     if len(sums) < degree:
         raise ValueError("need power sums up to the degree")
-    e = [1] + [0] * degree
+    c = [1]
     for k in range(1, degree + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * sums[i - 1]
-        if acc % k:
+        ck, rem = divmod(-sum(map(mul, reversed(c), sums)), k)
+        if rem:
             raise IdentityViolation(f"non-integer Newton step at k = {k}: inconsistent traces")
-        e[k] = acc // k
-    return IntPoly(tuple((-1) ** k * e[k] for k in range(degree + 1)))
+        c.append(ck)
+    return IntPoly(c)
 
 
 def tensor_euler_factor(factors) -> IntPoly:
@@ -67,23 +73,44 @@ def tensor_power_lhs(curve_ap: int | None, p: int, field: CMField, n: int) -> In
     return tensor_euler_factor([cm_euler_factor(2, field, p, curve_ap)] * n)
 
 
+def euler_product(factors) -> IntPoly:
+    """Product of local factors of degree <= 2, one fused pass per factor:
+    coefficient m of out * (a + b T + c T^2) is a out_m + b out_{m-1} +
+    c out_{m-2}, so every product is a short coefficient times a long one.
+    The a column is skipped for the constant term 1 of an Euler factor,
+    and the c column for a linear factor.  A factor of degree > 2 raises
+    ValueError."""
+    out = [1]
+    for factor in factors:
+        if factor.degree > 2:
+            raise ValueError(f"not a local factor of degree <= 2: {factor}")
+        a, b, c = factor.coeff(0), factor.coeff(1), factor.coeff(2)
+        shifted = [0] + out
+        if a != 1:
+            out = [a * x for x in out]
+        if c:
+            out = [x + b * y + c * z for x, y, z in zip(out + [0, 0], shifted + [0], [0] + shifted)]
+        else:
+            out = [x + b * y for x, y in zip(out + [0], shifted)]
+    return IntPoly(out)
+
+
 def power_factorization_rhs(curve_ap: int | None, p: int, field: CMField, n: int) -> IntPoly:
     """prod_j L_p(weight n-2j+1, shift j)^C(n,j), with the two Dirichlet
     factors (1 - p^(n/2) T)^(C(n,n/2)/2) (1 - chi(p) p^(n/2) T)^(C(n,n/2)/2)
     closing the middle when n is even."""
     ap = curve_ap if field.is_split(p) else None
-    out = IntPoly.one()
+    factors = []
     for j in range((n - 1) // 2 + 1):
-        factor = cm_euler_factor(n - 2 * j + 1, field, p, ap)
-        out = out * factor.scale_arg(p**j) ** comb(n, j)
+        factors += [cm_euler_factor(n - 2 * j + 1, field, p, ap).scale_arg(p**j)] * comb(n, j)
     if n % 2 == 0:
         middle = comb(n, n // 2)
         if middle % 2:
             raise IdentityViolation(f"odd middle multiplicity C({n},{n // 2}) = {middle}")
         half = middle // 2
         pn2 = p ** (n // 2)
-        out = out * IntPoly((1, -pn2)) ** half * IntPoly((1, -field.chi(p) * pn2)) ** half
-    return out
+        factors += [IntPoly((1, -pn2))] * half + [IntPoly((1, -field.chi(p) * pn2))] * half
+    return euler_product(factors)
 
 
 @dataclass(frozen=True)
@@ -130,12 +157,16 @@ class TensorSplitRow:
 
 def g4xg3_row(family, p: int) -> TensorSplitRow:
     """At one good odd prime: a_p(w4) a_p(w3) = a_p(w6) + p^2 a_p(w2) and the
-    full degree-4 factor identity L(w4 (x) w3) = L(w6) L(w2, shift 2)."""
-    w2, w3, w4, w6 = (family.form(k) for k in (2, 3, 4, 6))
-    lhs = tensor_euler_factor([w4.euler_factor(p), w3.euler_factor(p)])
-    rhs = w6.euler_factor(p) * w2.euler_factor(p).scale_arg(p**2)
-    t_lhs = w4.ap(p) * w3.ap(p)
-    t_rhs = w6.ap(p) + p**2 * w2.ap(p)
+    full degree-4 factor identity L(w4 (x) w3) = L(w6) L(w2, shift 2).
+
+    One curve trace per prime feeds all four Euler factors; each a_p is
+    read back as -coeff(1) of its factor."""
+    ap = family.curve_ap(p)
+    w2, w3, w4, w6 = (cm_euler_factor(k, family.field, p, ap) for k in (2, 3, 4, 6))
+    lhs = tensor_euler_factor([w4, w3])
+    rhs = euler_product([w6, w2.scale_arg(p**2)])
+    t_lhs = w4.coeff(1) * w3.coeff(1)
+    t_rhs = -w6.coeff(1) - p**2 * w2.coeff(1)
     return TensorSplitRow(p, t_lhs, t_rhs, t_lhs == t_rhs, lhs, rhs, lhs == rhs)
 
 

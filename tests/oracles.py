@@ -38,6 +38,11 @@ Tensor factors (`cyarith.tensor`).
 
 - `power_sums_from_poly` runs Newton's identities from a polynomial back
   to its power sums, the round trip of `char_poly_from_power_sums`.
+- `char_poly_signed_newton` is the signed Newton loop on e_k, the
+  reference for the signless steps of `char_poly_from_power_sums`.
+- `power_factorization_rhs_by_powers` builds the product side from
+  `IntPoly` powers and schoolbook products, the reference for
+  `tensor.euler_product` and `tensor.power_factorization_rhs`.
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
-from cyarith.arith import IntPoly, LegendreTable, require_odd_prime
+from cyarith.arith import IdentityViolation, IntPoly, LegendreTable, require_odd_prime
 from cyarith.arrangement import GoodReductionReport, Stratum
+from cyarith.cmforms import cm_euler_factor
 
 
 def echelon(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -399,3 +405,35 @@ def power_sums_from_poly(poly: IntPoly, upto: int) -> list[int]:
             acc += (-1) ** (i - 1) * e[i] * (sums[k - i - 1] if k - i >= 1 else k)
         sums.append(acc)
     return sums
+
+
+def char_poly_signed_newton(sums: list[int], degree: int) -> IntPoly:
+    """det(1 - Frob T) from power sums by k e_k = sum_{i=1..k} (-1)^(i-1)
+    e_{k-i} p_i, signs applied term by term; a non-integral e_k raises
+    IdentityViolation."""
+    if len(sums) < degree:
+        raise ValueError("need power sums up to the degree")
+    e = [1] + [0] * degree
+    for k in range(1, degree + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            acc += (-1) ** (i - 1) * e[k - i] * sums[i - 1]
+        if acc % k:
+            raise IdentityViolation(f"non-integer Newton step at k = {k}: inconsistent traces")
+        e[k] = acc // k
+    return IntPoly(tuple((-1) ** k * e[k] for k in range(degree + 1)))
+
+
+def power_factorization_rhs_by_powers(curve_ap: int | None, p: int, field, n: int) -> IntPoly:
+    """prod_j L_p(weight n-2j+1, shift j)^C(n,j) times the even-n Dirichlet
+    factors, each multiplicity an `IntPoly` power and the pieces multiplied
+    by the schoolbook `IntPoly.__mul__`."""
+    ap = curve_ap if field.is_split(p) else None
+    out = IntPoly.one()
+    for j in range((n - 1) // 2 + 1):
+        out = out * cm_euler_factor(n - 2 * j + 1, field, p, ap).scale_arg(p**j) ** comb(n, j)
+    if n % 2 == 0:
+        half = comb(n, n // 2) // 2
+        pn2 = p ** (n // 2)
+        out = out * IntPoly((1, -pn2)) ** half * IntPoly((1, -field.chi(p) * pn2)) ** half
+    return out

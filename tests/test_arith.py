@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from cyarith.arith import (
     legendre,
     minors_by_size,
     odd_primes_up_to,
+    primes_up_to,
     require_odd_prime,
 )
 from oracles import all_minors, det, echelon, echelon_mod, mul_trunc, primitive_rows, rank
@@ -31,6 +33,21 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(1105)
     assert is_prime(2**61 - 1)  # Mersenne prime
     assert not is_prime(2**67 - 1)
+
+
+def test_is_prime_agrees_with_sieve_to_1e5():
+    assert [n for n in range(10**5 + 1) if is_prime(n)] == primes_up_to(10**5)
+
+
+def test_is_prime_strong_pseudoprimes_at_the_witness_boundary():
+    # least strong pseudoprimes to bases {2}, {2,3}, {2,3,5}, {2,3,5,7}; the
+    # last is where the four small witnesses stop being enough
+    for n in (2047, 1_373_653, 25_326_001, 3_215_031_751):
+        assert not is_prime(n)
+    # both sides of the boundary against trial division
+    small = primes_up_to(isqrt(3_215_031_800))
+    for n in range(3_215_031_701, 3_215_031_800, 2):
+        assert is_prime(n) == all(n % q for q in small), n
 
 
 def test_require_odd_prime():

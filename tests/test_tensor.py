@@ -1,19 +1,25 @@
+from collections import Counter
+from functools import reduce
 from math import comb, prod
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyarith.arith import IdentityViolation, IntPoly, odd_primes_up_to
-from cyarith.cmforms import EISENSTEIN, GAUSSIAN, cm_euler_factor
+from cyarith.cmforms import EISENSTEIN, GAUSSIAN, CMFormFamily, cm_euler_factor
 from cyarith.registry import EISENSTEIN_FAMILY, GAUSSIAN_FAMILY
 from cyarith.tensor import (
     FactorizationCheck,
     char_poly_from_power_sums,
+    euler_product,
     g4xg3_row,
     tensor_euler_factor,
     verify_g4xg3,
     verify_power_factorization,
 )
-from oracles import power_sums_from_poly
+from oracles import char_poly_signed_newton, power_factorization_rhs_by_powers, power_sums_from_poly
 
 
 def _factor(family, weight, p):
@@ -102,6 +108,52 @@ def test_char_poly_rejects_inconsistent_traces():
         char_poly_from_power_sums([1, 0], 2)  # e_2 = (1*1 - 0)/2 not integral
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=8), st.integers(0, 8))
+def test_char_poly_matches_the_signed_newton_loop(sums, extra):
+    # arbitrary sums: both loops give the same polynomial or fail at the same k
+    degree = min(len(sums), extra)
+    try:
+        expected = char_poly_signed_newton(sums, degree)
+    except IdentityViolation as exc:
+        with pytest.raises(IdentityViolation, match=str(exc)):
+            char_poly_from_power_sums(sums, degree)
+    else:
+        assert char_poly_from_power_sums(sums, degree) == expected
+
+
+def test_g4xg3_computes_one_curve_ap_per_prime(monkeypatch):
+    calls = Counter()
+    real = CMFormFamily.curve_ap
+
+    def counting(self, p):
+        calls[p] += 1
+        return real(self, p)
+
+    monkeypatch.setattr(CMFormFamily, "curve_ap", counting)
+    rows = verify_g4xg3(100)
+    assert all(r.equal for r in rows)
+    assert calls == Counter(odd_primes_up_to(100))
+
+
+_local_factors = st.one_of(
+    st.tuples(st.integers(-10**6, 10**6)),
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+    st.tuples(st.integers(-10**6, 10**6), st.sampled_from((0, 1, -1, 10**30)), st.integers(-10**30, 10**30)),
+).map(IntPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_local_factors, max_size=12))
+def test_euler_product_matches_the_schoolbook_product(factors):
+    assert euler_product(factors) == reduce(mul, factors, IntPoly.one())
+
+
+def test_euler_product_rejects_a_degree_3_factor():
+    with pytest.raises(ValueError, match="degree <= 2"):
+        euler_product([IntPoly((1, 2, 5)), IntPoly((1, 0, 0, 1))])
+
+
 def test_tensor_factor_rejects_non_euler_factors():
     g2 = _factor(GAUSSIAN_FAMILY, 2, 5)
     for bad in (IntPoly((1, 2)), IntPoly((2, 2, 5)), g2 * g2):
@@ -128,16 +180,21 @@ def test_power_factorization_examples():
 
 
 def test_power_factorization_sweep():
+    # each side also against its oracle: the signed Newton loop on the
+    # oracle's power sums, and the product side built from IntPoly powers
     for field, family in ((GAUSSIAN, GAUSSIAN_FAMILY), (EISENSTEIN, EISENSTEIN_FAMILY)):
-        for n in range(2, 7):
-            for p in odd_primes_up_to(50):
-                if p in family.bad_primes or field.is_ramified(p):
-                    continue
-                ap = family.curve_ap(p) if field.is_split(p) else None
+        for p in odd_primes_up_to(100):
+            if p in family.bad_primes or field.is_ramified(p):
+                continue
+            ap = family.curve_ap(p) if field.is_split(p) else None
+            base = power_sums_from_poly(cm_euler_factor(2, field, p, ap), 2**6)
+            for n in range(2, 7):
                 check = verify_power_factorization(ap, p, field, n)
                 assert isinstance(check, FactorizationCheck)
                 assert check.equal, (field.d, n, p)
                 assert check.trace_identity, (field.d, n, p)
+                assert check.lhs == char_poly_signed_newton([s**n for s in base[: 2**n]], 2**n), (field.d, n, p)
+                assert check.rhs == power_factorization_rhs_by_powers(ap, p, field, n), (field.d, n, p)
 
 
 def test_middle_binomial_exponent_integrality():
