@@ -26,16 +26,9 @@ class Hyperplane:
     @classmethod
     def from_coeffs(cls, coeffs) -> "Hyperplane":
         v = [int(c) for c in coeffs]
-        g = 0
-        for c in v:
-            g = gcd(g, c)
-        if g == 0:
+        if not any(v):
             raise ValueError("zero vector is not a hyperplane")
-        v = [c // g for c in v]
-        lead = next(c for c in v if c != 0)
-        if lead < 0:
-            v = [-c for c in v]
-        return cls(tuple(v))
+        return cls(_pivot_q(v))
 
     def __str__(self) -> str:
         names = [f"x{i}" for i in range(len(self.coeffs))]
@@ -117,8 +110,9 @@ class Stratum:
     is subset testing on the masks.
 
     basis: primitive integer rows of the reduced echelon form over Q of
-    the defining linear forms -- the canonical key for the flat, the same
-    for any spanning set of rows.
+    the defining linear forms, back-substituted from the pivot rows of
+    the flat engine -- the canonical key for the flat, the same for any
+    spanning set of rows.
 
     covers: masks, ascending, of the strata one dimension up that contain
     this one -- its cover edges in the intersection lattice.  Single
@@ -151,44 +145,12 @@ class Stratum:
         return (self.dim, self.mult)
 
 
+def _pivot_col(v) -> int:
+    return next(c for c, x in enumerate(v) if x)
+
+
 def _lead(v) -> int:
-    return next(x for x in v if x)
-
-
-def _canonical_basis(rows) -> tuple[tuple[int, ...], ...]:
-    """Primitive rows of the reduced echelon form over Q, by fraction-free
-    integer elimination.
-
-    Each step replaces a row r by a*r - b*pivot_row and divides out its
-    content, so no fractions arise and the entries stay small.
-    Once every pivot column is cleared above and below, each pivot row
-    is proportional to the matching row of the reduced echelon form over
-    Q; scaling it to a primitive vector with positive lead gives exactly
-    the primitive form of that row.
-    """
-    m = [list(row) for row in rows]
-    if not m:
-        return ()
-    piv = 0
-    for col in range(len(m[0])):
-        for r in range(piv, len(m)):
-            if m[r][col]:
-                break
-        else:
-            continue
-        m[piv], m[r] = m[r], m[piv]
-        prow = m[piv]
-        a = prow[col]
-        for r, row in enumerate(m):
-            b = row[col]
-            if r != piv and b:
-                row = [a * x - b * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                m[r] = [x // g for x in row] if g else row
-        piv += 1
-        if piv == len(m):
-            break
-    return tuple(_pivot_q(row) for row in m[:piv])
+    return v[_pivot_col(v)]
 
 
 def _pivot_q(v) -> tuple[int, ...]:
@@ -203,14 +165,16 @@ def _reduce_q(v, w, col: int) -> tuple[int, ...]:
     return _pivot_q([a * x - b * y for x, y in zip(v, w)])
 
 
-def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[int, ...], list[int]]]:
+def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[tuple[int, ...], ...], list[int]]]:
     """Every flat of rank 1..n of the hyperplanes `vectors` (forms on
     k^(n+1)), keyed by the bitmask of the hyperplanes containing it.
 
-    Value: (rank, gens, parents).  gens lists one hyperplane per rank
-    step; their forms are a basis of the flat's defining space.  parents
-    are the masks of the flats of rank one less that contain it (mask 0,
-    the whole space, for a hyperplane): the cover edges of the lattice.
+    Value: (rank, rows, parents).  rows lists the residual each rank step
+    pivoted on, oldest first: each is scaled by `pivot` and is zero on the
+    pivot columns of the rows before it, so they are a triangular basis
+    of the flat's defining space.  parents are the masks of the flats of
+    rank one less that contain it (mask 0, the whole space, for a
+    hyperplane): the cover edges of the lattice.
 
     Flats are built one rank at a time, starting from the whole space
     (mask 0).  A flat keeps, for every hyperplane not containing it, the
@@ -231,7 +195,7 @@ def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[int, ..
     flats = {}
     for rank in range(1, n + 1):
         nxt = {}
-        for mask, (gens, residuals, _) in level.items():
+        for mask, (rows, residuals, _) in level.items():
             groups: dict[tuple[int, ...], int] = {}
             for i, r in residuals:
                 groups[r] = groups.get(r, 0) | 1 << i
@@ -240,14 +204,13 @@ def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[int, ..
                 if child in nxt:
                     nxt[child][2].append(mask)
                     continue
-                first = (add & -add).bit_length() - 1
                 rest = []  # a rank-n flat is a point: one more hyperplane empties it
                 if rank < n:
-                    col = next(c for c, x in enumerate(w) if x)
+                    col = _pivot_col(w)
                     rest = [(i, reduce(r, w, col)) for i, r in residuals if not add >> i & 1]
-                nxt[child] = (gens + (first,), rest, [mask])
-        for mask, (gens, _, parents) in nxt.items():
-            flats[mask] = (rank, gens, parents)
+                nxt[child] = (rows + (w,), rest, [mask])
+        for mask, (rows, _, parents) in nxt.items():
+            flats[mask] = (rank, rows, parents)
         level = nxt
     return flats
 
@@ -260,10 +223,12 @@ def intersection_poset(arr: Arrangement) -> list[Stratum]:
     """All flats obtainable as intersections of >= 2 hyperplanes.
 
     The flats come from the mask-keyed enumerator `_flats` over Q, with
-    fraction-free integer reduction; each flat's canonical basis is
-    computed once, from the forms of its rank generators.  Multiplicity
-    is the full containing-hyperplane count, dimension is n - rank;
-    empty intersections (rank n+1) are never built.
+    fraction-free integer reduction.  Each flat's canonical basis is
+    its `_flats` rows in reduced echelon form, by back-substitution:
+    newest row first, each clears its pivot column from the rows before
+    it with `_reduce_q`.  Multiplicity is the full containing-hyperplane
+    count, dimension is n - rank; empty intersections (rank n+1) are
+    never built.
 
     A flat's covers are its `_flats` parents, none at rank 2, where the
     parents are single hyperplanes.  Strata are ordered by descending
@@ -272,12 +237,21 @@ def intersection_poset(arr: Arrangement) -> list[Stratum]:
     n = arr.dim
     vectors = [h.coeffs for h in arr.hyperplanes]
     strata = []
-    for mask, (rank, gens, parents) in _flats(vectors, n, _pivot_q, _reduce_q).items():
+    for mask, (rank, rows, parents) in _flats(vectors, n, _pivot_q, _reduce_q).items():
         if rank < 2:  # a single hyperplane
             continue
         covers = tuple(sorted(parents)) if rank > 2 else ()
         near = any(c.bit_count() == mask.bit_count() - 1 for c in covers)
-        basis = _canonical_basis([vectors[i] for i in gens])
+        # each row is zero on the pivot columns of the rows before it, so
+        # clearing newest first never refills a cleared column
+        rows = list(rows)
+        cols = [_pivot_col(w) for w in rows]
+        for k in range(rank - 1, 0, -1):
+            w, col = rows[k], cols[k]
+            for j in range(k):
+                if rows[j][col]:
+                    rows[j] = _reduce_q(rows[j], w, col)
+        basis = tuple(w for _, w in sorted(zip(cols, rows)))
         strata.append(Stratum(basis, n - rank, _indices(mask), near, covers))
     strata.sort(key=lambda s: (-s.dim, s.mult, s.basis))
     return strata

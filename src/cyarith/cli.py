@@ -67,7 +67,7 @@ def cmd_cm_coeffs(args) -> int:
     family = registry.FAMILIES[args.field]
     rows = []
     for p in odd_primes_up_to(args.pmax):
-        if p in family.bad_primes:
+        if family.field.is_ramified(p):
             continue
         rows.append({"p": p, "ap": family.ap(args.weight, p)})
     if args.csv:
@@ -100,7 +100,7 @@ def cmd_elliptic_ap(args) -> int:
     curve = EllipticCurveModel(a, b)
     rows = []
     for p in odd_primes_up_to(args.pmax):
-        if curve.discriminant % p == 0:
+        if not curve.is_good(p):
             continue
         rows.append({"p": p, "ap": elliptic_ap(curve, p)})
     if args.csv:

@@ -351,31 +351,34 @@ class CMFormFamily:
     The weight-2 coefficients at split primes are the traces of the
     normalized prime elements; the reference curve is what their point
     counts must equal (`suite cm` checks it), never counted here.  Inert
-    primes contribute 0 and the finitely many bad primes are excluded
-    from every comparison.
+    primes contribute 0 and the bad prime, the one that ramifies in the
+    field, is excluded from every comparison.
     """
 
     field: CMField
     curve: EllipticCurveModel
-    bad_primes: frozenset[int]
     name: str
+
+    @property
+    def bad_primes(self) -> frozenset[int]:
+        """The primes ramified in the field: {2} for Q(i), {3} for Q(sqrt(-3))."""
+        return frozenset(q for q in (2, 3) if self.field.is_ramified(q))
 
     def curve_ap(self, p: int) -> int:
         """Weight-2 coefficient at a good prime: the trace of the normalized
         prime element at split p (by Cornacchia, O(log p)), 0 at inert p.
         Bad primes and non-primes raise ValueError."""
-        if p in self.bad_primes:
-            raise ValueError(f"p = {p} is a bad prime for the {self.name} family")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
+        if self.field.is_ramified(p):
+            raise ValueError(f"p = {p} is a bad prime for the {self.name} family")
         return normalized_trace(p, self.field) if self.field.is_split(p) else 0
 
     def ap(self, weight: int, p: int) -> int:
-        """Prime coefficient of the weight-k form: s_{k-1} split, 0 inert."""
+        """Prime coefficient of the weight-k form: s_{k-1} split, 0 inert
+        or ramified."""
         if weight < 2:
             raise ValueError("weight must be >= 2")
-        if p in self.bad_primes:
-            return 0
         if self.field.is_split(p):
             return power_trace(self.curve_ap(p), p, weight - 1)
         return 0

@@ -8,7 +8,7 @@ from importlib import resources
 
 from .arrangement import Arrangement, parse_arrangement
 from .cmforms import EISENSTEIN, GAUSSIAN, CMFormFamily
-from .pointcount import EllipticCurveModel
+from .pointcount import AHLGREN_ETA, EllipticCurveModel
 from .qseries import EtaProduct
 
 # ---------------------------------------------------------------------------
@@ -27,8 +27,8 @@ CURVE_EISENSTEIN = EllipticCurveModel(0, 16)
 #: model mismatch can be demonstrated and reported, never silently used.
 CURVE_EISENSTEIN_TWIST = EllipticCurveModel(0, -16)
 
-GAUSSIAN_FAMILY = CMFormFamily(GAUSSIAN, CURVE_GAUSSIAN, frozenset({2}), "gaussian")
-EISENSTEIN_FAMILY = CMFormFamily(EISENSTEIN, CURVE_EISENSTEIN, frozenset({3}), "eisenstein")
+GAUSSIAN_FAMILY = CMFormFamily(GAUSSIAN, CURVE_GAUSSIAN, "gaussian")
+EISENSTEIN_FAMILY = CMFormFamily(EISENSTEIN, CURVE_EISENSTEIN, "eisenstein")
 
 FAMILIES = {"i": GAUSSIAN_FAMILY, "zeta3": EISENSTEIN_FAMILY}
 
@@ -39,7 +39,7 @@ ETA_WEIGHT2_GAUSSIAN = EtaProduct(((8, 2), (4, 2)))  # level 32
 ETA_WEIGHT3_GAUSSIAN = EtaProduct(((4, 6),))  # level 16
 ETA_WEIGHT2_EISENSTEIN = EtaProduct(((9, 2), (3, 2)))  # level 27
 ETA_WEIGHT4_EISENSTEIN = EtaProduct(((3, 8),))  # level 9
-ETA_WEIGHT6_LEVEL4 = EtaProduct(((2, 12),))  # the Ahlgren-identity form
+ETA_WEIGHT6_LEVEL4 = AHLGREN_ETA  # the Ahlgren-identity form
 
 # ---------------------------------------------------------------------------
 # Transcribed printed coefficients (expected values with published-table

@@ -31,7 +31,7 @@ from .report import DERIVED, PUBLISHED, VerificationReport
 from .tensor import verify_g4xg3, verify_power_factorization
 
 
-def suite_eta(pmax: int = 100) -> list[VerificationReport]:
+def suite_eta() -> list[VerificationReport]:
     """The five bundled eta products: four against the printed coefficients,
     the weight-6 level-4 power against the point-count oracle."""
     report = VerificationReport("eta-expansions")
@@ -54,9 +54,8 @@ def suite_eta(pmax: int = 100) -> list[VerificationReport]:
 
 
 def _good_primes(family, pmax: int) -> list[int]:
-    """Odd primes <= pmax that are neither bad for the family nor ramified."""
-    field = family.field
-    return [p for p in odd_primes_up_to(pmax) if p not in family.bad_primes and not field.is_ramified(p)]
+    """Odd primes <= pmax that do not ramify in the family's field."""
+    return [p for p in odd_primes_up_to(pmax) if not family.field.is_ramified(p)]
 
 
 def suite_cm(pmax: int = 100) -> list[VerificationReport]:
@@ -135,7 +134,7 @@ def model_mismatch_primes(curve, eta_series, pmax: int) -> list[int]:
     """Odd good primes where the curve trace differs from the eta coefficient."""
     out = []
     for p in odd_primes_up_to(min(pmax, eta_series.precision)):
-        if curve.discriminant % p == 0:
+        if not curve.is_good(p):
             continue
         if elliptic_ap(curve, p) != eta_series.coeff(p):
             out.append(p)
@@ -271,7 +270,7 @@ def suite_euler() -> list[VerificationReport]:
 
 #: suite name -> runner(pmax, brute_max); `all` runs them in this order
 _RUNNERS = {
-    "eta": lambda pmax, brute_max: suite_eta(pmax),
+    "eta": lambda pmax, brute_max: suite_eta(),
     "cm": lambda pmax, brute_max: suite_cm(pmax),
     "tensor": lambda pmax, brute_max: suite_tensor(pmax),
     "ahlgren": suite_ahlgren,
@@ -283,7 +282,9 @@ SUITES = (*_RUNNERS, "all")
 
 def run_suite(name: str, pmax: int = 100, brute_max: int | None = 13) -> list[VerificationReport]:
     """Reports of suite `name` (every sub-suite for `all`).  pmax < 3 is
-    rejected for every name: no sub-suite has an odd prime below 3."""
+    rejected for every name: no sub-suite has an odd prime below 3.  pmax
+    does not change the eta suite, which checks the printed coefficients
+    and the p <= 13 brute-force oracle."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if pmax < 3:

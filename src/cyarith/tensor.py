@@ -172,7 +172,7 @@ def g4xg3_row(family, p: int) -> TensorSplitRow:
 
 def verify_g4xg3(pmax: int) -> list[TensorSplitRow]:
     """Run g4xg3_row for the Gaussian family over every good odd prime <=
-    pmax (bad primes skipped: equality of L-series is only claimed up to
-    finitely many factors)."""
-    primes = [p for p in odd_primes_up_to(pmax) if p not in GAUSSIAN_FAMILY.bad_primes]
+    pmax (the bad prime 2, ramified in Q(i), skipped: equality of L-series
+    is only claimed up to finitely many factors)."""
+    primes = [p for p in odd_primes_up_to(pmax) if not GAUSSIAN_FAMILY.field.is_ramified(p)]
     return [g4xg3_row(GAUSSIAN_FAMILY, p) for p in primes]

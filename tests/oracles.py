@@ -5,8 +5,9 @@ Flat enumeration (`cyarith.arrangement`).  These share no code with the
 mask-keyed engine: every rank and canonical key comes from a full
 `Fraction` echelon form over Q (or `echelon_mod` over F_p), of a
 candidate's rows or of a smaller subset's key plus one row.
-`primitive_rows(echelon(rows))` is also the reference for
-`arrangement._canonical_basis`.
+`primitive_rows(echelon(rows))` of a stratum's hyperplane forms is also
+the reference for `Stratum.basis`, which the engine back-substitutes
+from its own pivot rows.
 
 - `subsets_poset` ranks every subset of >= 2 hyperplanes.
 - `closure_poset` seeds with the pairwise intersections and intersects

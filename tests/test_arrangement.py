@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cyarith.arrangement import (
     Arrangement,
     Hyperplane,
-    _canonical_basis,
     admissible,
     classify,
     crepant_resolvable,
@@ -261,7 +260,7 @@ def test_closure_completeness(ahlgren, ahlgren_poset):
         for i, h in enumerate(ahlgren.hyperplanes):
             if i in s.hyperplanes:
                 continue
-            merged = _canonical_basis(s.basis + (h.coeffs,))
+            merged = primitive_rows(echelon(s.basis + (h.coeffs,)))
             assert len(merged) > ahlgren.dim or merged in keys
 
 
@@ -311,27 +310,35 @@ def test_incidence_oracle_non_uniform_types():
 
 
 def test_canonical_form_iff_same_flat():
+    # one stratum per flat, and its basis spans exactly that flat's
+    # defining space, so distinct strata never share a basis
     rng = random.Random(7)
     for _ in range(50):
-        rows_a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(1, 3))]
-        rows_b = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(1, 3))]
-        if not any(any(r) for r in rows_a) or not any(any(r) for r in rows_b):
-            continue
-        same_space = rank(rows_a) == rank(rows_b) == rank(rows_a + rows_b)
-        assert (_canonical_basis(rows_a) == _canonical_basis(rows_b)) == same_space
+        arr = random_arrangement(rng, rng.choice((2, 3, 4)), rng.randint(3, 9), bound=3)
+        poset = intersection_poset(arr)
+        assert len({s.basis for s in poset}) == len(poset)
+        for s in poset:
+            forms = [arr.hyperplanes[i].coeffs for i in s.hyperplanes]
+            assert len(s.basis) == rank(s.basis) == rank(list(s.basis) + forms) == arr.dim - s.dim
 
 
-matrix_strategy = st.integers(1, 6).flatmap(
-    lambda ncols: st.lists(
-        st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols), max_size=6
-    )
-)
+@st.composite
+def arrangements(draw):
+    """2 to 8 distinct hyperplanes in P^2..P^4, coefficients in [-3, 3]."""
+    n = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any)
+    rows = draw(st.lists(row, min_size=2, max_size=8, unique_by=lambda r: Hyperplane.from_coeffs(r).coeffs))
+    return Arrangement.from_rows(n, rows)
 
 
-@settings(max_examples=300, deadline=None)
-@given(matrix_strategy)
-def test_canonical_basis_equals_fraction_echelon(rows):
-    assert _canonical_basis(rows) == primitive_rows(echelon(rows))
+@settings(max_examples=200, deadline=None)
+@given(arrangements())
+def test_canonical_basis_equals_fraction_echelon(arr):
+    # the back-substituted pivot rows against a Fraction echelon form of
+    # every containing hyperplane's form
+    for s in intersection_poset(arr):
+        forms = [arr.hyperplanes[i].coeffs for i in s.hyperplanes]
+        assert s.basis == primitive_rows(echelon(forms))
 
 
 # ---------------------------------------------------------------------------

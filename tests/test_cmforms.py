@@ -3,7 +3,7 @@ from math import isqrt
 import pytest
 
 from cyarith import cmforms, pointcount
-from cyarith.arith import IntPoly, is_prime, legendre, odd_primes_up_to
+from cyarith.arith import IntPoly, is_prime, legendre, odd_primes_up_to, primes_up_to
 from cyarith.cmforms import (
     EISENSTEIN,
     GAUSSIAN,
@@ -302,3 +302,12 @@ def test_family_bad_prime_handling():
     # inert primes: a_p = 0, with no point count
     assert [GAUSSIAN_FAMILY.curve_ap(p) for p in (3, 7, 11)] == [0, 0, 0]
     assert [EISENSTEIN_FAMILY.curve_ap(p) for p in (2, 5, 11)] == [0, 0, 0]
+
+
+def test_family_bad_primes_are_the_ramified_primes():
+    # the ramified prime is the one prime dividing the levels 32 and 27
+    for family, level in ((GAUSSIAN_FAMILY, 32), (EISENSTEIN_FAMILY, 27)):
+        ramified = {p for p in primes_up_to(200) if family.field.is_ramified(p)}
+        assert family.bad_primes == ramified == {p for p in primes_up_to(level) if level % p == 0}
+        with pytest.raises(AttributeError):
+            family.bad_primes = frozenset()
