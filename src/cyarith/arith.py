@@ -6,13 +6,21 @@ one formal variable T, truncated products of integer coefficient lists
 by Kronecker substitution, and every square minor of an integer matrix
 by one level-by-level Laplace pass.  No floating point anywhere.
 
+The Kronecker product packs each list into one Python int, one digit of
+`width` bytes per coefficient.  A digit of 1, 2, 4 or 8 bytes is a
+machine word, packed through `array` and read back through a
+`memoryview` cast; any other width goes through `int.to_bytes`.
+
 A checked identity that fails raises `IdentityViolation`, which the CLI
 reports as a failure with exit code 1.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import combinations
+from math import isqrt
 
 # Strong-pseudoprime witnesses; deterministic for every n < 3.3e24,
 # far beyond any modulus used here.  The first four already decide every
@@ -62,7 +70,7 @@ def primes_up_to(n: int) -> list[int]:
         return []
     mark = bytearray([1]) * (n + 1)
     mark[0] = mark[1] = 0
-    for p in range(2, int(n**0.5) + 1):
+    for p in range(2, isqrt(n) + 1):
         if mark[p]:
             mark[p * p :: p] = bytearray(len(mark[p * p :: p]))
     return [i for i in range(2, n + 1) if mark[i]]
@@ -96,7 +104,7 @@ def legendre(a: int, p: int) -> int:
 class LegendreTable:
     """chi(a) lookups in O(1) after a single O(p) squares sieve.
 
-    Point-count inner loops evaluate chi up to p^5 times per prime, so
+    Point counts and fibre sums evaluate chi O(p) times per prime, so
     the symbol is tabulated once.  `values` is indexed by residue and is
     immutable after construction (safe to share across workers).
     """
@@ -219,11 +227,24 @@ class IntPoly:
 # Truncated products of coefficient lists by Kronecker substitution
 
 
+#: unsigned array typecode for each machine-word digit width in bytes
+_WORD_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 def _pack(values: list[int], width: int) -> int:
     """sum_i values[i] * 2^(8*width*i), built from bytes in one pass per sign."""
     pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in values)
     neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in values)
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _pack_words(values: list[int], code: str, half: int) -> int:
+    """sum_i values[i] * X^i for machine-word digits: each digit biased by
+    half into an unsigned word in native order, the bias then subtracted."""
+    words = array(code, map(half.__add__, reversed(values) if _BIG_ENDIAN else values))
+    bias = array(code, [half]) * len(values)
+    return int.from_bytes(words, sys.byteorder) - int.from_bytes(bias, sys.byteorder)
 
 
 def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
@@ -234,8 +255,19 @@ def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
     one Python int, and a single bigint product holds the product
     polynomial evaluated at X.  `width` bytes are enough that every output
     coefficient c has |c| < X/2, so adding X/2 to every digit of the low
-    top+1 digits makes them all non-negative, and one `to_bytes` call
-    splits them apart.  Exact for any signed integer input.
+    top+1 digits makes them all non-negative, and the digits split apart
+    in one pass.  Two digit encodings, exact for any signed integer input:
+
+    - width 1, 2, 4 or 8 bytes: every input digit is biased by X/2 into
+      an unsigned machine word of an `array`, the bias is subtracted from
+      the packed int, and the product's digits are read back through a
+      `memoryview` cast;
+    - any other width: the positive and negative parts are packed by
+      `to_bytes` one digit at a time, and the product's digits are read
+      back by `from_bytes` one digit at a time.
+
+    The width is never rounded up to a word: a wider digit makes the
+    bigint product longer.
     """
     a = a[: top + 1]
     b = b[: top + 1]
@@ -248,9 +280,14 @@ def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
     bits = 8 * width * n
     half = 1 << (8 * width - 1)
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # X/2 in every digit
-    low = (_pack(a, width) * _pack(b, width) + offset) & ((1 << bits) - 1)
-    digits = low.to_bytes(width * n, "little")
-    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width)]
+    code = _WORD_CODES.get(width)
+    if code is None:
+        low = (_pack(a, width) * _pack(b, width) + offset) & ((1 << bits) - 1)
+        digits = low.to_bytes(width * n, "little")
+        return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width)]
+    low = (_pack_words(a, code, half) * _pack_words(b, code, half) + offset) & ((1 << bits) - 1)
+    words = memoryview(low.to_bytes(width * n, sys.byteorder)).cast(code)
+    return list(map(half.__rsub__, words[::-1] if _BIG_ENDIAN else words))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ traces of the cyclic-quotient constructions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .arith import IdentityViolation, IntPoly, is_prime
@@ -229,6 +230,7 @@ def _cornacchia(m: int, p: int) -> tuple[int, int]:
     return b, y
 
 
+@lru_cache(maxsize=4096)
 def normalized_trace(p: int, field: CMField) -> int:
     """Trace of the normalized prime element above a split prime p.
 
@@ -238,7 +240,9 @@ def normalized_trace(p: int, field: CMField) -> int:
     element of the conjugate ideal, with the same trace.  O(log p)
     arithmetic steps (the root search tries O(1) bases c in expectation).
     Shares only is_normalized and QuadOrderElem with the enumeration in
-    normalize_prime_element, which is its oracle.
+    normalize_prime_element, which is its oracle.  The last 4096 traces
+    are kept, about the split primes of both fields below 39,000, so the
+    weights of a family share one Cornacchia per prime.
     """
     if field.d == 4:
         x, y = _cornacchia(1, p)

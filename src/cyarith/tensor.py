@@ -14,6 +14,7 @@ product has a small integer on one side.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from operator import mul
@@ -47,20 +48,21 @@ def tensor_euler_factor(factors) -> IntPoly:
     Euler factors 1 - t T + d T^2.
 
     One Lucas pass s_m = t s_{m-1} - d s_{m-2} (s_0 = 2, s_1 = t) per
-    factor gives its power sums tr(Frob^m), m = 1..2^n; their products
-    are the power sums of the tensor product, which Newton's identities
-    turn back into the factor.
+    distinct factor gives its power sums tr(Frob^m), m = 1..2^n; their
+    products, a factor repeated j times entering as s_m^j, are the power
+    sums of the tensor product, which Newton's identities turn back into
+    the factor.
     """
-    factors = list(factors)
-    degree = 2 ** len(factors)
+    repeats = Counter(factors)
+    degree = 2 ** sum(repeats.values())
     sums = [1] * degree
-    for factor in factors:
+    for factor, j in repeats.items():
         if factor.degree != 2 or factor.coeff(0) != 1:
             raise ValueError(f"not a degree-2 Euler factor: {factor}")
         t, d = -factor.coeff(1), factor.coeff(2)
         prev, cur = 2, t
         for m in range(degree):
-            sums[m] *= cur
+            sums[m] *= cur**j
             prev, cur = cur, t * cur - d * prev
     return char_poly_from_power_sums(sums, degree)
 

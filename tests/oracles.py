@@ -26,6 +26,10 @@ Series and point counts (`cyarith.qseries`, `cyarith.pointcount`).
 - `ahlgren_count_loop` sums each fibre sum S(v) directly, in O(p^2),
   the reference for the one-product correlation in
   `pointcount.ahlgren_count_fast`; `legendre_family_sum` is one S(v).
+- `ahlgren_count_enumeration` visits all p^5 points (x, y, z, t, v) and
+  reads the number of w off a squares histogram, the reference for the
+  value-histogram count `pointcount.ahlgren_count_bruteforce`.  It builds
+  its own value table.
 
 Minors (`cyarith.arith`, `cyarith.arrangement`).
 
@@ -332,6 +336,27 @@ def legendre_family_sum(p: int, v: int) -> int:
 def ahlgren_count_loop(p: int) -> int:
     """N(p) = sum_v (p^4 + S(v)^4) with each S(v) summed directly."""
     return sum(p**4 + legendre_family_sum(p, v) ** 4 for v in range(p))
+
+
+def ahlgren_count_enumeration(p: int) -> int:
+    """N(p) for the affine Ahlgren fivefold by full enumeration of F_p^5."""
+    require_odd_prime(p)
+    nsol = [0] * p
+    for w in range(p):
+        nsol[w * w % p] += 1
+    val = [[s * (s - 1) % p * (s - v) % p for s in range(p)] for v in range(p)]
+    total = 0
+    for v in range(p):
+        row = val[v]
+        for x in range(p):
+            fx = row[x]
+            for y in range(p):
+                fxy = fx * row[y] % p
+                for z in range(p):
+                    fxyz = fxy * row[z] % p
+                    for t in range(p):
+                        total += nsol[fxyz * row[t] % p]
+    return total
 
 
 def det(matrix) -> int:

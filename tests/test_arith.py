@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyarith import arith
 from cyarith.arith import (
     IntPoly,
     _kronecker_mul,
@@ -312,6 +314,35 @@ def test_kronecker_mul_digit_width_boundary(n):
     assert _kronecker_mul(ones, ones, 2 * n)[n - 1] == n
     assert _kronecker_mul(ones, [-1] * n, 2 * n)[n - 1] == -n
     assert _kronecker_mul([-1] * n, [-1] * n, n - 1) == list(range(1, n + 1))
+
+
+# output bound -> digit width in bytes, on both sides of each word edge
+_EDGE_WIDTHS = {
+    2**7 - 1: 1, 2**7: 2,
+    2**15 - 1: 2, 2**15: 3,
+    2**31 - 1: 4, 2**31: 5,
+    2**63 - 1: 8, 2**63: 9,
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("bound", sorted(_EDGE_WIDTHS))
+def test_kronecker_mul_at_word_width_edges(bound, monkeypatch):
+    # inputs and outputs reach +-bound; widths 1, 2, 4 and 8 take the
+    # machine-word encoding, 3, 5 and 9 the to_bytes one
+    widths = []
+    real_pack, real_words = arith._pack, arith._pack_words
+    monkeypatch.setattr(arith, "_pack", lambda v, w: widths.append(w) or real_pack(v, w))
+    monkeypatch.setattr(
+        arith, "_pack_words", lambda v, code, half: widths.append(array(code).itemsize) or real_words(v, code, half)
+    )
+    a = [bound, -bound, 0, 1, -1, bound, -bound]
+    cases = [(a, [1], 6), (a, [-1], 8), ([-1], a, 4), ([1, 0, -1], [bound], 3)]
+    if bound % 2 == 0:
+        k = bound // 2
+        cases += [([k, k], [1, 1], 2), ([k, k], [-1, -1], 2), ([1, -1], [-k, -k, k], 3)]
+    for x, y, top in cases:
+        assert _kronecker_mul(x, y, top) == mul_trunc(x, y, top), (x, y)
+    assert set(widths) == {_EDGE_WIDTHS[bound]}
 
 
 def test_kronecker_mul_empty_and_zero_inputs():

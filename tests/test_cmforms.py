@@ -1,3 +1,4 @@
+from collections import Counter
 from math import isqrt
 
 import pytest
@@ -197,6 +198,22 @@ def test_curve_ap_calls_neither_enumeration_nor_point_count(monkeypatch):
         monkeypatch.setattr(module, name, forbidden, raising=False)
     for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
         assert [family.curve_ap(p) for p in (5, 7, 13)] == [elliptic_ap(family.curve, p) for p in (5, 7, 13)]
+
+
+def test_family_weights_share_one_cornacchia_per_split_prime(monkeypatch):
+    calls = Counter()
+    real = cmforms._cornacchia
+
+    def counting(m, p):
+        calls[m, p] += 1
+        return real(m, p)
+
+    monkeypatch.setattr(cmforms, "_cornacchia", counting)
+    for family, m in ((GAUSSIAN_FAMILY, 1), (EISENSTEIN_FAMILY, 3)):
+        calls.clear()
+        for weight in range(2, 8):
+            family.form(weight).q_expansion(2000)
+        assert calls == Counter((m, p) for p in _split_primes(family, 2000))
 
 
 def test_curve_ap_hasse_and_torsion_near_10_12():

@@ -23,7 +23,7 @@ from cyarith.registry import (
     ETA_WEIGHT2_GAUSSIAN,
 )
 from cyarith.suites import run_suite
-from oracles import ahlgren_count_loop, legendre_family_sum
+from oracles import ahlgren_count_enumeration, ahlgren_count_loop, legendre_family_sum
 
 
 def test_curve_model_validation():
@@ -114,6 +114,17 @@ def test_bruteforce_matches_formula_side():
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_fast_equals_bruteforce(p):
     assert ahlgren_count_fast(p) == ahlgren_count_bruteforce(p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_bruteforce_equals_enumeration(p):
+    # the value-histogram count against every one of the p^5 points
+    assert ahlgren_count_bruteforce(p) == ahlgren_count_enumeration(p)
+
+
+def test_bruteforce_equals_fast_to_61():
+    for p in odd_primes_up_to(61):
+        assert ahlgren_count_bruteforce(p, limit=61) == ahlgren_count_fast(p), p
 
 
 def test_fast_equals_fibre_loop():

@@ -103,6 +103,26 @@ def test_newton_round_trip():
         assert power_sums_from_poly(tensor_euler_factor(factors), 8) == traces
 
 
+def test_repeated_factors_take_one_lucas_pass_each():
+    # a factor repeated j times enters once, as its power sums to the j-th
+    # power; coeff(1) is read once per distinct factor, by its Lucas pass
+    reads = Counter()
+
+    class Counted(IntPoly):
+        __slots__ = ()
+
+        def coeff(self, k):
+            reads[k] += 1
+            return super().coeff(k)
+
+    g2, g3 = (Counted(_factor(GAUSSIAN_FAMILY, k, 5).coeffs) for k in (2, 3))
+    lhs = tensor_euler_factor([g2, g3, g2, g2])
+    assert reads[1] == 2
+    traces = [a**3 * b for a, b in zip(power_sums_from_poly(g2, 16), power_sums_from_poly(g3, 16))]
+    assert power_sums_from_poly(lhs, 16) == traces
+    assert lhs == tensor_euler_factor([g3, g2, g2, g2])
+
+
 def test_char_poly_rejects_inconsistent_traces():
     with pytest.raises(IdentityViolation, match="Newton"):
         char_poly_from_power_sums([1, 0], 2)  # e_2 = (1*1 - 0)/2 not integral
@@ -159,6 +179,8 @@ def test_tensor_factor_rejects_non_euler_factors():
     for bad in (IntPoly((1, 2)), IntPoly((2, 2, 5)), g2 * g2):
         with pytest.raises(ValueError, match="degree-2 Euler factor"):
             tensor_euler_factor([g2, bad])
+        with pytest.raises(ValueError, match="degree-2 Euler factor"):
+            tensor_euler_factor([g2, g2, bad, g2, bad])
     # no cap on the number of factors: five give the degree-32 factor
     assert tensor_euler_factor([g2] * 5) == verify_power_factorization(-2, 5, GAUSSIAN, 5).rhs
 
