@@ -223,7 +223,10 @@ def cmd_euler(args) -> int:
             }
         )
         return 0 if closed == folded.e_cover else 1
-    ex1, ed1, ex2, ed2 = (int(tok) for tok in args.pair.split(","))
+    values = [int(tok) for tok in args.pair.split(",")]
+    if len(values) != 4:
+        raise ValueError(f"--pair takes four integers EX1,ED1,EX2,ED2, got {len(values)}")
+    ex1, ed1, ex2, ed2 = values
     out = double_cover_euler(KummerData(ex1, ed1), KummerData(ex2, ed2))
     _json_out({"e_cover": out.e_cover, "e_branch": out.e_branch})
     return 0

@@ -3,8 +3,9 @@ multiplicative expansion of eigenforms.
 
 An eta product is expanded factor by factor: each power of the
 pentagonal series comes from J.C.P. Miller's power recurrence, in
-O(N^1.5) integer operations whatever the exponent, and the factors are
-multiplied by Kronecker substitution (`arith._kronecker_mul`).
+O(N^1.5) integer operations whatever the exponent, once per exponent
+(`unit_powers`), and the factors are multiplied by Kronecker
+substitution (`arith._kronecker_mul`).
 
 All series here are cusp forms, so coefficients start at q^1 and c_0 is
 identically zero.  A QSeries never reads beyond its stated precision.
@@ -119,6 +120,35 @@ def eta_unit_power(k: int, top: int) -> list[int]:
     return f
 
 
+class _UnitPowerCache:
+    """`eta_unit_power(k, top)` for the last `size` exponents k used.
+
+    Each k keeps the longest power computed so far, and a shorter top is
+    a prefix of it: truncation commutes with the product.  The least
+    recently used exponent is dropped first.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.powers: dict[int, list[int]] = {}
+
+    def __call__(self, k: int, top: int) -> list[int]:
+        power = self.powers.pop(k, None)
+        if power is None or len(power) <= top:
+            power = eta_unit_power(k, top)
+        self.powers[k] = power
+        while len(self.powers) > self.size:
+            del self.powers[next(iter(self.powers))]
+        return power[: top + 1]
+
+    def cache_clear(self) -> None:
+        self.powers.clear()
+
+
+#: every bundled and benchmarked eta product together uses 7 exponents
+unit_powers = _UnitPowerCache(8)
+
+
 @dataclass(frozen=True)
 class EtaProduct:
     """prod_i eta(q^(m_i))^(k_i), held as ((m_1, k_1), (m_2, k_2), ...).
@@ -159,8 +189,12 @@ class EtaProduct:
 
         Each factor prod (1 - q^(m n))^k is `eta_unit_power(k, top // m)`
         spread onto the exponents divisible by m; every factor after the
-        first costs one truncated Kronecker product.
+        first costs one truncated Kronecker product.  The powers come from
+        `unit_powers`, so an exponent shared by several factors or
+        products is computed once, at the longest top asked for.
         """
+        if precision < 0:
+            raise ValueError("precision must be >= 0")
         shift = self.q_shift
         top = precision - shift
         vals = [0] * (precision + 1)
@@ -168,7 +202,7 @@ class EtaProduct:
             unit = [1] + [0] * top
             for i, (m, k) in enumerate(self.factors):
                 factor = [0] * (top + 1)
-                factor[::m] = eta_unit_power(k, top // m)
+                factor[::m] = unit_powers(k, top // m)
                 unit = _kronecker_mul(unit, factor, top) if i else factor
             vals[shift:] = unit
         return QSeries(tuple(vals))
@@ -226,8 +260,12 @@ def hecke_expand(spec: HeckeCoefficientSpec, precision: int = DEFAULT_PRECISION)
     """Full multiplicative expansion a_1 .. a_N from prime data.
 
     Prime powers follow a_{p^(r+1)} = a_p a_{p^r} - chi(p) p^(k-1) a_{p^(r-1)};
-    coprime indices multiply.
+    coprime indices multiply.  A sliced sieve, primes descending and
+    powers ascending, leaves in part[m] the full power of the smallest
+    prime dividing m, so a_m = a_part[m] a_(m / part[m]) in one pass.
     """
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
     n = precision
     a = [0] * (n + 1)
     if n >= 1:
@@ -242,18 +280,12 @@ def hecke_expand(spec: HeckeCoefficientSpec, precision: int = DEFAULT_PRECISION)
             prev, cur = cur, ap * cur - cpk * prev
             pe *= p
             a[pe] = cur
-    # multiplicative fill via smallest prime factor
-    spf = list(range(n + 1))
-    for p in primes:
-        for m in range(p * p, n + 1, p):
-            if spf[m] == m:
-                spf[m] = p
-    for m in range(2, n + 1):
-        p = spf[m]
-        pe, rest = p, m // p
-        while rest % p == 0:
+    part = [1] * (n + 1)
+    for p in reversed(primes):
+        pe = p
+        while pe <= n:
+            part[pe::pe] = [pe] * (n // pe)
             pe *= p
-            rest //= p
-        if rest > 1:
-            a[m] = a[pe] * a[rest]
+    for m in range(2, n + 1):
+        a[m] = a[part[m]] * a[m // part[m]]
     return QSeries(tuple(a))

@@ -6,10 +6,14 @@ at inert primes every odd trace vanishes, so a trace-only comparison
 would be vacuous exactly where the sign conventions matter most.
 
 The two sides share no algorithm.  The tensor side turns power sums
-into the factor by Newton's identities, O(4^n) products per factor;
-the product side (`euler_product`) multiplies the local factors of
-degree <= 2 into one coefficient list, one pass per factor, so every
-product has a small integer on one side.
+into the lower half of the factor by Newton's identities, to degree
+h = 2^(n-1) only, and mirrors it: Poincare duality makes the eigenvalues
+invariant under lambda -> D/lambda, D the product of the determinants,
+so c_(2h-k) = D^(h-k) c_k.  The product side (`euler_product`)
+multiplies the local factors of degree <= 2 into one coefficient list at
+full degree, one pass per factor, so every product has a small integer
+on one side.  It never uses the functional equation, so each mirrored
+coefficient is still compared with one computed independently.
 """
 
 from __future__ import annotations
@@ -47,24 +51,39 @@ def tensor_euler_factor(factors) -> IntPoly:
     """Exact degree-2^n local factor of the tensor product of n degree-2
     Euler factors 1 - t T + d T^2.
 
+    The eigenvalues of the tensor product are invariant under
+    lambda -> D/lambda with D the product of the n determinants d, so
+    the coefficients satisfy c_(2h-k) = D^(h-k) c_k for h = 2^(n-1).
     One Lucas pass s_m = t s_{m-1} - d s_{m-2} (s_0 = 2, s_1 = t) per
-    distinct factor gives its power sums tr(Frob^m), m = 1..2^n; their
+    distinct factor gives its power sums tr(Frob^m), m = 1..h; their
     products, a factor repeated j times entering as s_m^j, are the power
-    sums of the tensor product, which Newton's identities turn back into
-    the factor.
+    sums of the tensor product.  Newton's identities turn them into
+    c_0 .. c_h, and the upper half is that lower half mirrored and scaled
+    by powers of D.  No factors give the trivial degree-1 factor 1 - T.
     """
     repeats = Counter(factors)
-    degree = 2 ** sum(repeats.values())
-    sums = [1] * degree
+    n = sum(repeats.values())
+    if not n:
+        return IntPoly((1, -1))
+    half = 2 ** (n - 1)
+    sums = [1] * half
+    det = 1
     for factor, j in repeats.items():
         if factor.degree != 2 or factor.coeff(0) != 1:
             raise ValueError(f"not a degree-2 Euler factor: {factor}")
         t, d = -factor.coeff(1), factor.coeff(2)
+        det *= d**j
         prev, cur = 2, t
-        for m in range(degree):
+        for m in range(half):
             sums[m] *= cur**j
             prev, cur = cur, t * cur - d * prev
-    return char_poly_from_power_sums(sums, degree)
+    lower = char_poly_from_power_sums(sums, half)
+    coeffs = [lower.coeff(k) for k in range(half + 1)]
+    scale = 1
+    for k in range(half - 1, -1, -1):
+        scale *= det
+        coeffs.append(scale * coeffs[k])
+    return IntPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------

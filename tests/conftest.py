@@ -2,14 +2,21 @@ import pytest
 
 from cyarith.arrangement import intersection_poset
 from cyarith.cmforms import normalized_trace
+from cyarith.pointcount import _ahlgren_enumerate
+from cyarith.qseries import unit_powers
 from cyarith.registry import load_bundled_arrangement
+
+#: every cache in cyarith; test_caches.py fails when one is missing here
+CACHES = (normalized_trace, unit_powers, _ahlgren_enumerate)
 
 
 @pytest.fixture(autouse=True)
-def cold_trace_cache():
-    # every test starts without cached traces, so a patched is_normalized
-    # or _cornacchia is never masked by a trace an earlier test computed
-    normalized_trace.cache_clear()
+def cold_caches():
+    # every test starts with empty caches, so a patched is_normalized,
+    # _cornacchia or eta_unit_power is never masked by a value an earlier
+    # test computed
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

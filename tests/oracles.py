@@ -48,6 +48,15 @@ Tensor factors (`cyarith.tensor`).
 - `power_factorization_rhs_by_powers` builds the product side from
   `IntPoly` powers and schoolbook products, the reference for
   `tensor.euler_product` and `tensor.power_factorization_rhs`.
+- `tensor_euler_factor_full_degree` runs the signed Newton loop through
+  the full degree 2^n, with no functional equation and no grouping of
+  repeated factors, the reference for `tensor.tensor_euler_factor`.
+
+Hecke expansion (`cyarith.qseries`).
+
+- `hecke_expand_trial_division` factors every index by trial division
+  and multiplies the prime-power coefficients, each from its own run of
+  the recurrence, the reference for the sieve of `qseries.hecke_expand`.
 """
 
 from __future__ import annotations
@@ -60,6 +69,7 @@ from math import comb, gcd, lcm
 from cyarith.arith import IdentityViolation, IntPoly, LegendreTable, require_odd_prime
 from cyarith.arrangement import GoodReductionReport, Stratum
 from cyarith.cmforms import cm_euler_factor
+from cyarith.qseries import QSeries
 
 
 def echelon(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -463,3 +473,50 @@ def power_factorization_rhs_by_powers(curve_ap: int | None, p: int, field, n: in
         pn2 = p ** (n // 2)
         out = out * IntPoly((1, -pn2)) ** half * IntPoly((1, -field.chi(p) * pn2)) ** half
     return out
+
+
+def tensor_euler_factor_full_degree(factors) -> IntPoly:
+    """The degree-2^n tensor factor from all 2^n power sums, one Lucas
+    pass per factor (repeats included), by the signed Newton loop: each
+    coefficient computed, none mirrored."""
+    factors = list(factors)
+    degree = 2 ** len(factors)
+    sums = [1] * degree
+    for factor in factors:
+        if factor.degree != 2 or factor.coeff(0) != 1:
+            raise ValueError(f"not a degree-2 Euler factor: {factor}")
+        t, d = -factor.coeff(1), factor.coeff(2)
+        prev, cur = 2, t
+        for m in range(degree):
+            sums[m] *= cur
+            prev, cur = cur, t * cur - d * prev
+    return char_poly_signed_newton(sums, degree)
+
+
+# ---------------------------------------------------------------------------
+# Hecke expansion
+
+
+def hecke_expand_trial_division(spec, precision: int) -> QSeries:
+    """a_1 .. a_N with each m factored by trial division and a_m the
+    product of its prime-power coefficients a_(p^r), each from b_0 = 1,
+    b_1 = a_p, b_(r+1) = a_p b_r - chi(p) p^(k-1) b_(r-1)."""
+    a = [0] * (precision + 1)
+    for m in range(1, precision + 1):
+        value, rest, q = 1, m, 2
+        while rest > 1:
+            if q * q > rest:
+                q = rest
+            r = 0
+            while rest % q == 0:
+                rest //= q
+                r += 1
+            if r:
+                ap, cpk = spec.ap(q), spec.chi(q) * q ** (spec.weight - 1)
+                prev, cur = 1, ap
+                for _ in range(r - 1):
+                    prev, cur = cur, ap * cur - cpk * prev
+                value *= cur
+            q += 1
+        a[m] = value
+    return QSeries(tuple(a))

@@ -163,6 +163,17 @@ def test_euler_cli(capsys):
     assert json.loads(out)["e_cover"] == -108
 
 
+def test_eta_expand_negative_precision_is_an_error_line(capsys):
+    code, out, err = run(capsys, "eta-expand", "1:24", "-N", "-3")
+    assert (code, out, err) == (1, "", "error: precision must be >= 0\n")
+
+
+def test_euler_pair_names_its_four_values(capsys):
+    code, out, err = run(capsys, "euler", "--pair", "1,2")
+    assert (code, out) == (1, "")
+    assert err == "error: --pair takes four integers EX1,ED1,EX2,ED2, got 2\n"
+
+
 def test_suite_exit_codes(capsys):
     code, out, _ = run(capsys, "suite", "euler")
     assert code == 0

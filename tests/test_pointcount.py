@@ -207,7 +207,6 @@ def test_fast_brute_mismatch_is_a_fail_row(monkeypatch, capsys):
 def test_suite_all_enumerates_each_prime_once(monkeypatch):
     # suite eta and suite ahlgren both check the fivefold against the brute
     # count through p = 13; the p^5 enumeration runs once per prime
-    pointcount._ahlgren_enumerate.cache_clear()
     enumerated = []
     real = pointcount._ahlgren_value_tables
     monkeypatch.setattr(pointcount, "_ahlgren_value_tables", lambda p: enumerated.append(p) or real(p))

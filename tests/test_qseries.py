@@ -1,8 +1,13 @@
+from collections import Counter
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyarith.cmforms import GAUSSIAN
+from cyarith import qseries
+from cyarith.arith import primes_up_to
+from cyarith.cmforms import EISENSTEIN, GAUSSIAN
 from cyarith.qseries import (
     EtaProduct,
     HeckeCoefficientSpec,
@@ -12,8 +17,9 @@ from cyarith.qseries import (
     eta_unit_power,
     hecke_expand,
     series_match,
+    unit_powers,
 )
-from oracles import mul_trunc, pow_trunc
+from oracles import hecke_expand_trial_division, mul_trunc, pow_trunc
 from cyarith.registry import (
     ETA_WEIGHT2_EISENSTEIN,
     ETA_WEIGHT2_GAUSSIAN,
@@ -100,6 +106,41 @@ def test_eta_product_matches_dense_oracle(factors, precision):
     assert eta.expand(precision).values == tuple(expected)
 
 
+def test_each_exponent_is_powered_once(monkeypatch):
+    # eta(q)^2 eta(q^11)^2 and eta(q^2)^2 eta(q^10)^2 to q^500: four
+    # factors, one exponent, and the first factor asks for the longest power
+    calls = Counter()
+    real = qseries.eta_unit_power
+
+    def counting(k, top):
+        calls[k] += 1
+        return real(k, top)
+
+    monkeypatch.setattr(qseries, "eta_unit_power", counting)
+    for factors in (((1, 2), (11, 2)), ((2, 2), (10, 2))):
+        EtaProduct(factors).expand(500)
+    assert calls == Counter({2: 1})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 120)), min_size=1, max_size=12))
+def test_cached_powers_are_the_truncated_powers(requests):
+    unit_powers.cache_clear()
+    for k, top in requests:
+        assert unit_powers(k, top) == pow_trunc(eta_unit_part(1, top), k, top)
+        assert len(unit_powers.powers) <= unit_powers.size
+
+
+def test_power_cache_drops_the_least_recently_used_exponent():
+    for k in range(1, unit_powers.size + 1):
+        unit_powers(k, 10)
+    unit_powers(1, 5)
+    unit_powers(unit_powers.size + 1, 10)
+    assert list(unit_powers.powers) == [*range(3, unit_powers.size + 1), 1, unit_powers.size + 1]
+    unit_powers.cache_clear()
+    assert not unit_powers.powers
+
+
 # ---------------------------------------------------------------------------
 # printed expansions
 
@@ -166,6 +207,44 @@ def test_hecke_ramanujan_guard():
     spec = _const_spec(2, lambda p: 1, {2: 99})
     with pytest.raises(ValueError, match="Ramanujan"):
         hecke_expand(spec, 4)
+
+
+_CHARACTERS = (lambda p: 1, GAUSSIAN.chi, EISENSTEIN.chi)
+_HECKE_PRIMES = primes_up_to(400)
+
+
+@st.composite
+def _hecke_specs(draw):
+    weight = draw(st.integers(2, 7))
+    bad = draw(st.frozensets(st.sampled_from(_HECKE_PRIMES[:8]), max_size=3))
+    bad_values = {p: draw(st.integers(-p, p)) for p in sorted(bad)}
+    ap_map = {}
+    for p in _HECKE_PRIMES:
+        if p not in bad:
+            bound = isqrt(4 * p ** (weight - 1))
+            ap_map[p] = draw(st.integers(-bound, bound))
+    return HeckeCoefficientSpec(
+        weight=weight,
+        character=draw(st.sampled_from(_CHARACTERS)),
+        ap_source=ap_map.__getitem__,
+        bad_primes=bad,
+        bad_values=bad_values,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hecke_specs(), st.integers(0, 400))
+def test_hecke_sieve_matches_trial_division(spec, precision):
+    for n in (*range(8), precision):
+        assert hecke_expand(spec, n) == hecke_expand_trial_division(spec, n), n
+
+
+def test_negative_precision_is_rejected():
+    spec = GAUSSIAN_FAMILY.form(2).hecke_spec()
+    for expand in (lambda n: hecke_expand(spec, n), ETA_WEIGHT2_GAUSSIAN.expand):
+        with pytest.raises(ValueError, match="precision must be >= 0"):
+            expand(-3)
+        assert expand(0).values == (0,)
 
 
 def test_hecke_expansion_equals_eta_for_all_four_cm_forms():

@@ -16,10 +16,16 @@ from cyarith.tensor import (
     euler_product,
     g4xg3_row,
     tensor_euler_factor,
+    tensor_power_lhs,
     verify_g4xg3,
     verify_power_factorization,
 )
-from oracles import char_poly_signed_newton, power_factorization_rhs_by_powers, power_sums_from_poly
+from oracles import (
+    char_poly_signed_newton,
+    power_factorization_rhs_by_powers,
+    power_sums_from_poly,
+    tensor_euler_factor_full_degree,
+)
 
 
 def _factor(family, weight, p):
@@ -121,6 +127,37 @@ def test_repeated_factors_take_one_lucas_pass_each():
     traces = [a**3 * b for a, b in zip(power_sums_from_poly(g2, 16), power_sums_from_poly(g3, 16))]
     assert power_sums_from_poly(lhs, 16) == traces
     assert lhs == tensor_euler_factor([g3, g2, g2, g2])
+
+
+_euler_factors = st.builds(
+    lambda t, d: IntPoly((1, -t, d)), st.integers(-30, 30), st.integers(-50, 50).filter(bool)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_euler_factors, min_size=1, max_size=3), st.lists(st.integers(0, 2), min_size=1, max_size=5))
+def test_mirrored_factor_matches_the_full_degree_oracle(distinct, picks):
+    # at most three distinct factors among up to five picks: four or five
+    # picks always repeat one, and d of either sign makes D of either sign
+    factors = [distinct[i % len(distinct)] for i in picks]
+    assert tensor_euler_factor(factors) == tensor_euler_factor_full_degree(factors)
+
+
+def test_mirrored_tensor_powers_match_the_oracle_to_300():
+    for field, family in ((GAUSSIAN, GAUSSIAN_FAMILY), (EISENSTEIN, EISENSTEIN_FAMILY)):
+        for p in odd_primes_up_to(300):
+            if p in family.bad_primes or field.is_ramified(p):
+                continue
+            ap = family.curve_ap(p) if field.is_split(p) else None
+            factor = cm_euler_factor(2, field, p, ap)
+            for n in range(2, 7):
+                expected = tensor_euler_factor_full_degree([factor] * n)
+                assert tensor_power_lhs(ap, p, field, n) == expected, (field.d, n, p)
+
+
+def test_empty_tensor_product_is_the_trivial_factor():
+    # no factors: degree 2^0 = 1, the odd degree with no mirror
+    assert tensor_euler_factor([]) == IntPoly((1, -1)) == tensor_euler_factor_full_degree([])
 
 
 def test_char_poly_rejects_inconsistent_traces():
