@@ -46,8 +46,23 @@ def _parse_factors(text: str) -> EtaProduct:
     factors = []
     for part in text.split(","):
         m, _, k = part.partition(":")
-        factors.append((int(m), int(k or 1)))
+        try:
+            factors.append((int(m), int(k or 1)))
+        except ValueError:
+            raise ValueError(f"eta factors are M:K with integers M and K, as in 8:2,4:2; got {part!r}") from None
     return EtaProduct(tuple(factors))
+
+
+def _integers(text: str, option: str, takes: str) -> list[int]:
+    """The comma list of `option`: `takes` names one integer per comma
+    field, as in "two integers A,B"."""
+    try:
+        values = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} takes {takes}, got {text!r}") from None
+    if len(values) != takes.count(",") + 1:
+        raise ValueError(f"{option} takes {takes}, got {len(values)}")
+    return values
 
 
 def cmd_eta_expand(args) -> int:
@@ -96,7 +111,7 @@ def cmd_gross_normalize(args) -> int:
 
 
 def cmd_elliptic_ap(args) -> int:
-    a, b = (int(tok) for tok in args.curve.split(","))
+    a, b = _integers(args.curve, "--curve", "two integers A,B")
     curve = EllipticCurveModel(a, b)
     rows = []
     for p in odd_primes_up_to(args.pmax):
@@ -223,10 +238,7 @@ def cmd_euler(args) -> int:
             }
         )
         return 0 if closed == folded.e_cover else 1
-    values = [int(tok) for tok in args.pair.split(",")]
-    if len(values) != 4:
-        raise ValueError(f"--pair takes four integers EX1,ED1,EX2,ED2, got {len(values)}")
-    ex1, ed1, ex2, ed2 = values
+    ex1, ed1, ex2, ed2 = _integers(args.pair, "--pair", "four integers EX1,ED1,EX2,ED2")
     out = double_cover_euler(KummerData(ex1, ed1), KummerData(ex2, ed2))
     _json_out({"e_cover": out.e_cover, "e_branch": out.e_branch})
     return 0

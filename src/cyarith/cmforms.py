@@ -234,16 +234,21 @@ def _cornacchia(m: int, p: int) -> tuple[int, int]:
 def normalized_trace(p: int, field: CMField) -> int:
     """Trace of the normalized prime element above a split prime p.
 
-    Cornacchia gives one element pi of norm p: x + y*i from x^2 + y^2 = p,
-    or x + y*sqrt(-3) = (x - y) + 2y*w from x^2 + 3y^2 = p.  Exactly one
+    A p that is not prime raises ValueError; being cached, the primality
+    test runs once per (p, field) for a prime p.  Cornacchia gives one
+    element pi of norm p: x + y*i from x^2 + y^2 = p, or
+    x + y*sqrt(-3) = (x - y) + 2y*w from x^2 + 3y^2 = p.  Exactly one
     associate of pi passes is_normalized; its conjugate is the normalized
     element of the conjugate ideal, with the same trace.  O(log p)
     arithmetic steps (the root search tries O(1) bases c in expectation).
     Shares only is_normalized and QuadOrderElem with the enumeration in
     normalize_prime_element, which is its oracle.  The last 4096 traces
     are kept, about the split primes of both fields below 39,000, so the
-    weights of a family share one Cornacchia per prime.
+    weights of a family share one Cornacchia and one primality test per
+    prime.
     """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if field.d == 4:
         x, y = _cornacchia(1, p)
         elem = QuadOrderElem(field, x, y)
@@ -371,12 +376,15 @@ class CMFormFamily:
     def curve_ap(self, p: int) -> int:
         """Weight-2 coefficient at a good prime: the trace of the normalized
         prime element at split p (by Cornacchia, O(log p)), 0 at inert p.
-        Bad primes and non-primes raise ValueError."""
+        Bad primes and non-primes raise ValueError; a split p is tested for
+        primality by the cached `normalized_trace`, once per prime."""
+        if self.field.is_split(p):
+            return normalized_trace(p, self.field)
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if self.field.is_ramified(p):
             raise ValueError(f"p = {p} is a bad prime for the {self.name} family")
-        return normalized_trace(p, self.field) if self.field.is_split(p) else 0
+        return 0
 
     def ap(self, weight: int, p: int) -> int:
         """Prime coefficient of the weight-k form: s_{k-1} split, 0 inert

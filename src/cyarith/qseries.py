@@ -1,11 +1,12 @@
 """Truncated integer q-expansions: Dedekind eta products and Hecke
 multiplicative expansion of eigenforms.
 
-An eta product is expanded factor by factor: each power of the
-pentagonal series comes from J.C.P. Miller's power recurrence, in
-O(N^1.5) integer operations whatever the exponent, once per exponent
-(`unit_powers`), and the factors are multiplied by Kronecker
-substitution (`arith._kronecker_mul`).
+An eta product is expanded factor by factor.  Each power E^k of the
+pentagonal series E is E^(k//2) E^(k - k//2), down to E^1 from the
+pentagonal number theorem, so an exponent costs one big-integer product
+and exponents share their intermediate powers (`unit_powers`).  Those
+products and the product of the factors are Kronecker substitutions
+(`arith._kronecker_mul`).
 
 All series here are cusp forms, so coefficients start at q^1 and c_0 is
 identically zero.  A QSeries never reads beyond its stated precision.
@@ -99,33 +100,16 @@ def eta_unit_part(scale: int, top: int) -> list[int]:
     return out
 
 
-def eta_unit_power(k: int, top: int) -> list[int]:
-    """prod_{n>=1} (1 - q^n)^k truncated at q^top, for k >= 1.
-
-    Miller's power recurrence: f = E^k with E the pentagonal series
-    satisfies E f' = k E' f, which gives
-    n f_n = sum_{j>=1} e_j ((k+1) j - n) f_{n-j}.  Only the O(sqrt(top))
-    nonzero e_j enter, and the division by n is exact.
-    """
-    terms = [(j, c, (k + 1) * j) for j, c in enumerate(eta_unit_part(1, top)) if j and c]
-    f = [0] * (top + 1)
-    f[0] = 1
-    for n in range(1, top + 1):
-        s = 0
-        for j, c, kj in terms:
-            if j > n:
-                break
-            s += c * (kj - n) * f[n - j]
-        f[n] = s // n
-    return f
-
-
 class _UnitPowerCache:
-    """`eta_unit_power(k, top)` for the last `size` exponents k used.
+    """E^k truncated at q^top, E = prod_{n>=1} (1 - q^n), for the last
+    `size` exponents k used.
 
-    Each k keeps the longest power computed so far, and a shorter top is
-    a prefix of it: truncation commutes with the product.  The least
-    recently used exponent is dropped first.
+    E^1 is the pentagonal series, and E^k = E^(k//2) E^(k - k//2) is one
+    truncated Kronecker product of two powers taken from the cache itself,
+    so the exponents of one chain (24, 12, 6, 3, 2, 1) share their
+    intermediate powers.  Each k keeps the longest power computed so far,
+    and a shorter top is a prefix of it: truncation commutes with the
+    product.  The least recently used exponent is dropped first.
     """
 
     def __init__(self, size: int):
@@ -133,9 +117,14 @@ class _UnitPowerCache:
         self.powers: dict[int, list[int]] = {}
 
     def __call__(self, k: int, top: int) -> list[int]:
+        if k < 1 or top < 0:
+            raise ValueError(f"E^k to q^top needs k >= 1 and top >= 0, got k = {k}, top = {top}")
         power = self.powers.pop(k, None)
         if power is None or len(power) <= top:
-            power = eta_unit_power(k, top)
+            if k == 1:
+                power = eta_unit_part(1, top)
+            else:
+                power = _kronecker_mul(self(k // 2, top), self(k - k // 2, top), top)
         self.powers[k] = power
         while len(self.powers) > self.size:
             del self.powers[next(iter(self.powers))]
@@ -145,7 +134,8 @@ class _UnitPowerCache:
         self.powers.clear()
 
 
-#: every bundled and benchmarked eta product together uses 7 exponents
+#: the bundled and benchmarked eta products use the exponents 2, 3, 4, 6,
+#: 8, 12 and 24, whose chains visit these and 1
 unit_powers = _UnitPowerCache(8)
 
 
@@ -187,11 +177,11 @@ class EtaProduct:
     def expand(self, precision: int = DEFAULT_PRECISION) -> QSeries:
         """Exact coefficients through q^precision.
 
-        Each factor prod (1 - q^(m n))^k is `eta_unit_power(k, top // m)`
+        Each factor prod (1 - q^(m n))^k is `unit_powers(k, top // m)`
         spread onto the exponents divisible by m; every factor after the
-        first costs one truncated Kronecker product.  The powers come from
-        `unit_powers`, so an exponent shared by several factors or
-        products is computed once, at the longest top asked for.
+        first costs one truncated Kronecker product.  `unit_powers` builds
+        E^k from smaller powers it keeps, and an exponent shared by several
+        factors or products is built again only for a longer top.
         """
         if precision < 0:
             raise ValueError("precision must be >= 0")

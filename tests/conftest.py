@@ -13,8 +13,8 @@ CACHES = (normalized_trace, unit_powers, _ahlgren_enumerate)
 @pytest.fixture(autouse=True)
 def cold_caches():
     # every test starts with empty caches, so a patched is_normalized,
-    # _cornacchia or eta_unit_power is never masked by a value an earlier
-    # test computed
+    # _cornacchia, is_prime or _kronecker_mul is never masked by a trace or
+    # power an earlier test computed
     for cache in CACHES:
         cache.cache_clear()
 

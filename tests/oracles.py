@@ -21,8 +21,10 @@ from its own pivot rows.
 Series and point counts (`cyarith.qseries`, `cyarith.pointcount`).
 
 - `mul_trunc` is the schoolbook truncated product, the reference for
-  `arith._kronecker_mul`; `pow_trunc` is binary powering on top of it,
-  the reference for Miller's recurrence in `qseries.eta_unit_power`.
+  `arith._kronecker_mul`.  `pow_trunc` is binary powering on top of it,
+  and `eta_unit_power` is J.C.P. Miller's power recurrence, O(N^1.5)
+  for any exponent: two references for the halving chain of Kronecker
+  products in `qseries.unit_powers`.
 - `ahlgren_count_loop` sums each fibre sum S(v) directly, in O(p^2),
   the reference for the one-product correlation in
   `pointcount.ahlgren_count_fast`; `legendre_family_sum` is one S(v).
@@ -69,7 +71,7 @@ from math import comb, gcd, lcm
 from cyarith.arith import IdentityViolation, IntPoly, LegendreTable, require_odd_prime
 from cyarith.arrangement import GoodReductionReport, Stratum
 from cyarith.cmforms import cm_euler_factor
-from cyarith.qseries import QSeries
+from cyarith.qseries import QSeries, eta_unit_part
 
 
 def echelon(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -335,6 +337,27 @@ def pow_trunc(a: list[int], k: int, top: int) -> list[int]:
         if k:
             base = mul_trunc(base, base, top)
     return result
+
+
+def eta_unit_power(k: int, top: int) -> list[int]:
+    """prod_{n>=1} (1 - q^n)^k truncated at q^top, for k >= 1.
+
+    Miller's power recurrence: f = E^k with E the pentagonal series
+    satisfies E f' = k E' f, which gives
+    n f_n = sum_{j>=1} e_j ((k+1) j - n) f_{n-j}.  Only the O(sqrt(top))
+    nonzero e_j enter, and the division by n is exact.
+    """
+    terms = [(j, c, (k + 1) * j) for j, c in enumerate(eta_unit_part(1, top)) if j and c]
+    f = [0] * (top + 1)
+    f[0] = 1
+    for n in range(1, top + 1):
+        s = 0
+        for j, c, kj in terms:
+            if j > n:
+                break
+            s += c * (kj - n) * f[n - j]
+        f[n] = s // n
+    return f
 
 
 def legendre_family_sum(p: int, v: int) -> int:

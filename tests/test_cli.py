@@ -174,6 +174,22 @@ def test_euler_pair_names_its_four_values(capsys):
     assert err == "error: --pair takes four integers EX1,ED1,EX2,ED2, got 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("elliptic-ap", "--curve=1"), "--curve takes two integers A,B, got 1"),
+        (("elliptic-ap", "--curve=1,2,3"), "--curve takes two integers A,B, got 3"),
+        (("elliptic-ap", "--curve=1,x"), "--curve takes two integers A,B, got '1,x'"),
+        (("euler", "--pair", "1,2,3,y"), "--pair takes four integers EX1,ED1,EX2,ED2, got '1,2,3,y'"),
+        (("eta-expand", "1:2:3"), "eta factors are M:K with integers M and K, as in 8:2,4:2; got '1:2:3'"),
+        (("eta-expand", "4:4,a:2"), "eta factors are M:K with integers M and K, as in 8:2,4:2; got 'a:2'"),
+    ],
+)
+def test_malformed_comma_lists_name_their_syntax(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_suite_exit_codes(capsys):
     code, out, _ = run(capsys, "suite", "euler")
     assert code == 0

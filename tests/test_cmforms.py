@@ -14,6 +14,7 @@ from cyarith.cmforms import (
     is_normalized,
     norm_p_elements,
     normalize_prime_element,
+    normalized_trace,
     power_trace,
     quotient_frobenius_trace,
 )
@@ -201,19 +202,47 @@ def test_curve_ap_calls_neither_enumeration_nor_point_count(monkeypatch):
 
 
 def test_family_weights_share_one_cornacchia_per_split_prime(monkeypatch):
+    # and one primality test: inert primes take none, split ones take the
+    # cached normalized_trace's
     calls = Counter()
+    tested = Counter()
     real = cmforms._cornacchia
 
     def counting(m, p):
         calls[m, p] += 1
         return real(m, p)
 
+    def counting_is_prime(n):
+        tested[n] += 1
+        return is_prime(n)
+
     monkeypatch.setattr(cmforms, "_cornacchia", counting)
+    monkeypatch.setattr(cmforms, "is_prime", counting_is_prime)
     for family, m in ((GAUSSIAN_FAMILY, 1), (EISENSTEIN_FAMILY, 3)):
         calls.clear()
+        tested.clear()
         for weight in range(2, 8):
             family.form(weight).q_expansion(2000)
         assert calls == Counter((m, p) for p in _split_primes(family, 2000))
+        assert tested == Counter(_split_primes(family, 2000))
+
+
+def test_composite_split_n_is_rejected_on_every_path():
+    # 25 = 5^2 splits in Q(i) and 49 = 7^2 in Q(sqrt(-3)): chi(n) = 1, so
+    # only normalized_trace's primality test stands between n and Cornacchia
+    for family, n in ((GAUSSIAN_FAMILY, 25), (EISENSTEIN_FAMILY, 49)):
+        assert family.field.is_split(n)
+        for call in (
+            family.curve_ap,
+            lambda n: family.ap(3, n),
+            lambda n: normalized_trace(n, family.field),
+        ):
+            with pytest.raises(ValueError, match=f"^p = {n} is not prime$"):
+                call(n)
+    # 27 = 3^3 is inert in Q(i): curve_ap tests it itself
+    assert GAUSSIAN.is_inert(27)
+    with pytest.raises(ValueError, match="^p = 27 is not prime$"):
+        GAUSSIAN_FAMILY.curve_ap(27)
 
 
 def test_curve_ap_hasse_and_torsion_near_10_12():

@@ -14,12 +14,11 @@ from cyarith.qseries import (
     QSeries,
     eta_product_expand,
     eta_unit_part,
-    eta_unit_power,
     hecke_expand,
     series_match,
     unit_powers,
 )
-from oracles import hecke_expand_trial_division, mul_trunc, pow_trunc
+from oracles import eta_unit_power, hecke_expand_trial_division, mul_trunc, pow_trunc
 from cyarith.registry import (
     ETA_WEIGHT2_EISENSTEIN,
     ETA_WEIGHT2_GAUSSIAN,
@@ -107,36 +106,52 @@ def test_eta_product_matches_dense_oracle(factors, precision):
 
 
 def test_each_exponent_is_powered_once(monkeypatch):
-    # eta(q)^2 eta(q^11)^2 and eta(q^2)^2 eta(q^10)^2 to q^500: four
-    # factors, one exponent, and the first factor asks for the longest power
-    calls = Counter()
-    real = qseries.eta_unit_power
+    # single-factor products, longest first: expand multiplies nothing, so
+    # every Kronecker product builds a power E^k, identified by its q^1
+    # coefficient -k
+    built = Counter()
+    real = qseries._kronecker_mul
 
-    def counting(k, top):
-        calls[k] += 1
-        return real(k, top)
+    def counting(a, b, top):
+        product = real(a, b, top)
+        built[-product[1]] += 1
+        return product
 
-    monkeypatch.setattr(qseries, "eta_unit_power", counting)
-    for factors in (((1, 2), (11, 2)), ((2, 2), (10, 2))):
+    monkeypatch.setattr(qseries, "_kronecker_mul", counting)
+    for factors in (((1, 24),), ((2, 12),), ((3, 8),), ((4, 6),), ((6, 4),)):
         EtaProduct(factors).expand(500)
-    assert calls == Counter({2: 1})
+    assert built == Counter({k: 1 for k in (2, 3, 4, 6, 8, 12, 24)})
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 120)), min_size=1, max_size=12))
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 30), st.integers(0, 300)), min_size=1, max_size=8))
 def test_cached_powers_are_the_truncated_powers(requests):
     unit_powers.cache_clear()
     for k, top in requests:
-        assert unit_powers(k, top) == pow_trunc(eta_unit_part(1, top), k, top)
+        power = unit_powers(k, top)
+        assert power == eta_unit_power(k, top)
+        assert power == pow_trunc(eta_unit_part(1, top), k, top)
         assert len(unit_powers.powers) <= unit_powers.size
 
 
+def test_unit_powers_rejects_a_nonpositive_exponent_or_negative_top():
+    for k, top in ((0, 10), (-2, 10), (3, -1)):
+        with pytest.raises(ValueError, match="k >= 1 and top >= 0"):
+            unit_powers(k, top)
+    assert not unit_powers.powers
+
+
 def test_power_cache_drops_the_least_recently_used_exponent():
-    for k in range(1, unit_powers.size + 1):
-        unit_powers(k, 10)
-    unit_powers(1, 5)
-    unit_powers(unit_powers.size + 1, 10)
-    assert list(unit_powers.powers) == [*range(3, unit_powers.size + 1), 1, unit_powers.size + 1]
+    # E^24 halves through 12, 6, 3 = 1 + 2 and 2 = 1 + 1, E^8 adds 4 and 8,
+    # and E^5 = E^2 E^3 is a ninth exponent; a hit moves its exponent to
+    # the back, and the front one is dropped
+    assert unit_powers.size == 8
+    unit_powers(24, 10)
+    assert list(unit_powers.powers) == [1, 2, 3, 6, 12, 24]
+    unit_powers(8, 10)
+    assert list(unit_powers.powers) == [1, 3, 6, 12, 24, 2, 4, 8]
+    unit_powers(5, 10)
+    assert list(unit_powers.powers) == [6, 12, 24, 4, 8, 2, 3, 5]
     unit_powers.cache_clear()
     assert not unit_powers.powers
 
