@@ -267,10 +267,13 @@ def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
       back by `from_bytes` one digit at a time.
 
     The width is never rounded up to a word: a wider digit makes the
-    bigint product longer.
+    bigint product longer.  When a and b are the same list, it is packed
+    once and the int squared, which CPython does faster than a product of
+    two ints of the same size.
     """
+    square = a is b
     a = a[: top + 1]
-    b = b[: top + 1]
+    b = a if square else b[: top + 1]
     n = top + 1
     if not any(a) or not any(b):
         return [0] * n
@@ -282,10 +285,14 @@ def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # X/2 in every digit
     code = _WORD_CODES.get(width)
     if code is None:
-        low = (_pack(a, width) * _pack(b, width) + offset) & ((1 << bits) - 1)
+        x = _pack(a, width)
+        y = x if square else _pack(b, width)
+        low = (x * y + offset) & ((1 << bits) - 1)
         digits = low.to_bytes(width * n, "little")
         return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width)]
-    low = (_pack_words(a, code, half) * _pack_words(b, code, half) + offset) & ((1 << bits) - 1)
+    x = _pack_words(a, code, half)
+    y = x if square else _pack_words(b, code, half)
+    low = (x * y + offset) & ((1 << bits) - 1)
     words = memoryview(low.to_bytes(width * n, sys.byteorder)).cast(code)
     return list(map(half.__rsub__, words[::-1] if _BIG_ENDIAN else words))
 

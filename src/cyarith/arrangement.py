@@ -146,17 +146,22 @@ class Stratum:
 
 
 def _pivot_col(v) -> int:
-    return next(c for c, x in enumerate(v) if x)
-
-
-def _lead(v) -> int:
-    return v[_pivot_col(v)]
+    """The column of the first nonzero entry of v."""
+    col = 0
+    while not v[col]:
+        col += 1
+    return col
 
 
 def _pivot_q(v) -> tuple[int, ...]:
     """The primitive integer vector with positive lead spanning v's line."""
     g = gcd(*v)
-    return tuple(x // g for x in v) if _lead(v) > 0 else tuple(-x // g for x in v)
+    for lead in v:
+        if lead:
+            break
+    if lead < 0:
+        g = -g
+    return tuple([x // g for x in v])
 
 
 def _reduce_q(v, w, col: int) -> tuple[int, ...]:
@@ -177,37 +182,45 @@ def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[tuple[i
     hyperplane): the cover edges of the lattice.
 
     Flats are built one rank at a time, starting from the whole space
-    (mask 0).  A flat keeps, for every hyperplane not containing it, the
-    residual of its form against the flat's triangular basis: reduced to
-    zero on every pivot column, then scaled by `pivot` to a canonical
+    (mask 0).  A flat keeps the residuals of the forms of the hyperplanes
+    not containing it against its triangular basis: each reduced to zero
+    on every pivot column, then scaled by `pivot` to a canonical
     representative of its line.  Two such residuals span the same space
-    over the flat exactly when they are equal, so grouping the residuals
-    gives each covering flat, with its full hyperplane set, in one pass
-    per parent.  Every parent of a flat reaches it this way; the first
-    builds it, clearing the residuals of the hyperplanes still outside
-    it on the new pivot column by `reduce(v, w, col)`, and each later
-    one only adds its mask to the flat's parents.
+    over the flat exactly when they are equal, so the flat keeps them
+    grouped, each distinct residual with the mask of its hyperplanes, and
+    each group gives a covering flat with its full hyperplane set.  Every
+    parent of a flat reaches it this way; the first builds it, clearing
+    the other groups' residuals on the new pivot column by
+    `reduce(v, w, col)`, once per group and only where the column is
+    nonzero (a residual zero there is already reduced), and merging the
+    groups whose residuals become equal.  Each later parent only adds its
+    mask to the flat's parents.
 
     `pivot` and `reduce` are the only field-specific inputs: fraction-free
     integer arithmetic for Q, arithmetic mod p for F_p.
     """
-    level = {0: ((), [(i, pivot(v)) for i, v in enumerate(vectors)], [])}
+    groups: dict[tuple[int, ...], int] = {}
+    for i, v in enumerate(vectors):
+        v = pivot(v)
+        groups[v] = groups.get(v, 0) | 1 << i
+    level = {0: ((), groups, [])}
     flats = {}
     for rank in range(1, n + 1):
         nxt = {}
-        for mask, (rows, residuals, _) in level.items():
-            groups: dict[tuple[int, ...], int] = {}
-            for i, r in residuals:
-                groups[r] = groups.get(r, 0) | 1 << i
+        for mask, (rows, groups, _) in level.items():
             for w, add in groups.items():
                 child = mask | add
                 if child in nxt:
                     nxt[child][2].append(mask)
                     continue
-                rest = []  # a rank-n flat is a point: one more hyperplane empties it
-                if rank < n:
+                rest: dict[tuple[int, ...], int] = {}
+                if rank < n:  # a rank-n flat is a point: one more hyperplane empties it
                     col = _pivot_col(w)
-                    rest = [(i, reduce(r, w, col)) for i, r in residuals if not add >> i & 1]
+                    for r, m in groups.items():
+                        if m != add:
+                            if r[col]:
+                                r = reduce(r, w, col)
+                            rest[r] = rest.get(r, 0) | m
                 nxt[child] = (rows + (w,), rest, [mask])
         for mask, (rows, _, parents) in nxt.items():
             flats[mask] = (rank, rows, parents)
@@ -216,7 +229,7 @@ def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[tuple[i
 
 
 def _indices(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def intersection_poset(arr: Arrangement) -> list[Stratum]:
@@ -453,16 +466,24 @@ class ModPComparison:
 
 def _monic_mod(p: int, v) -> tuple[int, ...]:
     """The residue vector v scaled to lead coefficient 1 mod p."""
-    inv = pow(_lead(v), -1, p)
-    return tuple(x * inv % p for x in v)
+    for lead in v:
+        if lead:
+            break
+    inv = pow(lead, -1, p)
+    return tuple([x * inv % p for x in v])
 
 
-def _reduced_flats(arr: Arrangement, p: int) -> dict[tuple[int, ...], int] | None:
-    """The flats of `poset_mod_p`, or None when two hyperplanes reduce to
+def _reduced_flats(arr: Arrangement, p: int) -> dict[int, int] | None:
+    """The flats of `poset_mod_p` keyed by the bitmask of their containing
+    hyperplanes, value = dimension, or None when two hyperplanes reduce to
     the same line mod p.
 
     Each hyperplane's form is reduced once, as `_monic_mod`, so two
-    hyperplanes coincide mod p exactly when their entries are equal.
+    hyperplanes coincide mod p exactly when their entries are equal.  Each
+    residual of `_flats` is reduced in one pass: v - f w mod p in one list,
+    its first nonzero entry found by a plain loop, one inverse, one
+    scaling.  The keys are masks, as in `Stratum.mask`, so
+    `poset_matches_mod_p` diffs them without building index tuples.
     """
     require_odd_prime(p)
     lines = []
@@ -474,18 +495,18 @@ def _reduced_flats(arr: Arrangement, p: int) -> dict[tuple[int, ...], int] | Non
     if len(set(lines)) != len(lines):
         return None
 
-    pivot = partial(_monic_mod, p)
-
     def reduce(v, w, col: int) -> tuple[int, ...]:
         f = v[col]
-        return pivot([(x - f * y) % p for x, y in zip(v, w)])
+        u = [(x - f * y) % p for x, y in zip(v, w)]
+        for lead in u:
+            if lead:
+                break
+        inv = pow(lead, -1, p)
+        return tuple([x * inv % p for x in u])
 
     n = arr.dim
-    return {
-        _indices(mask): n - rank
-        for mask, (rank, _, _) in _flats(lines, n, pivot, reduce).items()
-        if rank >= 2
-    }
+    flats = _flats(lines, n, partial(_monic_mod, p), reduce)
+    return {mask: n - rank for mask, (rank, _, _) in flats.items() if rank >= 2}
 
 
 def poset_mod_p(arr: Arrangement, p: int) -> dict[tuple[int, ...], int]:
@@ -497,25 +518,35 @@ def poset_mod_p(arr: Arrangement, p: int) -> dict[tuple[int, ...], int]:
     ValueError when a hyperplane reduces to zero mod p, and returns {}
     when two hyperplanes reduce to the same line mod p.
     """
-    return _reduced_flats(arr, p) or {}
+    flats = _reduced_flats(arr, p) or {}
+    return {_indices(mask): dim for mask, dim in flats.items()}
 
 
 def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum] | None = None) -> ModPComparison:
     """Diff the F_p intersection poset against the rational one.
 
     Flats on both sides are identified with their containing-hyperplane
-    index sets (which span the defining forms), so poset equality is set
-    equality plus matching dimensions.  Two hyperplanes that coincide
-    mod p never compare equal, even when both posets are empty.
+    sets (which span the defining forms), so poset equality is set
+    equality plus matching dimensions.  Both sides are keyed by mask, as
+    `_reduced_flats` returns them and as `Stratum.mask` gives them, and
+    diffed by set operations on the keys; only the flats that differ
+    become index tuples.  Two hyperplanes that coincide mod p never
+    compare equal, even when both posets are empty.
     """
     if poset is None:
         poset = intersection_poset(arr)
     modp = _reduced_flats(arr, p)
     coincident = modp is None
     modp = modp or {}
-    rational = {s.hyperplanes: s.dim for s in poset}
-    missing = tuple(sorted(k for k in rational if k not in modp))
-    extra = tuple(sorted(k for k in modp if k not in rational))
-    changed = tuple(sorted(k for k in rational if k in modp and rational[k] != modp[k]))
+    rational = {s.mask: s.dim for s in poset}
+    missing = rational.keys() - modp.keys()
+    extra = modp.keys() - rational.keys()
+    changed = [mask for mask, _ in rational.items() - modp.items() if mask in modp]
     equal = not (coincident or missing or extra or changed)
-    return ModPComparison(p, equal, missing, extra, changed, coincident)
+    return ModPComparison(
+        p, equal, _sorted_indices(missing), _sorted_indices(extra), _sorted_indices(changed), coincident
+    )
+
+
+def _sorted_indices(masks) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(map(_indices, masks)))

@@ -107,7 +107,8 @@ class _UnitPowerCache:
     E^1 is the pentagonal series, and E^k = E^(k//2) E^(k - k//2) is one
     truncated Kronecker product of two powers taken from the cache itself,
     so the exponents of one chain (24, 12, 6, 3, 2, 1) share their
-    intermediate powers.  Each k keeps the longest power computed so far,
+    intermediate powers.  An even k passes E^(k/2) as both factors, so the
+    product is a square.  Each k keeps the longest power computed so far,
     and a shorter top is a prefix of it: truncation commutes with the
     product.  The least recently used exponent is dropped first.
     """
@@ -124,7 +125,8 @@ class _UnitPowerCache:
             if k == 1:
                 power = eta_unit_part(1, top)
             else:
-                power = _kronecker_mul(self(k // 2, top), self(k - k // 2, top), top)
+                half = self(k // 2, top)
+                power = _kronecker_mul(half, half if k % 2 == 0 else self(k - k // 2, top), top)
         self.powers[k] = power
         while len(self.powers) > self.size:
             del self.powers[next(iter(self.powers))]

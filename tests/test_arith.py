@@ -303,8 +303,10 @@ coefficient_lists = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(coefficient_lists, coefficient_lists, st.integers(0, 90))
 def test_kronecker_mul_matches_schoolbook(a, b, top):
-    # top ranges from far below to far above len(a) + len(b) - 2
+    # top ranges from far below to far above len(a) + len(b) - 2; one list
+    # passed twice is squared
     assert _kronecker_mul(a, b, top) == mul_trunc(a, b, top)
+    assert _kronecker_mul(a, a, top) == mul_trunc(a, a, top)
 
 
 @pytest.mark.parametrize("n", [127, 128, 255, 256, 32767, 32768])
@@ -343,6 +345,29 @@ def test_kronecker_mul_at_word_width_edges(bound, monkeypatch):
     for x, y, top in cases:
         assert _kronecker_mul(x, y, top) == mul_trunc(x, y, top), (x, y)
     assert set(widths) == {_EDGE_WIDTHS[bound]}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9])
+def test_kronecker_mul_squares_one_list_once(width, monkeypatch):
+    # a = [k, -k, 0, 1, -1] squared has output bound 5k^2 just below
+    # 2^(8 width - 1), so the square takes exactly `width`-byte digits;
+    # one list passed twice is packed once, at every top
+    k = isqrt((2 ** (8 * width - 1) - 1) // 5)
+    a = [k, -k, 0, 1, -1]
+    widths = []
+    real_pack, real_words = arith._pack, arith._pack_words
+    monkeypatch.setattr(arith, "_pack", lambda v, w: widths.append(w) or real_pack(v, w))
+    monkeypatch.setattr(
+        arith, "_pack_words", lambda v, code, half: widths.append(array(code).itemsize) or real_words(v, code, half)
+    )
+    for top in (0, 2, 4, 8, 12):
+        widths.clear()
+        assert _kronecker_mul(a, a, top) == mul_trunc(a, a, top)
+        assert len(widths) == 1
+    assert widths == [width]  # top 12 keeps all of a
+    widths.clear()
+    assert _kronecker_mul(a, list(a), 12) == mul_trunc(a, a, 12)
+    assert widths == [width, width]  # an equal copy is packed on its own
 
 
 def test_kronecker_mul_empty_and_zero_inputs():

@@ -1,10 +1,11 @@
 import json
 import random
 from itertools import combinations, product
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyarith.arrangement import (
@@ -448,6 +449,83 @@ def test_poset_mod_p_matches_subset_oracle(p):
             changed += 1
             assert got == closure_poset_mod_p(arr, p)
     assert changed >= 10
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mod_p_diff_fields_match_subset_oracles(p):
+    # missing, extra and changed_dim against the set differences of the two
+    # subset oracles, as sorted index sets; each field is seen nonempty
+    rng = random.Random(7 + p)
+    seen = {"missing": 0, "extra": 0, "changed_dim": 0}
+    for _ in range(150):
+        n = rng.choice((2, 3, 4))
+        arr = random_arrangement(rng, n, rng.randint(3, 7), bound=p + 1)
+        rational = {s.hyperplanes: s.dim for s in subsets_poset(arr)}
+        modp = subsets_poset_mod_p(arr, p)
+        cmp = poset_matches_mod_p(arr, p)
+        expected = {
+            "missing": tuple(sorted(rational.keys() - modp.keys())),
+            "extra": tuple(sorted(modp.keys() - rational.keys())),
+            "changed_dim": tuple(sorted(k for k in rational.keys() & modp.keys() if rational[k] != modp[k])),
+        }
+        for field, want in expected.items():
+            assert getattr(cmp, field) == want, field
+            seen[field] += bool(want)
+    assert all(seen.values()), seen
+
+
+def test_triple_point_mod_a_large_prime():
+    # x = 0, y = 0 and x + y + qz = 0 meet in three points over Q and in
+    # one triple point mod q
+    q = 2**31 - 1
+    arr = lines((1, 0, 0), (0, 1, 0), (1, 1, q))
+    assert poset_mod_p(arr, q) == subsets_poset_mod_p(arr, q) == {(0, 1, 2): 0}
+    cmp = poset_matches_mod_p(arr, q)
+    assert not cmp.equal and not cmp.coincident
+    assert cmp.missing == ((0, 1), (0, 2), (1, 2))
+    assert cmp.extra == ((0, 1, 2),)
+    assert cmp.changed_dim == ()
+
+
+LINE_PRIMES = (3, 5, 7, 11, 2**31 - 1)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-40, 40), min_size=2, max_size=6).filter(any),
+    st.integers(-40, 40).filter(bool),
+    st.sampled_from(LINE_PRIMES),
+    st.data(),
+)
+def test_canonical_line_representatives(v, c, p, data):
+    # over Q: one primitive vector with positive lead per line
+    h = Hyperplane.from_coeffs(v)
+    assert Hyperplane.from_coeffs([c * x for x in v]) == h
+    assert gcd(*h.coeffs) == 1
+    assert next(x for x in h.coeffs if x) > 0
+    assert all(x * hy == y * hx for x, hx in zip(v, h.coeffs) for y, hy in zip(v, h.coeffs))
+    # over F_p: v beside c v + e_i (mostly another line mod p) and beside
+    # c v + p e_i (the same line mod p when p divides neither content, so
+    # both posets are {})
+    assume(c % p)
+    i = data.draw(st.integers(0, len(v) - 1))
+    for shift in (1, p):
+        w = [c * x + shift * (j == i) for j, x in enumerate(v)]
+        try:
+            arr = Arrangement.from_rows(len(v) - 1, [v, w])
+        except ValueError:  # w is v's line over Q: v is a multiple of e_i
+            continue
+        got = outcome(poset_mod_p, arr, p)
+        assert got == outcome(subsets_poset_mod_p, arr, p)
+        if shift == p and gcd(*v) % p and gcd(*w) % p:
+            assert got == {} and poset_matches_mod_p(arr, p).coincident
 
 
 # ---------------------------------------------------------------------------

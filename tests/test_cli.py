@@ -129,6 +129,17 @@ def test_classify_arrangement_check_prime_alone(capsys):
     assert "odd prime" in err
 
 
+def test_classify_arrangement_check_prime_large(tmp_path, capsys):
+    # x = 0, y = 0, x + y + qz = 0: three double points over Q, one triple
+    # point mod q = 2^31 - 1
+    path = tmp_path / "triple.arr"
+    path.write_text("2 3\n1 0 0\n0 1 0\n1 1 2147483647\n")
+    code, out, _ = run(capsys, "classify-arrangement", str(path), "--check-prime", "2147483647", "--json")
+    assert code == 0
+    assert '"poset_matches_mod_2147483647": false' in out
+    assert json.loads(out)["good_reduction"] == {"poset_matches_mod_2147483647": False}
+
+
 def test_classify_arrangement_csv_refuses_extra_results(capsys):
     # the CSV type table has no place for these results: refuse, do not drop
     for extra in (["--schedule"], ["--good-reduction"], ["--check-prime", "5"]):

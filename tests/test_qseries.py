@@ -123,6 +123,24 @@ def test_each_exponent_is_powered_once(monkeypatch):
     assert built == Counter({k: 1 for k in (2, 3, 4, 6, 8, 12, 24)})
 
 
+def test_even_exponents_square_one_list(monkeypatch):
+    # E^2k = E^k E^k passes E^k itself twice, so _kronecker_mul packs it
+    # once and squares; an odd k multiplies two different powers
+    steps = {}
+    real = qseries._kronecker_mul
+
+    def recording(a, b, top):
+        product = real(a, b, top)
+        steps[-product[1]] = a is b
+        return product
+
+    monkeypatch.setattr(qseries, "_kronecker_mul", recording)
+    unit_powers(24, 300)
+    unit_powers(7, 300)
+    assert steps == {2: True, 3: False, 4: True, 6: True, 7: False, 12: True, 24: True}
+    assert unit_powers(24, 300) == pow_trunc(eta_unit_part(1, 300), 24, 300)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 30), st.integers(0, 300)), min_size=1, max_size=8))
 def test_cached_powers_are_the_truncated_powers(requests):
