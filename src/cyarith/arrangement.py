@@ -480,7 +480,7 @@ def _reduced_flats(arr: Arrangement, p: int) -> dict[int, int] | None:
 
     Each hyperplane's form is reduced once, as `_monic_mod`, so two
     hyperplanes coincide mod p exactly when their entries are equal.  Each
-    residual of `_flats` is reduced in one pass: v - f w mod p in one list,
+    residual of `_flats` is reduced in one pass: v - f w in one list,
     its first nonzero entry found by a plain loop, one inverse, one
     scaling.  The keys are masks, as in `Stratum.mask`, so
     `poset_matches_mod_p` diffs them without building index tuples.
@@ -497,7 +497,10 @@ def _reduced_flats(arr: Arrangement, p: int) -> dict[int, int] | None:
 
     def reduce(v, w, col: int) -> tuple[int, ...]:
         f = v[col]
-        u = [(x - f * y) % p for x, y in zip(v, w)]
+        # unreduced, the lead is still exact: v is monic, so it leads before
+        # col (where w is 0), after col (f = 0), or at col with f = 1, which
+        # leaves every entry in (-p, p); the scaling reduces them all
+        u = [x - f * y for x, y in zip(v, w)]
         for lead in u:
             if lead:
                 break

@@ -28,7 +28,7 @@ from .arrangement import (
     poset_matches_mod_p,
     resolution_schedule,
 )
-from .cmforms import EISENSTEIN, GAUSSIAN, normalize_prime_element
+from .cmforms import normalize_prime_element
 from .euler import KummerData, double_cover_euler, fold_elliptic, iterated_elliptic_euler
 from .pointcount import EllipticCurveModel, elliptic_ap, verify_ahlgren
 from .qseries import EtaProduct
@@ -95,7 +95,7 @@ def cmd_cm_coeffs(args) -> int:
 
 
 def cmd_gross_normalize(args) -> int:
-    field = GAUSSIAN if args.field == "i" else EISENSTEIN
+    field = registry.FAMILIES[args.field].field
     elem = normalize_prime_element(args.p, field)
     payload = {
         "p": args.p,

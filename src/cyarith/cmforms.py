@@ -5,7 +5,7 @@ traces of the cyclic-quotient constructions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from math import isqrt
 
@@ -14,30 +14,38 @@ from .pointcount import EllipticCurveModel
 from .qseries import DEFAULT_PRECISION, HeckeCoefficientSpec, QSeries, hecke_expand
 
 
+#: d -> (name, unit symbol, unit count, chi_{-d} by residue mod d)
+_FIELDS = {4: ("i", "i", 4, (0, 1, 0, -1)), 3: ("zeta3", "w", 6, (0, 1, -1))}
+
+
 @dataclass(frozen=True)
 class CMField:
-    """Imaginary quadratic field tag: d = 4 for Q(i), d = 3 for Q(sqrt(-3)).
+    """Q(sqrt(-d)) with its maximal order Z[u], for d = 4 (Q(i)) or d = 3
+    (Q(sqrt(-3))), and the only holder of facts that differ between them.
 
-    chi is the attached quadratic character chi_{-d}; for odd primes not
-    dividing d it agrees with the Legendre symbol (-d/p).
+    u = (t + sqrt(-d))/2 with t = d mod 2 is i, resp. w = (1 + sqrt(-3))/2;
+    it is a root of u^2 - t u + 1 and a generator of the units, of which
+    there are 4, resp. 6.  chi is chi_{-d}, read from its residues mod d;
+    for odd primes not dividing d it is the Legendre symbol (-d/p).  All
+    of these are read from d and none can be set.
     """
 
     d: int
+    t: int = dataclass_field(init=False, repr=False, compare=False)
+    name: str = dataclass_field(init=False, repr=False, compare=False)
+    unit_symbol: str = dataclass_field(init=False, repr=False, compare=False)
+    units: int = dataclass_field(init=False, repr=False, compare=False)
+    _chi: tuple[int, ...] = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d not in (3, 4):
+        if self.d not in _FIELDS:
             raise ValueError("supported field tags: d = 3 (zeta3) or d = 4 (i)")
-
-    @property
-    def name(self) -> str:
-        return "i" if self.d == 4 else "zeta3"
+        facts = (self.d % 2,) + _FIELDS[self.d]
+        for attr, value in zip(("t", "name", "unit_symbol", "units", "_chi"), facts):
+            object.__setattr__(self, attr, value)
 
     def chi(self, n: int) -> int:
-        if self.d == 4:
-            r = n % 4
-            return 0 if r % 2 == 0 else (1 if r == 1 else -1)
-        r = n % 3
-        return 0 if r == 0 else (1 if r == 1 else -1)
+        return self._chi[n % self.d]
 
     def is_split(self, p: int) -> bool:
         return self.chi(p) == 1
@@ -101,7 +109,8 @@ def cm_euler_factor(weight: int, field: CMField, p: int, ap: int | None = None) 
 
 @dataclass(frozen=True)
 class QuadOrderElem:
-    """x + y*i in Z[i], or x + y*w with w = (1+sqrt(-3))/2 in the Eisenstein order."""
+    """x + y*u in the field's order Z[u], u^2 = t u - 1: u = i in Z[i] (t = 0),
+    u = w = (1+sqrt(-3))/2 in the Eisenstein order (t = 1)."""
 
     field: CMField
     x: int
@@ -109,63 +118,47 @@ class QuadOrderElem:
 
     @property
     def norm(self) -> int:
-        if self.field.d == 4:
-            return self.x * self.x + self.y * self.y
-        return self.x * self.x + self.x * self.y + self.y * self.y
+        return self.x * self.x + self.field.t * self.x * self.y + self.y * self.y
 
     @property
     def trace(self) -> int:
-        # trace(i) = 0, trace(w) = 1
-        return 2 * self.x if self.field.d == 4 else 2 * self.x + self.y
+        # trace(u) = t
+        return 2 * self.x + self.field.t * self.y
 
     def conjugate(self) -> "QuadOrderElem":
-        if self.field.d == 4:
-            return QuadOrderElem(self.field, self.x, -self.y)
-        return QuadOrderElem(self.field, self.x + self.y, -self.y)
+        # conj(u) = t - u
+        return QuadOrderElem(self.field, self.x + self.field.t * self.y, -self.y)
 
     def __mul__(self, other: "QuadOrderElem") -> "QuadOrderElem":
-        # i^2 = -1; w^2 = w - 1 adds y1*y2 to the w coordinate
+        # u^2 = t u - 1 adds t*y1*y2 to the u coordinate
         x = self.x * other.x - self.y * other.y
-        y = self.x * other.y + self.y * other.x
-        if self.field.d == 3:
-            y += self.y * other.y
+        y = self.x * other.y + self.y * other.x + self.field.t * self.y * other.y
         return QuadOrderElem(self.field, x, y)
 
     def __str__(self) -> str:
-        unit = "i" if self.field.d == 4 else "w"
         if self.y == 0:
             return str(self.x)
         sign = "+" if self.y > 0 else "-"
         mag = "" if abs(self.y) == 1 else str(abs(self.y))
-        return f"{self.x} {sign} {mag}{unit}"
+        return f"{self.x} {sign} {mag}{self.field.unit_symbol}"
 
 
 def norm_p_elements(p: int, field: CMField) -> list[QuadOrderElem]:
-    """All order elements of norm p (8 for Z[i], 12 for the Eisenstein order)."""
+    """All order elements of norm p (8 for Z[i], 12 for the Eisenstein order).
+
+    x^2 + t xy + y^2 = p gives y = (-t x +- sqrt(4p - d x^2)) / 2, so
+    |x| <= sqrt(4p/d).
+    """
+    d, t = field.d, field.t
     out = []
-    if field.d == 4:
-        for x in range(-isqrt(p), isqrt(p) + 1):
-            y2 = p - x * x
-            if y2 < 0:
-                continue
-            y = isqrt(y2)
-            if y * y == y2:
-                out.append(QuadOrderElem(field, x, y))
-                if y:
-                    out.append(QuadOrderElem(field, x, -y))
-    else:
-        bound = 2 * isqrt(p) + 1
-        for x in range(-bound, bound + 1):
-            # y^2 + xy + (x^2 - p) = 0 -> y = (-x +- sqrt(4p - 3x^2)) / 2
-            disc = 4 * p - 3 * x * x
-            if disc < 0:
-                continue
-            r = isqrt(disc)
-            if r * r != disc:
-                continue
-            for s in (r, -r):
-                if (s - x) % 2 == 0:
-                    out.append(QuadOrderElem(field, x, (s - x) // 2))
+    bound = isqrt(4 * p // d)
+    for x in range(-bound, bound + 1):
+        disc = 4 * p - d * x * x
+        r = isqrt(disc)
+        if r * r == disc:
+            for s in (r - t * x, -r - t * x):
+                if s % 2 == 0:
+                    out.append(QuadOrderElem(field, x, s // 2))
     return sorted(set(out), key=lambda e: (e.x, e.y))
 
 
@@ -197,36 +190,40 @@ def normalize_prime_element(p: int, field: CMField) -> QuadOrderElem:
     return next(e for e in hits if e.y > 0)
 
 
-def _sqrt_minus(m: int, p: int) -> int:
-    """A square root of -m mod a prime p that splits in Q(sqrt(-m)), m = 1 or 3.
+def _sqrt_minus(field: CMField, p: int) -> int:
+    """A square root of -d mod a prime p that splits in the field.
 
-    m = 1: a 4th root of unity c^((p-1)/4), c a non-residue.
-    m = 3: 2w + 1, w = c^((p-1)/3) a primitive cube root of unity.
+    z = c^((p-1)/d) for bases c = 2, 3, ... until z^2 + t z + 1 = 0 mod p,
+    i.e. z is a primitive 4th root of unity (d = 4), resp. a primitive
+    cube root (d = 3); then (2z + t)^2 = t^2 - 4 = -d.
     """
-    order = 4 if m == 1 else 3
+    d, t = field.d, field.t
     for c in range(2, p):
-        r = pow(c, (p - 1) // order, p)
-        s = r if m == 1 else (2 * r + 1) % p
-        if s * s % p == p - m:
-            return s
-    raise IdentityViolation(f"no square root of -{m} mod {p}")
+        z = pow(c, (p - 1) // d, p)
+        if (z * z + t * z + 1) % p == 0:
+            return (2 * z + t) % p
+    raise IdentityViolation(f"no square root of -{d} mod {p}")
 
 
-def _cornacchia(m: int, p: int) -> tuple[int, int]:
-    """(x, y) with x^2 + m y^2 = p, m = 1 or 3, p split in Q(sqrt(-m)).
+def _cornacchia(field: CMField, p: int) -> tuple[int, int]:
+    """(X, Y) with X^2 + d Y^2 = 4p, p an odd prime split in the field.
 
-    Cornacchia's algorithm (H. Cohen, GTM 138, Algorithm 1.5.2): run
-    Euclid on p and a root of -m in (p/2, p) until the remainder drops
-    below sqrt(p); that remainder is x.
+    The modified Cornacchia algorithm (H. Cohen, GTM 138, Algorithm
+    1.5.3): take the root of -d mod p with the parity of d, run Euclid on
+    2p and that root until the remainder drops to 2 sqrt(p) or below;
+    that remainder is X.
     """
-    r = _sqrt_minus(m, p)
-    a, b, limit = p, max(r, p - r), isqrt(p)
+    d = field.d
+    r = _sqrt_minus(field, p)
+    if (r - d) % 2:
+        r = p - r
+    a, b, limit = 2 * p, r, isqrt(4 * p)
     while b > limit:
         a, b = b, a % b
-    c, rem = divmod(p - b * b, m)
+    c, rem = divmod(4 * p - b * b, d)
     y = isqrt(c)
     if rem or y * y != c:
-        raise IdentityViolation(f"Cornacchia found no x^2 + {m}y^2 = {p}")
+        raise IdentityViolation(f"Cornacchia found no X^2 + {d}Y^2 = 4*{p}")
     return b, y
 
 
@@ -234,30 +231,22 @@ def _cornacchia(m: int, p: int) -> tuple[int, int]:
 def normalized_trace(p: int, field: CMField) -> int:
     """Trace of the normalized prime element above a split prime p.
 
-    A p that is not prime raises ValueError; being cached, the primality
-    test runs once per (p, field) for a prime p.  Cornacchia gives one
-    element pi of norm p: x + y*i from x^2 + y^2 = p, or
-    x + y*sqrt(-3) = (x - y) + 2y*w from x^2 + 3y^2 = p.  Exactly one
-    associate of pi passes is_normalized; its conjugate is the normalized
-    element of the conjugate ideal, with the same trace.  O(log p)
-    arithmetic steps (the root search tries O(1) bases c in expectation).
-    Shares only is_normalized and QuadOrderElem with the enumeration in
-    normalize_prime_element, which is its oracle.  The last 4096 traces
-    are kept, about the split primes of both fields below 39,000, so the
-    weights of a family share one Cornacchia and one primality test per
-    prime.
+    Cornacchia's X^2 + d Y^2 = 4p gives pi = (X - tY)/2 + Y u of norm p.
+    Exactly one of its field.units associates pi u^k passes is_normalized;
+    the conjugate of that one is normalized above the conjugate ideal and
+    has the same trace.  O(log p) steps.  Shares only is_normalized and
+    QuadOrderElem with normalize_prime_element, its oracle.  A p that is
+    not prime raises ValueError.  The last 4096 traces are kept (about the
+    split primes of both fields below 39,000), so the weights of a family
+    share one Cornacchia and one primality test per prime.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if field.d == 4:
-        x, y = _cornacchia(1, p)
-        elem = QuadOrderElem(field, x, y)
-    else:
-        x, y = _cornacchia(3, p)
-        elem = QuadOrderElem(field, x - y, 2 * y)
-    unit = QuadOrderElem(field, 0, 1)  # i of order 4, resp. w of order 6
+    x, y = _cornacchia(field, p)
+    elem = QuadOrderElem(field, (x - field.t * y) // 2, y)
+    unit = QuadOrderElem(field, 0, 1)
     hits = []
-    for _ in range(4 if field.d == 4 else 6):
+    for _ in range(field.units):
         if is_normalized(elem):
             hits.append(elem)
         elem = elem * unit

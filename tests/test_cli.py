@@ -47,12 +47,17 @@ def test_cm_coeffs(capsys):
 
 
 def test_gross_normalize(capsys):
-    code, out, _ = run(capsys, "gross-normalize", "13", "--field", "zeta3")
-    assert code == 0
-    data = json.loads(out)
-    assert data["trace"] == 5 and data["norm"] == 13
-    code, out, _ = run(capsys, "gross-normalize", "5", "--field", "i")
-    assert json.loads(out)["element"] == "-1 + 2i"
+    for field, p, x, y, element, trace in (
+        ("i", 5, -1, 2, "-1 + 2i", -2),
+        ("i", 13, 3, 2, "3 + 2i", 6),
+        ("i", 97, 9, 4, "9 + 4i", 18),
+        ("zeta3", 7, -2, 3, "-2 + 3w", -1),
+        ("zeta3", 13, 1, 3, "1 + 3w", 5),
+        ("zeta3", 97, -11, 3, "-11 + 3w", -19),
+    ):
+        code, out, err = run(capsys, "gross-normalize", str(p), "--field", field)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"p": p, "field": field, "element": element, "x": x, "y": y, "norm": p, "trace": trace}
 
 
 def test_gross_normalize_inert_prime_fails(capsys):

@@ -2,6 +2,8 @@ from collections import Counter
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyarith import cmforms, pointcount
 from cyarith.arith import IntPoly, is_prime, legendre, odd_primes_up_to, primes_up_to
@@ -139,6 +141,35 @@ def test_order_multiplication():
         a, b = QuadOrderElem(field, 3, -2), QuadOrderElem(field, -5, 7)
         assert (a * b).norm == a.norm * b.norm
         assert (a * a.conjugate()) == QuadOrderElem(field, a.norm, 0)
+    # the unit u has order exactly 4, resp. 6, and field.units counts it
+    for u, order in ((i, 4), (w, 6)):
+        one, power = QuadOrderElem(u.field, 1, 0), u
+        for _ in range(order - 1):
+            assert power != one
+            power = power * u
+        assert power == one
+        assert u.field.units == order == len(_units(u.field))
+
+
+def _explicit(field, x1, y1, x2, y2):
+    """norm, trace and conjugate of a = x1 + y1*u, and a*b for b = x2 + y2*u,
+    written out for Z[i] (i^2 = -1) and Z[w] (w^2 = w - 1, conj(w) = 1 - w)."""
+    if field is GAUSSIAN:
+        return x1 * x1 + y1 * y1, 2 * x1, (x1, -y1), (x1 * x2 - y1 * y2, x1 * y2 + x2 * y1)
+    norm = x1 * x1 + x1 * y1 + y1 * y1
+    return norm, 2 * x1 + y1, (x1 + y1, -y1), (x1 * x2 - y1 * y2, x1 * y2 + x2 * y1 + y1 * y2)
+
+
+coords = st.integers(min_value=-10**12, max_value=10**12)
+
+
+@given(st.sampled_from([GAUSSIAN, EISENSTEIN]), coords, coords, coords, coords)
+@settings(max_examples=300, deadline=None)
+def test_order_arithmetic_matches_explicit_formulas(field, x1, y1, x2, y2):
+    a, b = QuadOrderElem(field, x1, y1), QuadOrderElem(field, x2, y2)
+    norm, trace, conj, product = _explicit(field, x1, y1, x2, y2)
+    assert (a.norm, a.trace, a.conjugate()) == (norm, trace, QuadOrderElem(field, *conj))
+    assert a * b == QuadOrderElem(field, *product)
 
 
 def test_normalize_uniqueness_up_to_1000():
@@ -181,8 +212,11 @@ def test_curve_ap_equals_point_count_up_to_2000():
 
 def test_curve_ap_equals_enumerated_normalized_trace_up_to_20000():
     for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
+        d = family.field.d
         for p in _split_primes(family, 20000):
             assert family.curve_ap(p) == normalize_prime_element(p, family.field).trace, p
+            x, y = cmforms._cornacchia(family.field, p)
+            assert x * x + d * y * y == 4 * p, p
 
 
 def test_curve_ap_calls_neither_enumeration_nor_point_count(monkeypatch):
@@ -208,9 +242,9 @@ def test_family_weights_share_one_cornacchia_per_split_prime(monkeypatch):
     tested = Counter()
     real = cmforms._cornacchia
 
-    def counting(m, p):
-        calls[m, p] += 1
-        return real(m, p)
+    def counting(field, p):
+        calls[field, p] += 1
+        return real(field, p)
 
     def counting_is_prime(n):
         tested[n] += 1
@@ -218,12 +252,12 @@ def test_family_weights_share_one_cornacchia_per_split_prime(monkeypatch):
 
     monkeypatch.setattr(cmforms, "_cornacchia", counting)
     monkeypatch.setattr(cmforms, "is_prime", counting_is_prime)
-    for family, m in ((GAUSSIAN_FAMILY, 1), (EISENSTEIN_FAMILY, 3)):
+    for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
         calls.clear()
         tested.clear()
         for weight in range(2, 8):
             family.form(weight).q_expansion(2000)
-        assert calls == Counter((m, p) for p in _split_primes(family, 2000))
+        assert calls == Counter((family.field, p) for p in _split_primes(family, 2000))
         assert tested == Counter(_split_primes(family, 2000))
 
 
@@ -257,6 +291,8 @@ def test_curve_ap_hasse_and_torsion_near_10_12():
             a = family.curve_ap(p)
             assert a * a <= 4 * p, p
             assert (p + 1 - a) % torsion == 0, p
+            x, y = cmforms._cornacchia(family.field, p)
+            assert x * x + family.field.d * y * y == 4 * p, p
 
 
 # ---------------------------------------------------------------------------
