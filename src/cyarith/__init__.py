@@ -30,7 +30,7 @@ from .cmforms import (
     power_trace,
     quotient_frobenius_trace,
 )
-from .euler import KummerData, borcea_voisin_table, double_cover_euler, iterated_elliptic_euler
+from .euler import KummerData, double_cover_euler, iterated_elliptic_euler
 from .pointcount import (
     EllipticCurveModel,
     ahlgren_count_bruteforce,

@@ -30,19 +30,6 @@ class Hyperplane:
             raise ValueError("zero vector is not a hyperplane")
         return cls(_pivot_q(v))
 
-    def __str__(self) -> str:
-        names = [f"x{i}" for i in range(len(self.coeffs))]
-        parts = []
-        for c, name in zip(self.coeffs, names):
-            if c == 0:
-                continue
-            mag = "" if abs(c) == 1 else str(abs(c))
-            if not parts:
-                parts.append(f"{'-' if c < 0 else ''}{mag}{name}")
-            else:
-                parts.append(f"{'-' if c < 0 else '+'} {mag}{name}")
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class Arrangement:

@@ -10,6 +10,12 @@ stderr and exit code 1, never a traceback; inside `suite` it is a `FAIL`
 report for its sub-suite, and the other sub-suites still run.  Every
 subcommand that takes `--pmax` rejects values below 3 the same way
 (`error: ...`, exit 1): no odd prime lies below 3.
+
+The table subcommands (eta-expand, cm-coeffs, elliptic-ap,
+verify-ahlgren, tensor-factor, classify-arrangement) print through one
+writer, `_write`: JSON by default, or with `--csv` a header line and
+one line per row.  In a CSV row a `None` cell is empty, a list cell is
+its items joined by `;`, and any other cell is `str(value)`.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import registry
 from .arith import IdentityViolation, odd_primes_up_to
@@ -30,7 +37,7 @@ from .arrangement import (
 )
 from .cmforms import normalize_prime_element
 from .euler import KummerData, double_cover_euler, fold_elliptic, iterated_elliptic_euler
-from .pointcount import EllipticCurveModel, elliptic_ap, verify_ahlgren
+from .pointcount import BRUTE_FORCE_LIMIT, EllipticCurveModel, elliptic_ap, verify_ahlgren
 from .qseries import EtaProduct
 from .report import format_report_text, reports_to_json, suite_exit_code
 from .suites import SUITES, run_suite
@@ -39,6 +46,25 @@ from .tensor import verify_g4xg3
 
 def _json_out(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
+def _write(args, header: str, rows, payload) -> None:
+    """`payload` as JSON, or with --csv the `header` line and then each
+    row's cells joined by `,` (see the module docstring for the cells)."""
+    if not args.csv:
+        _json_out(payload)
+        return
+    print(header)
+    for row in rows:
+        print(",".join(_cell(value) for value in row))
 
 
 def _parse_factors(text: str) -> EtaProduct:
@@ -68,29 +94,16 @@ def _integers(text: str, option: str, takes: str) -> list[int]:
 def cmd_eta_expand(args) -> int:
     eta = _parse_factors(args.factors)
     series = eta.expand(args.precision)
-    coeffs = {n: series.coeff(n) for n in range(1, args.precision + 1)}
-    if args.csv:
-        print("n,c_n")
-        for n, c in coeffs.items():
-            print(f"{n},{c}")
-    else:
-        _json_out({str(n): c for n, c in coeffs.items()})
+    rows = [(n, series.coeff(n)) for n in range(1, args.precision + 1)]
+    _write(args, "n,c_n", rows, {str(n): c for n, c in rows})
     return 0
 
 
 def cmd_cm_coeffs(args) -> int:
     family = registry.FAMILIES[args.field]
-    rows = []
-    for p in odd_primes_up_to(args.pmax):
-        if family.field.is_ramified(p):
-            continue
-        rows.append({"p": p, "ap": family.ap(args.weight, p)})
-    if args.csv:
-        print("p,ap")
-        for row in rows:
-            print(f"{row['p']},{row['ap']}")
-    else:
-        _json_out(rows)
+    primes = [p for p in odd_primes_up_to(args.pmax) if not family.field.is_ramified(p)]
+    rows = [(p, family.ap(args.weight, p)) for p in primes]
+    _write(args, "p,ap", rows, [{"p": p, "ap": ap} for p, ap in rows])
     return 0
 
 
@@ -113,61 +126,24 @@ def cmd_gross_normalize(args) -> int:
 def cmd_elliptic_ap(args) -> int:
     a, b = _integers(args.curve, "--curve", "two integers A,B")
     curve = EllipticCurveModel(a, b)
-    rows = []
-    for p in odd_primes_up_to(args.pmax):
-        if not curve.is_good(p):
-            continue
-        rows.append({"p": p, "ap": elliptic_ap(curve, p)})
-    if args.csv:
-        print("p,ap")
-        for row in rows:
-            print(f"{row['p']},{row['ap']}")
-    else:
-        _json_out({"curve": str(curve), "rows": rows})
+    rows = [(p, elliptic_ap(curve, p)) for p in odd_primes_up_to(args.pmax) if curve.is_good(p)]
+    data = [{"p": p, "ap": ap} for p, ap in rows]
+    _write(args, "p,ap", rows, {"curve": str(curve), "rows": data})
     return 0
 
 
 def cmd_verify_ahlgren(args) -> int:
     rows = verify_ahlgren(args.pmax, brute_max=args.brute_max)
-    data = [
-        {
-            "p": r.p,
-            "count": r.count,
-            "brute": r.brute,
-            "ap": r.ap,
-            "predicted": r.predicted,
-            "match": r.match,
-        }
-        for r in rows
-    ]
-    if args.csv:
-        print("p,count,brute,ap,predicted,match")
-        for r in data:
-            brute = "" if r["brute"] is None else r["brute"]
-            print(f"{r['p']},{r['count']},{brute},{r['ap']},{r['predicted']},{r['match']}")
-    else:
-        _json_out(data)
+    data = [asdict(r) for r in rows]
+    _write(args, "p,count,brute,ap,predicted,match", [row.values() for row in data], data)
     return 0 if all(r.match for r in rows) else 1
 
 
 def cmd_tensor_factor(args) -> int:
     rows = verify_g4xg3(args.pmax)
-    data = [
-        {
-            "p": r.p,
-            "lhs_poly": list(r.lhs.coeffs),
-            "rhs_poly": list(r.rhs.coeffs),
-            "equal": r.equal,
-        }
-        for r in rows
-    ]
-    if args.csv:
-        print("p,equal,lhs,rhs")
-        for r in data:
-            lhs, rhs = (";".join(str(c) for c in r[key]) for key in ("lhs_poly", "rhs_poly"))
-            print(f"{r['p']},{r['equal']},{lhs},{rhs}")
-    else:
-        _json_out(data)
+    table = [(r.p, r.equal, list(r.lhs.coeffs), list(r.rhs.coeffs)) for r in rows]
+    data = [{"p": p, "equal": eq, "lhs_poly": lhs, "rhs_poly": rhs} for p, eq, lhs, rhs in table]
+    _write(args, "p,equal,lhs,rhs", table, data)
     return 0 if all(r.equal for r in rows) else 1
 
 
@@ -210,17 +186,10 @@ def cmd_classify_arrangement(args) -> int:
     if args.check_prime is not None:
         cmp = poset_matches_mod_p(arr, args.check_prime, poset)
         payload.setdefault("good_reduction", {})[f"poset_matches_mod_{args.check_prime}"] = cmp.equal
-    if args.csv:
-        print("label,dim,mult,count,near_pencil,admissible,incidence")
-        for row in payload["types"]:
-            inc = ";".join(str(v) for v in row["incidence"])
-            print(
-                f"{row['label']},{row['dim']},{row['mult']},{row['count']},"
-                f"{row['near_pencil']},{row['admissible']},{inc}"
-            )
-        print(f"resolvable,{payload['resolvable']}")
-    else:
-        _json_out(payload)
+    columns = ("label", "dim", "mult", "count", "near_pencil", "admissible", "incidence")
+    rows = [[row[c] for c in columns] for row in payload["types"]]
+    rows.append(["resolvable", payload["resolvable"]])
+    _write(args, ",".join(columns), rows, payload)
     return 0
 
 
@@ -318,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=SUITES)
     p.add_argument("--json", action="store_true", help="JSON output (default: text)")
     p.add_argument("--pmax", type=int, default=100, metavar="P", help="at least 3")
-    p.add_argument("--brute-max", type=int, default=13, metavar="Q")
+    p.add_argument("--brute-max", type=int, default=BRUTE_FORCE_LIMIT, metavar="Q")
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -236,12 +236,15 @@ def normalized_trace(p: int, field: CMField) -> int:
     the conjugate of that one is normalized above the conjugate ideal and
     has the same trace.  O(log p) steps.  Shares only is_normalized and
     QuadOrderElem with normalize_prime_element, its oracle.  A p that is
-    not prime raises ValueError.  The last 4096 traces are kept (about the
-    split primes of both fields below 39,000), so the weights of a family
-    share one Cornacchia and one primality test per prime.
+    not prime, or not split in the field, raises ValueError before any
+    Cornacchia step.  The last 4096 traces are kept (about the split
+    primes of both fields below 39,000), so the weights of a family share
+    one Cornacchia and one primality test per prime.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if not field.is_split(p):
+        raise ValueError(f"p = {p} is not a split prime for d = {field.d}")
     x, y = _cornacchia(field, p)
     elem = QuadOrderElem(field, (x - field.t * y) // 2, y)
     unit = QuadOrderElem(field, 0, 1)

@@ -53,10 +53,3 @@ def iterated_elliptic_euler(n: int) -> int:
     if total % 2:
         raise IdentityViolation(f"6^{n} + 3(-2)^{n} = {total} is odd")
     return total // 2
-
-
-def borcea_voisin_table() -> tuple[int, ...]:
-    """Euler numbers 6*e(D1) of the K3 x elliptic quotients: e(D1) runs over
-    the even integers from -18 (smooth plane sextic branch) to 20 (ten
-    lines from resolving six lines with four triple points)."""
-    return tuple(6 * e for e in range(-18, 21, 2))

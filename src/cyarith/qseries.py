@@ -15,7 +15,6 @@ identically zero.  A QSeries never reads beyond its stated precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping
 
 from .arith import _kronecker_mul, primes_up_to
@@ -169,12 +168,6 @@ class EtaProduct:
     @property
     def q_shift(self) -> int:
         return self.weight_24 // 24
-
-    @property
-    def weight(self):
-        # each eta factor carries weight 1/2; exact even when half-integral
-        total = sum(k for _, k in self.factors)
-        return total // 2 if total % 2 == 0 else Fraction(total, 2)
 
     def expand(self, precision: int = DEFAULT_PRECISION) -> QSeries:
         """Exact coefficients through q^precision.

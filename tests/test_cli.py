@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import cyarith
 from cyarith import cmforms, registry, tensor
 from cyarith.cli import main
 from cyarith.report import suite_exit_code
@@ -44,6 +48,10 @@ def test_cm_coeffs(capsys):
     assert code == 0
     rows = {r["p"]: r["ap"] for r in json.loads(out)}
     assert rows == {3: 0, 5: -82, 7: 0, 11: 0, 13: -1194, 17: 2242}
+    # 3 ramifies in Q(sqrt(-3)): an empty table, still exit 0
+    argv = ("cm-coeffs", "--field", "zeta3", "--weight", "3", "--pmax", "3")
+    assert run(capsys, *argv) == (0, "[]\n", "")
+    assert run(capsys, *argv, "--csv") == (0, "p,ap\n", "")
 
 
 def test_gross_normalize(capsys):
@@ -79,6 +87,16 @@ def test_verify_ahlgren_cli(capsys):
     rows = json.loads(out)
     assert all(r["match"] for r in rows)
     assert rows[0] == {"p": 3, "count": 245, "brute": 245, "ap": -12, "predicted": 245, "match": True}
+    # beyond --brute-max the brute cell is None, an empty CSV cell
+    code, out, _ = run(capsys, "verify-ahlgren", "--pmax", "11", "--brute-max", "5", "--csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "p,count,brute,ap,predicted,match",
+        "3,245,245,-12,245,True",
+        "5,3175,3175,54,3175,True",
+        "7,17321,,-88,17321,True",
+        "11,162589,,540,162589,True",
+    ]
 
 
 def test_tensor_factor_cli(capsys):
@@ -167,6 +185,15 @@ def test_classify_arrangement_malformed_file(tmp_path, capsys):
 def test_classify_arrangement_missing_file(capsys):
     code, _, err = run(capsys, "classify-arrangement", "/nonexistent/file.arr")
     assert code == 1
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # no float and no Fraction in the package: a cold CLI start pays for neither
+    src = Path(cyarith.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, cyarith.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_euler_cli(capsys):

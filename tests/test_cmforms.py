@@ -279,6 +279,25 @@ def test_composite_split_n_is_rejected_on_every_path():
         GAUSSIAN_FAMILY.curve_ap(27)
 
 
+def test_non_split_prime_is_rejected_before_cornacchia(monkeypatch):
+    # inert 1000003 = 3 mod 4 in Q(i) and 1000037 = 2 mod 3 in Q(sqrt(-3)),
+    # ramified 2 and 3: a bad argument, not a broken identity, and no
+    # search for a square root of -d that does not exist
+    calls = Counter()
+    real = cmforms._cornacchia
+
+    def counting(field, p):
+        calls[field, p] += 1
+        return real(field, p)
+
+    monkeypatch.setattr(cmforms, "_cornacchia", counting)
+    for field, p in ((GAUSSIAN, 1000003), (EISENSTEIN, 1000037), (GAUSSIAN, 2), (EISENSTEIN, 3)):
+        assert is_prime(p) and not field.is_split(p)
+        with pytest.raises(ValueError, match=f"^p = {p} is not a split prime for d = {field.d}$"):
+            normalized_trace(p, field)
+    assert calls == Counter()
+
+
 def test_curve_ap_hasse_and_torsion_near_10_12():
     # beyond the reach of the character sum: |a_p| <= 2 sqrt(p), and the
     # rational torsion divides #E(F_p) = p + 1 - a_p (8 for y^2 = x^3 - x

@@ -3,7 +3,6 @@ import pytest
 from cyarith.euler import (
     ELLIPTIC_BLOCK,
     KummerData,
-    borcea_voisin_table,
     double_cover_euler,
     fold_elliptic,
     iterated_elliptic_euler,
@@ -53,13 +52,10 @@ def test_fold_matches_closed_form():
 
 
 def test_borcea_voisin_list():
-    table = borcea_voisin_table()
-    assert len(table) == 20
-    assert all(v % 12 == 0 for v in table)
-    assert list(table) == [
+    # K3 (e = 24) branched in D, e(D) = -18, ..., 20, times an elliptic block
+    covers = [double_cover_euler(KummerData(24, e), ELLIPTIC_BLOCK) for e in range(-18, 21, 2)]
+    assert [c.e_cover for c in covers] == [
         -108, -96, -84, -72, -60, -48, -36, -24, -12, 0,
         12, 24, 36, 48, 60, 72, 84, 96, 108, 120,
     ]
-    assert table[0] == 6 * -18
-    assert table[-1] == 6 * 20
-    assert 0 in table
+    assert [c.e_branch for c in covers] == [48 + 4 * e for e in range(-18, 21, 2)]
