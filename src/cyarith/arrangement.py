@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import gcd
+from math import comb, gcd
 
 from .arith import minors_by_size, require_odd_prime
 
@@ -355,6 +355,34 @@ def classify(arr: Arrangement, poset: list[Stratum] | None = None) -> Classifica
         )
     ok, violators = crepant_resolvable(arr, poset)
     return Classification(n, tuple(rows), ok, tuple(violators))
+
+
+def incidence_count_breaks(rows) -> list[tuple[int, int]]:
+    """The types (dim, mult) of dimension <= top - 2 whose incidence vector
+    breaks the pair or the triple count, where `rows` are (dim, mult,
+    incidence) in table order, the incidence columns being the
+    positive-dimensional rows in that order and top their largest
+    dimension.
+
+    Every pair of the m hyperplanes through a stratum spans one flat of
+    dimension top, which holds C(mult, 2) of the pairs, so C(m, 2) is the
+    sum of C(mult, 2) N over the columns of dimension top.  When every type
+    of dimension top has multiplicity 2, every triple has rank 3 and spans
+    one flat of dimension top - 1, so C(m, 3) is the sum of C(mult, 3) N
+    over those columns.  Any other type of dimension top is a ValueError.
+    """
+    rows = list(rows)
+    columns = [(dim, mult) for dim, mult, _ in rows if dim >= 1]
+    top = max(dim for dim, _ in columns)
+    if any(dim == top and mult != 2 for dim, mult in columns):
+        raise ValueError(f"a type of dimension {top} meets three hyperplanes: triples need not have rank 3")
+    breaks = []
+    for dim, mult, incidence in rows:
+        pairs = sum(comb(m, 2) * n for (d, m), n in zip(columns, incidence) if d == top)
+        triples = sum(comb(m, 3) * n for (d, m), n in zip(columns, incidence) if d == top - 1)
+        if dim <= top - 2 and (pairs, triples) != (comb(mult, 2), comb(mult, 3)):
+            breaks.append((dim, mult))
+    return breaks
 
 
 def crepant_resolvable(arr: Arrangement, poset: list[Stratum] | None = None):

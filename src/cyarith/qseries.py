@@ -1,12 +1,15 @@
 """Truncated integer q-expansions: Dedekind eta products and Hecke
 multiplicative expansion of eigenforms.
 
-An eta product is expanded factor by factor.  Each power E^k of the
-pentagonal series E is E^(k//2) E^(k - k//2), down to E^1 from the
+An eta product is expanded factor by factor, in x = q^g with g the gcd
+of its scales.  Each power E^k of the pentagonal series E is
+E^(k//2) E^(k - k//2) in its own variable, down to E^1 from the
 pentagonal number theorem, so an exponent costs one big-integer product
-and exponents share their intermediate powers (`unit_powers`).  Those
-products and the product of the factors are Kronecker substitutions
-(`arith._kronecker_mul`).
+and exponents share their intermediate powers (`unit_powers`).  A factor
+in x^s multiplies the running product one residue class mod s at a time,
+each class a series in x^s of its own.  Every product is a Kronecker
+substitution (`arith._kronecker_mul`), and none of them carries the zeros
+off the multiples of a scale.
 
 All series here are cusp forms, so coefficients start at q^1 and c_0 is
 identically zero.  A QSeries never reads beyond its stated precision.
@@ -15,6 +18,7 @@ identically zero.  A QSeries never reads beyond its stated precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Mapping
 
 from .arith import _kronecker_mul, primes_up_to
@@ -172,11 +176,17 @@ class EtaProduct:
     def expand(self, precision: int = DEFAULT_PRECISION) -> QSeries:
         """Exact coefficients through q^precision.
 
-        Each factor prod (1 - q^(m n))^k is `unit_powers(k, top // m)`
-        spread onto the exponents divisible by m; every factor after the
-        first costs one truncated Kronecker product.  `unit_powers` builds
-        E^k from smaller powers it keeps, and an exponent shared by several
-        factors or products is built again only for a longer top.
+        The product runs in x = q^g, g the gcd of the scales, so a factor
+        prod (1 - q^(m n))^k is E^k in x^(m/g), with E^k =
+        `unit_powers(k, size // (m/g))` and size the truncation in x.  The
+        factor of smallest scale is spread into the running product.  A
+        later factor in x^s touches each residue class mod s separately:
+        class r of the product is class r of the running product times
+        E^k, so it costs s truncated Kronecker products of about size / s
+        entries each, and never one of length size that is zero off the
+        multiples of s.  Only the classes r <= size exist.  `unit_powers`
+        builds E^k from smaller powers it keeps, and an exponent shared by
+        several factors or products is built again only for a longer top.
         """
         if precision < 0:
             raise ValueError("precision must be >= 0")
@@ -184,12 +194,17 @@ class EtaProduct:
         top = precision - shift
         vals = [0] * (precision + 1)
         if top >= 0:
-            unit = [1] + [0] * top
-            for i, (m, k) in enumerate(self.factors):
-                factor = [0] * (top + 1)
-                factor[::m] = unit_powers(k, top // m)
-                unit = _kronecker_mul(unit, factor, top) if i else factor
-            vals[shift:] = unit
+            g = gcd(*(m for m, _ in self.factors))
+            size = top // g
+            (first, k), *rest = sorted((m // g, k) for m, k in self.factors)
+            unit = [0] * (size + 1)
+            unit[::first] = unit_powers(k, size // first)
+            for s, k in rest:
+                power = unit_powers(k, size // s)
+                for r in range(min(s, size + 1)):
+                    column = unit[r::s]
+                    unit[r::s] = _kronecker_mul(column, power, len(column) - 1)
+            vals[shift::g] = unit
         return QSeries(tuple(vals))
 
     def __str__(self) -> str:

@@ -12,6 +12,7 @@ from .arith import IdentityViolation, odd_primes_up_to
 from .arrangement import (
     classify,
     good_reduction_report,
+    incidence_count_breaks,
     intersection_poset,
     poset_matches_mod_p,
     resolution_schedule,
@@ -218,6 +219,16 @@ def suite_arrangement() -> list[VerificationReport]:
         got = computed_rows.get((dim, mult))
         for k, cell in enumerate(printed, start=1):
             table.compare_published(f"type ({dim},{mult}) N{k}", got[k - 1] if got else None, cell)
+    table.check(
+        "pairs C(m,2) = N1 and triples C(m,3) = N2 + 4*N3 through every type of dim <= 1",
+        incidence_count_breaks((r.dim, r.mult, r.incidence) for r in cls.rows),
+        [],
+        DERIVED,
+    )
+    table.notes.append(
+        "the printed (0,9) row breaks the triple count: C(9,3) = 84 != 21 + 4*9 = 57, "
+        "so its own N3 = 9 forces N2 = 48"
+    )
     reports.append(table)
 
     sched = VerificationReport("resolution-schedule")

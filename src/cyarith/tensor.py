@@ -12,8 +12,10 @@ invariant under lambda -> D/lambda, D the product of the determinants,
 so c_(2h-k) = D^(h-k) c_k.  The product side (`euler_product`)
 multiplies the local factors of degree <= 2 into one coefficient list at
 full degree, one pass per factor, so every product has a small integer
-on one side.  It never uses the functional equation, so each mirrored
-coefficient is still compared with one computed independently.
+on one side.  It runs in T, or in T^2 when every factor is even in T, as
+all of them are at an inert prime.  It never uses the functional
+equation, so each mirrored coefficient is still compared with one
+computed independently.
 """
 
 from __future__ import annotations
@@ -99,13 +101,28 @@ def euler_product(factors) -> IntPoly:
     coefficient m of out * (a + b T + c T^2) is a out_m + b out_{m-1} +
     c out_{m-2}, so every product is a short coefficient times a long one.
     The a column is skipped for the constant term 1 of an Euler factor,
-    and the c column for a linear factor.  A factor of degree > 2 raises
+    and the c column for a linear factor.  When every factor is even,
+    a + c T^2 (every factor at an inert prime), the product runs in
+    U = T^2 on half as many coefficients, each factor linear in U, and is
+    spread back onto the even powers of T.  A factor of degree > 2 raises
     ValueError."""
-    out = [1]
+    abc = []
     for factor in factors:
         if factor.degree > 2:
             raise ValueError(f"not a local factor of degree <= 2: {factor}")
-        a, b, c = factor.coeff(0), factor.coeff(1), factor.coeff(2)
+        abc.append((factor.coeff(0), factor.coeff(1), factor.coeff(2)))
+    if any(b for _, b, _ in abc):
+        return IntPoly(_fused_product(abc))
+    half = _fused_product([(a, c, 0) for a, _, c in abc])
+    out = [0] * (2 * len(half) - 1)
+    out[::2] = half
+    return IntPoly(out)
+
+
+def _fused_product(abc) -> list[int]:
+    """Coefficients of the product of the a + b T + c T^2 in `abc`."""
+    out = [1]
+    for a, b, c in abc:
         shifted = [0] + out
         if a != 1:
             out = [a * x for x in out]
@@ -113,13 +130,15 @@ def euler_product(factors) -> IntPoly:
             out = [x + b * y + c * z for x, y, z in zip(out + [0, 0], shifted + [0], [0] + shifted)]
         else:
             out = [x + b * y for x, y in zip(out + [0], shifted)]
-    return IntPoly(out)
+    return out
 
 
 def power_factorization_rhs(curve_ap: int | None, p: int, field: CMField, n: int) -> IntPoly:
-    """prod_j L_p(weight n-2j+1, shift j)^C(n,j), with the two Dirichlet
-    factors (1 - p^(n/2) T)^(C(n,n/2)/2) (1 - chi(p) p^(n/2) T)^(C(n,n/2)/2)
-    closing the middle when n is even."""
+    """prod_j L_p(weight n-2j+1, shift j)^C(n,j), with the Dirichlet
+    factors (1 - p^(n/2) T) (1 - chi(p) p^(n/2) T), each pair taken as the
+    one quadratic 1 - (1 + chi(p)) p^(n/2) T + chi(p) p^n T^2, closing
+    the middle C(n,n/2)/2 times when n is even.  At an inert p every
+    factor is then even in T, and `euler_product` runs in T^2."""
     ap = curve_ap if field.is_split(p) else None
     factors = []
     for j in range((n - 1) // 2 + 1):
@@ -128,9 +147,8 @@ def power_factorization_rhs(curve_ap: int | None, p: int, field: CMField, n: int
         middle = comb(n, n // 2)
         if middle % 2:
             raise IdentityViolation(f"odd middle multiplicity C({n},{n // 2}) = {middle}")
-        half = middle // 2
-        pn2 = p ** (n // 2)
-        factors += [IntPoly((1, -pn2))] * half + [IntPoly((1, -field.chi(p) * pn2))] * half
+        chi, pn2 = field.chi(p), p ** (n // 2)
+        factors += [IntPoly((1, -(1 + chi) * pn2, chi * pn2 * pn2))] * (middle // 2)
     return euler_product(factors)
 
 

@@ -80,6 +80,7 @@ def test_criterion_6_singularity_table():
     cells = [f"type ({d},{m}) N{k}" for d, m, _, _ in AHLGREN_REFERENCE_TABLE for k in range(1, 7)]  # N1..N6
     known = {cell for cell, _, _ in DISCREPANCIES["arrangement"]}
     inputs += ["crepant resolvable"] + [cell for cell in cells if cell not in known]
+    inputs.append("pairs C(m,2) = N1 and triples C(m,3) = N2 + 4*N3 through every type of dim <= 1")
     label = "criterion 6: census, near-pencil set, resolvability; incidence via discrepancy protocol"
     _accept(label, "arrangement", {"twelve-plane-singularity-table": inputs}, budget=60.0)
 

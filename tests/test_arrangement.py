@@ -15,6 +15,7 @@ from cyarith.arrangement import (
     classify,
     crepant_resolvable,
     good_reduction_report,
+    incidence_count_breaks,
     intersection_poset,
     parse_arrangement,
     poset_matches_mod_p,
@@ -224,6 +225,29 @@ def test_ahlgren_incidence_block(ahlgren, ahlgren_poset):
     # single known transcription typo: the mult-9 points meet 48 triple
     # planes (hand-recount: 27 + 3 + 6 + 12), the table prints 21
     assert mismatches == [((0, 9), 2, 48, 21)]
+
+
+def test_pair_and_triple_counts_settle_the_printed_cell(ahlgren, ahlgren_poset):
+    # C(m,2) = N1 and C(m,3) = N2 + 4 N3 through every type of dim <= 1:
+    # the computed table keeps both, and the printed (0,9) row alone breaks
+    # the triple count, C(9,3) = 84 against 21 + 4*9 = 57
+    cls = classify(ahlgren, ahlgren_poset)
+    computed = [(r.dim, r.mult, r.incidence) for r in cls.rows]
+    assert sum(dim <= 1 for dim, _, _ in computed) == 8
+    assert incidence_count_breaks(computed) == []
+    printed = [(d, m, incidence) for d, m, _, incidence in AHLGREN_REFERENCE_TABLE]
+    assert incidence_count_breaks(printed) == [(0, 9)]
+    mended = [(d, m, (36, 48, *incidence[2:]) if (d, m) == (0, 9) else incidence) for d, m, incidence in printed]
+    assert incidence_count_breaks(mended) == []
+    # the pair count alone: one pair too few through a (1,4) line
+    paired = [(d, m, (5, *incidence[1:]) if (d, m) == (1, 4) else incidence) for d, m, incidence in mended]
+    assert incidence_count_breaks(paired) == [(1, 4)]
+
+
+def test_triple_count_needs_every_top_flat_to_hold_two_hyperplanes():
+    rows = [(2, 2, (0, 0)), (2, 3, (0, 0)), (0, 3, (3, 0))]
+    with pytest.raises(ValueError, match="triples need not have rank 3"):
+        incidence_count_breaks(rows)
 
 
 def test_ahlgren_incidence_uniform(ahlgren, ahlgren_poset):

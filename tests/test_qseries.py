@@ -1,5 +1,5 @@
 from collections import Counter
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -86,15 +86,8 @@ def test_eta_unit_power_matches_dense_powering(k, top):
     assert eta_unit_power(k, top) == pow_trunc(eta_unit_part(1, top), k, top)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 30)), min_size=1, max_size=3),
-    st.integers(1, 300),
-)
-def test_eta_product_matches_dense_oracle(factors, precision):
-    # pad with a power of eta(q) so that sum(m*k) is divisible by 24
-    pad = -sum(m * k for m, k in factors) % 24
-    eta = EtaProduct(tuple(factors) + (((1, pad),) if pad else ()))
+def _dense_expansion(eta: EtaProduct, precision: int) -> tuple[int, ...]:
+    # every factor at full length in q, zeros included, one dense product each
     top = precision - eta.q_shift
     expected = [0] * (precision + 1)
     if top >= 0:
@@ -102,7 +95,92 @@ def test_eta_product_matches_dense_oracle(factors, precision):
         for m, k in eta.factors:
             unit = mul_trunc(unit, pow_trunc(eta_unit_part(m, top), k, top), top)
         expected[eta.q_shift :] = unit
-    assert eta.expand(precision).values == tuple(expected)
+    return tuple(expected)
+
+
+@st.composite
+def _padded_products(draw):
+    # scales g*s with a common g, padded with a power of eta(q^g) so that
+    # sum(m*k) is divisible by 24: the product runs in q^g
+    g = draw(st.integers(1, 4))
+    drawn = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 30)), min_size=1, max_size=3))
+    factors = [(g * s, k) for s, k in drawn]
+    pad = -sum(m * k for m, k in factors) // g % (24 // gcd(g, 24))
+    return EtaProduct(tuple(factors) + (((g, pad),) if pad else ()))
+
+
+@st.composite
+def _coprime_scale_products(draw):
+    # two or three pairwise coprime scales above 1, times a common g; each
+    # exponent makes m*k divisible by 24 alone, so no eta(q) pads the
+    # product and its smallest scale in q^g is not 1
+    g = draw(st.integers(1, 3))
+    scales = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=2, max_size=3, unique=True))
+    return EtaProduct(tuple((g * s, 24 // gcd(24, g * s) * draw(st.integers(1, 2))) for s in scales))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_padded_products(), _coprime_scale_products()), st.integers(1, 300))
+def test_eta_product_matches_dense_oracle(eta, precision):
+    assert eta.expand(precision).values == _dense_expansion(eta, precision)
+
+
+@pytest.mark.parametrize(
+    "factors", [((1, 24),), ((4, 6),), ((1, 2), (11, 2)), ((2, 4), (4, 4)), ((2, 12), (3, 8)), ((2, 36), (3, 16))]
+)
+def test_precision_around_the_q_shift(factors):
+    eta = EtaProduct(factors)
+    for precision in range(max(eta.q_shift - 2, 0), eta.q_shift + 30):
+        assert eta.expand(precision).values == _dense_expansion(eta, precision), precision
+
+
+@pytest.fixture
+def operands(monkeypatch):
+    """(len(a), len(b)) of every Kronecker product qseries takes."""
+    seen = []
+    real = qseries._kronecker_mul
+
+    def recording(a, b, top):
+        seen.append((len(a), len(b)))
+        return real(a, b, top)
+
+    monkeypatch.setattr(qseries, "_kronecker_mul", recording)
+    return seen
+
+
+def test_scale_beyond_the_truncated_length(operands):
+    # eta(q^25) at precision 10 is truncated at size 8 past the q^2 shift:
+    # only the classes r <= 8 hold a coefficient, and each is one product
+    # of single entries; no product ever has an empty operand
+    eta = EtaProduct(((1, 23), (25, 1)))
+    unit_powers(23, 100)
+    operands.clear()
+    assert eta.expand(10).values == _dense_expansion(eta, 10)
+    assert operands == [(1, 1)] * 9
+    for precision in (0, 1, 2, 3, 5, 26, 27, 28, 60):
+        assert eta.expand(precision).values == _dense_expansion(eta, precision), precision
+    assert all(len_a and len_b for len_a, len_b in operands)
+
+
+@pytest.mark.parametrize(
+    "factors", [((1, 2), (11, 2)), ((5, 4), (1, 4)), ((2, 4), (4, 4)), ((9, 2), (3, 2)), ((6, 3), (2, 3))]
+)
+def test_a_factor_in_q_to_the_m_makes_m_short_products(operands, factors):
+    # with every power cached, expand multiplies only residue classes: the
+    # factor in (q^g)^m makes m products, each operand at most N/m + 1 long,
+    # N the truncation in q^g, in whichever order the factors are listed
+    eta = EtaProduct(factors)
+    precision = 400
+    g = gcd(*(m for m, _ in factors))
+    size = (precision - eta.q_shift) // g
+    m = max(m for m, _ in factors) // g
+    unit_powers.cache_clear()
+    for _, k in factors:
+        unit_powers(k, size)
+    operands.clear()
+    assert eta.expand(precision).values == _dense_expansion(eta, precision)
+    assert len(operands) == m
+    assert all(len_a <= size // m + 1 and len_b <= size // m + 1 for len_a, len_b in operands)
 
 
 def test_each_exponent_is_powered_once(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyarith import tensor
 from cyarith.arith import IdentityViolation, IntPoly, odd_primes_up_to
 from cyarith.cmforms import EISENSTEIN, GAUSSIAN, CMFormFamily, cm_euler_factor
 from cyarith.registry import EISENSTEIN_FAMILY, GAUSSIAN_FAMILY
@@ -204,6 +205,58 @@ _local_factors = st.one_of(
 @given(st.lists(_local_factors, max_size=12))
 def test_euler_product_matches_the_schoolbook_product(factors):
     assert euler_product(factors) == reduce(mul, factors, IntPoly.one())
+
+
+_even_factors = st.one_of(
+    st.tuples(st.integers(-10**6, 10**6)),
+    st.tuples(st.integers(-10**6, 10**6), st.just(0), st.integers(-10**30, 10**30)),
+).map(IntPoly)
+_odd_factors = st.tuples(
+    st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(bool), st.integers(-10**30, 10**30)
+).map(IntPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_even_factors, max_size=12))
+def test_euler_product_of_even_factors_matches_the_schoolbook_product(factors):
+    # every factor a + c T^2, constants and a != 1 included: the product in T^2
+    product = euler_product(factors)
+    assert product == reduce(mul, factors, IntPoly.one())
+    assert not any(product.coeffs[1::2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_even_factors, max_size=12), _odd_factors, st.integers(0, 12))
+def test_euler_product_with_one_odd_factor_matches_the_schoolbook_product(factors, odd, at):
+    factors.insert(min(at, len(factors)), odd)
+    assert euler_product(factors) == reduce(mul, factors, IntPoly.one())
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_middle_quadratic_is_the_dirichlet_pair(monkeypatch, n):
+    # the last C(n, n/2)/2 factors of the product side are each
+    # (1 - p^(n/2) T)(1 - chi(p) p^(n/2) T); at an inert prime every
+    # factor is even in T
+    seen = []
+    real = tensor.euler_product
+
+    def recording(factors):
+        seen.append(list(factors))
+        return real(seen[-1])
+
+    monkeypatch.setattr(tensor, "euler_product", recording)
+    for field, family in ((GAUSSIAN, GAUSSIAN_FAMILY), (EISENSTEIN, EISENSTEIN_FAMILY)):
+        for p in (5, 7, 11, 13):  # split and inert in both fields
+            ap = family.curve_ap(p) if field.is_split(p) else None
+            seen.clear()
+            tensor.power_factorization_rhs(ap, p, field, n)
+            (factors,) = seen
+            half = comb(n, n // 2) // 2
+            pair = IntPoly((1, -(p ** (n // 2)))) * IntPoly((1, -field.chi(p) * p ** (n // 2)))
+            assert factors[-half:] == [pair] * half
+            assert len(factors) == sum(comb(n, j) for j in range(n // 2)) + half
+            if not field.is_split(p):
+                assert not any(factor.coeff(1) for factor in factors)
 
 
 def test_euler_product_rejects_a_degree_3_factor():
