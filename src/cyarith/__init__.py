@@ -39,6 +39,6 @@ from .pointcount import (
     verify_ahlgren,
 )
 from .qseries import EtaProduct, HeckeCoefficientSpec, QSeries, eta_product_expand, hecke_expand, series_match
-from .tensor import tensor_euler_factor, verify_g4xg3, verify_power_factorization
+from .tensor import tensor_euler_factor, verify_g4xg3, verify_power_factorization, verify_tensor_identity
 
 __version__ = "0.1.0"

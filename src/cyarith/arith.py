@@ -192,7 +192,9 @@ class IntPoly:
         return result
 
     def scale_arg(self, c: int) -> "IntPoly":
-        """p(c*T): the substitution T -> c*T."""
+        """p(c*T): the substitution T -> c*T; p itself when c = 1."""
+        if c == 1:
+            return self
         return IntPoly(tuple(a * c**k for k, a in enumerate(self.coeffs)))
 
     def __call__(self, t: int) -> int:

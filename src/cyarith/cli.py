@@ -101,8 +101,7 @@ def cmd_eta_expand(args) -> int:
 
 def cmd_cm_coeffs(args) -> int:
     family = registry.FAMILIES[args.field]
-    primes = [p for p in odd_primes_up_to(args.pmax) if not family.field.is_ramified(p)]
-    rows = [(p, family.ap(args.weight, p)) for p in primes]
+    rows = [(p, family.ap(args.weight, p)) for p in family.good_primes(args.pmax)]
     _write(args, "p,ap", rows, [{"p": p, "ap": ap} for p, ap in rows])
     return 0
 

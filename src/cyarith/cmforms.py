@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from math import isqrt
 
-from .arith import IdentityViolation, IntPoly, is_prime
+from .arith import IdentityViolation, IntPoly, is_prime, odd_primes_up_to
 from .pointcount import EllipticCurveModel
 from .qseries import DEFAULT_PRECISION, HeckeCoefficientSpec, QSeries, hecke_expand
 
@@ -364,6 +364,10 @@ class CMFormFamily:
     def bad_primes(self) -> frozenset[int]:
         """The primes ramified in the field: {2} for Q(i), {3} for Q(sqrt(-3))."""
         return frozenset(q for q in (2, 3) if self.field.is_ramified(q))
+
+    def good_primes(self, pmax: int) -> list[int]:
+        """The odd primes <= pmax that do not ramify in the field."""
+        return [p for p in odd_primes_up_to(pmax) if not self.field.is_ramified(p)]
 
     def curve_ap(self, p: int) -> int:
         """Weight-2 coefficient at a good prime: the trace of the normalized

@@ -1,9 +1,17 @@
-"""Local L-factors of tensor products of 2-dimensional Frobenius data,
-and the product-side factorizations they are checked against.
+"""Local L-factors of tensor products of CM Euler factors, and the one
+sector rule that splits them into CM pieces.
 
-Euler factors are compared as full polynomials, not just first traces:
-at inert primes every odd trace vanishes, so a trace-only comparison
-would be vacuous exactly where the sign conventions matter most.
+Choosing alpha^(k_i-1) or its conjugate from each of n factors of
+weights k_i gives an eigenvalue alpha^a conj(alpha)^b in sector (a, b)
+(`tensor_sectors`), and psi^a conj(psi)^b = N^b psi^(a-b): a sector
+a > b is the weight-(a-b+1) form in p^b T, the sector a = b the
+Dirichlet pair 1 and chi times N^a.  The paper's weight 4 (x) weight 3 =
+weight 6 + weight 2 in p^2 T, and the binomial factorization of the
+n-th tensor power of the weight-2 form, are this rule at (4, 3) and at
+(2,) * n.  Euler factors are compared as full polynomials, and the
+trace identity at every good prime: at inert primes every odd trace
+vanishes, so a trace-only check would be vacuous exactly where the
+sign conventions matter most.
 
 The two sides share no algorithm.  The tensor side turns power sums
 into the lower half of the factor by Newton's identities, to degree
@@ -22,11 +30,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import prod
 from operator import mul
 
-from .arith import IdentityViolation, IntPoly, odd_primes_up_to
-from .cmforms import CMField, cm_euler_factor, power_trace
+from .arith import IdentityViolation, IntPoly
+from .cmforms import CMField, cm_euler_factor
 from .registry import GAUSSIAN_FAMILY
 
 
@@ -88,14 +97,6 @@ def tensor_euler_factor(factors) -> IntPoly:
     return IntPoly(coeffs)
 
 
-# ---------------------------------------------------------------------------
-# The binomial factorization of the n-th tensor power of a weight-2 form
-
-
-def tensor_power_lhs(curve_ap: int | None, p: int, field: CMField, n: int) -> IntPoly:
-    return tensor_euler_factor([cm_euler_factor(2, field, p, curve_ap)] * n)
-
-
 def euler_product(factors) -> IntPoly:
     """Product of local factors of degree <= 2, one fused pass per factor:
     coefficient m of out * (a + b T + c T^2) is a out_m + b out_{m-1} +
@@ -133,85 +134,82 @@ def _fused_product(abc) -> list[int]:
     return out
 
 
-def power_factorization_rhs(curve_ap: int | None, p: int, field: CMField, n: int) -> IntPoly:
-    """prod_j L_p(weight n-2j+1, shift j)^C(n,j), with the Dirichlet
-    factors (1 - p^(n/2) T) (1 - chi(p) p^(n/2) T), each pair taken as the
-    one quadratic 1 - (1 + chi(p)) p^(n/2) T + chi(p) p^n T^2, closing
-    the middle C(n,n/2)/2 times when n is even.  At an inert p every
-    factor is then even in T, and `euler_product` runs in T^2."""
-    ap = curve_ap if field.is_split(p) else None
-    factors = []
-    for j in range((n - 1) // 2 + 1):
-        factors += [cm_euler_factor(n - 2 * j + 1, field, p, ap).scale_arg(p**j)] * comb(n, j)
-    if n % 2 == 0:
-        middle = comb(n, n // 2)
-        if middle % 2:
-            raise IdentityViolation(f"odd middle multiplicity C({n},{n // 2}) = {middle}")
-        chi, pn2 = field.chi(p), p ** (n // 2)
-        factors += [IntPoly((1, -(1 + chi) * pn2, chi * pn2 * pn2))] * (middle // 2)
-    return euler_product(factors)
-
-
-@dataclass(frozen=True)
-class FactorizationCheck:
-    p: int
-    n: int
-    lhs: IntPoly
-    rhs: IntPoly
-    trace_identity: bool  # split primes: a_p^n = sum_j C(n,j) p^j s_{n-2j} (+ middle)
-    equal: bool
-
-
-def verify_power_factorization(curve_ap: int | None, p: int, field: CMField, n: int) -> FactorizationCheck:
-    """Polynomial identity between the n-th tensor power and its product side."""
-    lhs = tensor_power_lhs(curve_ap, p, field, n)
-    rhs = power_factorization_rhs(curve_ap, p, field, n)
-    trace_ok = True
-    if field.is_split(p):
-        acc = sum(comb(n, j) * p**j * power_trace(curve_ap, p, n - 2 * j) for j in range((n - 1) // 2 + 1))
-        if n % 2 == 0:
-            acc += comb(n, n // 2) * p ** (n // 2)
-        trace_ok = acc == curve_ap**n
-    return FactorizationCheck(p, n, lhs, rhs, trace_ok, lhs == rhs)
-
-
 # ---------------------------------------------------------------------------
-# weight-4 x weight-3 = weight-6 + twisted weight-2 (the fivefold identity)
+# The sector rule: a tensor product of CM Euler factors as CM pieces
+
+
+@lru_cache(maxsize=None)
+def tensor_sectors(weights: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(a, b, count) for the sectors of the tensor product of CM forms of
+    these weights, largest a first: count of the 2^n choices of
+    alpha^(k-1) or its conjugate with product alpha^a conj(alpha)^b.  One
+    pass per factor, a choice adding k - 1 to a or to b; a + b is fixed,
+    so a names the sector.  No weights, or one below 2, is a ValueError."""
+    if not weights or min(weights) < 2:
+        raise ValueError(f"need one or more weights >= 2, got {weights}")
+    counts = [1]
+    for k in weights:
+        counts = [x + y for x, y in zip(counts + [0] * (k - 1), [0] * (k - 1) + counts)]
+    top = len(counts) - 1
+    return tuple((a, top - a, count) for a, count in reversed(list(enumerate(counts))) if count)
+
+
+def sector_factors(weights, curve_ap: int | None, p: int, field: CMField) -> list[tuple[IntPoly, int]]:
+    """The product side at a good prime as (local factor, multiplicity):
+    each choice in a sector a > b, paired with its conjugate in (b, a),
+    gives the weight-(a-b+1) factor in p^b T; each pair of choices with
+    a = b the Dirichlet factors (1 - p^a T)(1 - chi(p) p^a T), taken as
+    one quadratic 1 - (1 + chi(p)) p^a T + chi(p) p^(2a) T^2."""
+    sectors = tensor_sectors(tuple(weights))
+    chi, out = field.chi(p), []
+    for a, b, count in sectors:
+        if a > b:
+            out.append((cm_euler_factor(a - b + 1, field, p, curve_ap).scale_arg(p**b), count))
+        elif a == b:
+            pa = p**a
+            out.append((IntPoly((1, -(1 + chi) * pa, chi * pa * pa)), count // 2))
+    return out
 
 
 @dataclass(frozen=True)
-class TensorSplitRow:
+class TensorIdentityCheck:
     p: int
-    trace_lhs: int
-    trace_rhs: int
-    trace_equal: bool
     lhs: IntPoly
     rhs: IntPoly
+    trace_identity: bool
     poly_equal: bool
 
     @property
     def equal(self) -> bool:
-        return self.trace_equal and self.poly_equal
+        return self.trace_identity and self.poly_equal
 
 
-def g4xg3_row(family, p: int) -> TensorSplitRow:
-    """At one good odd prime: a_p(w4) a_p(w3) = a_p(w6) + p^2 a_p(w2) and the
-    full degree-4 factor identity L(w4 (x) w3) = L(w6) L(w2, shift 2).
+def verify_tensor_identity(weights, curve_ap: int | None, p: int, field: CMField) -> TensorIdentityCheck:
+    """The tensor product of the weight-k CM Euler factors at a good prime
+    p against its sector factorization, as polynomials and as traces:
+    prod a_p(k) = sum of multiplicity x trace over the product side, each
+    trace read from its own factor.  curve_ap is the weight-2 trace,
+    needed at split p."""
+    pieces = sector_factors(weights, curve_ap, p, field)
+    inputs = {k: cm_euler_factor(k, field, p, curve_ap) for k in set(weights)}
+    lhs = tensor_euler_factor([inputs[k] for k in weights])
+    rhs = euler_product([factor for factor, count in pieces for _ in range(count)])
+    traces = prod(-inputs[k].coeff(1) for k in weights)
+    trace_ok = traces == sum(count * -factor.coeff(1) for factor, count in pieces)
+    return TensorIdentityCheck(p, lhs, rhs, trace_ok, lhs == rhs)
 
-    One curve trace per prime feeds all four Euler factors; each a_p is
-    read back as -coeff(1) of its factor."""
-    ap = family.curve_ap(p)
-    w2, w3, w4, w6 = (cm_euler_factor(k, family.field, p, ap) for k in (2, 3, 4, 6))
-    lhs = tensor_euler_factor([w4, w3])
-    rhs = euler_product([w6, w2.scale_arg(p**2)])
-    t_lhs = w4.coeff(1) * w3.coeff(1)
-    t_rhs = -w6.coeff(1) - p**2 * w2.coeff(1)
-    return TensorSplitRow(p, t_lhs, t_rhs, t_lhs == t_rhs, lhs, rhs, lhs == rhs)
+
+def verify_power_factorization(curve_ap: int | None, p: int, field: CMField, n: int) -> TensorIdentityCheck:
+    """The n-th tensor power of the weight-2 form: the binomial factorization
+    prod_j L_p(weight n-2j+1, shift j)^C(n,j), with C(n,n/2)/2 Dirichlet
+    pairs when n is even."""
+    return verify_tensor_identity((2,) * n, curve_ap, p, field)
 
 
-def verify_g4xg3(pmax: int) -> list[TensorSplitRow]:
-    """Run g4xg3_row for the Gaussian family over every good odd prime <=
-    pmax (the bad prime 2, ramified in Q(i), skipped: equality of L-series
-    is only claimed up to finitely many factors)."""
-    primes = [p for p in odd_primes_up_to(pmax) if not GAUSSIAN_FAMILY.field.is_ramified(p)]
-    return [g4xg3_row(GAUSSIAN_FAMILY, p) for p in primes]
+def verify_g4xg3(pmax: int) -> list[TensorIdentityCheck]:
+    """weight 4 (x) weight 3 = weight 6 + weight 2 in p^2 T, the fivefold
+    identity, for the Gaussian family at every good odd prime <= pmax (the
+    bad prime 2 skipped: equality of L-series is only claimed up to
+    finitely many factors)."""
+    family = GAUSSIAN_FAMILY
+    return [verify_tensor_identity((4, 3), family.curve_ap(p), p, family.field) for p in family.good_primes(pmax)]

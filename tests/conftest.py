@@ -5,9 +5,10 @@ from cyarith.cmforms import normalized_trace
 from cyarith.pointcount import _ahlgren_enumerate
 from cyarith.qseries import unit_powers
 from cyarith.registry import load_bundled_arrangement
+from cyarith.tensor import tensor_sectors
 
 #: every cache in cyarith; test_caches.py fails when one is missing here
-CACHES = (normalized_trace, unit_powers, _ahlgren_enumerate)
+CACHES = (normalized_trace, unit_powers, _ahlgren_enumerate, tensor_sectors)
 
 
 @pytest.fixture(autouse=True)

@@ -185,6 +185,7 @@ def test_poly_eq_and_normalization():
 def test_poly_scale_and_eval():
     p = P(1, -2, 5)
     assert p.scale_arg(3) == P(1, -6, 45)
+    assert p.scale_arg(1) is p and p.scale_arg(-1) == P(1, 2, 5)
     assert p(2) == 1 - 4 + 20
 
 

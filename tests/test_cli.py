@@ -254,6 +254,21 @@ def test_suite_json_deterministic(capsys):
     assert all(rep["status"] == "pass" for rep in payload["reports"])
 
 
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        (("suite", "all", "--json"), 2, "suite_all.json"),
+        (("tensor-factor", "--pmax", "100", "--csv"), 0, "tensor_factor_p100.csv"),
+    ],
+)
+def test_outputs_reproduce_their_goldens_byte_for_byte(capsys, argv, code, golden):
+    # the committed outputs: every report of `suite all` (exit 2 for the one
+    # (0,9) N2 discrepancy) and the weight-4 x weight-3 Euler factor table
+    got, out, err = run(capsys, *argv)
+    assert (got, err) == (code, "")
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_suite_unknown_name_rejected():
     with pytest.raises(SystemExit):
         main(["suite", "bogus"])

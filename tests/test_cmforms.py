@@ -412,3 +412,12 @@ def test_family_bad_primes_are_the_ramified_primes():
         assert family.bad_primes == ramified == {p for p in primes_up_to(level) if level % p == 0}
         with pytest.raises(AttributeError):
             family.bad_primes = frozenset()
+
+
+def test_good_primes_are_the_odd_unramified_primes():
+    # Q(i) ramifies only at 2, so every odd prime is good; Q(sqrt(-3)) loses 3
+    assert GAUSSIAN_FAMILY.good_primes(30) == odd_primes_up_to(30) == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert EISENSTEIN_FAMILY.good_primes(30) == [5, 7, 11, 13, 17, 19, 23, 29]
+    assert EISENSTEIN_FAMILY.good_primes(3) == GAUSSIAN_FAMILY.good_primes(2) == []
+    for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
+        assert [p for p in primes_up_to(300) if p not in family.bad_primes and p != 2] == family.good_primes(300)

@@ -12,14 +12,14 @@ from cyarith.arith import IdentityViolation, IntPoly, odd_primes_up_to
 from cyarith.cmforms import EISENSTEIN, GAUSSIAN, CMFormFamily, cm_euler_factor
 from cyarith.registry import EISENSTEIN_FAMILY, GAUSSIAN_FAMILY
 from cyarith.tensor import (
-    FactorizationCheck,
+    TensorIdentityCheck,
     char_poly_from_power_sums,
     euler_product,
-    g4xg3_row,
     tensor_euler_factor,
-    tensor_power_lhs,
+    tensor_sectors,
     verify_g4xg3,
     verify_power_factorization,
+    verify_tensor_identity,
 )
 from oracles import (
     char_poly_signed_newton,
@@ -71,17 +71,25 @@ def test_degree4_factor_at_5_frozen():
     assert tensor_euler_factor([g4, g3]) == IntPoly((1, 132, 10350, 412500, 9765625))
 
 
+def _g4xg3(p):
+    return verify_tensor_identity((4, 3), GAUSSIAN_FAMILY.curve_ap(p), p, GAUSSIAN)
+
+
 def test_g4xg3_printed_primes():
+    # sectors (5,0) and (3,2): weight 6, and weight 2 in p^2 T
+    assert tensor_sectors((4, 3)) == ((5, 0, 1), (3, 2, 1), (2, 3, 1), (0, 5, 1))
     expected = {5: (-132, True), 13: (-180, True), 17: (2820, True)}
     for p, (trace, ok) in expected.items():
-        row = g4xg3_row(GAUSSIAN_FAMILY, p)
-        assert row.trace_lhs == row.trace_rhs == trace
+        row = _g4xg3(p)
+        assert -row.lhs.coeff(1) == -row.rhs.coeff(1) == trace
+        assert row.trace_identity
         assert row.poly_equal is ok
 
 
 def test_g4xg3_inert_prime_full_factor():
-    row = g4xg3_row(GAUSSIAN_FAMILY, 3)
-    assert row.trace_lhs == row.trace_rhs == 0
+    row = _g4xg3(3)
+    assert -row.lhs.coeff(1) == -row.rhs.coeff(1) == 0
+    assert row.trace_identity
     assert row.lhs == IntPoly((1, 0, 486, 0, 59049))  # (1 + 243T^2)^2
     assert row.poly_equal
 
@@ -89,7 +97,8 @@ def test_g4xg3_inert_prime_full_factor():
 def test_g4xg3_sweep_to_100():
     rows = verify_g4xg3(100)
     assert [r.p for r in rows] == odd_primes_up_to(100)
-    assert all(r.trace_equal and r.poly_equal for r in rows)
+    assert all(r.trace_identity and r.poly_equal for r in rows)
+    assert rows == [_g4xg3(p) for p in odd_primes_up_to(100)]
 
 
 def test_functional_equation_symmetry_degree4():
@@ -146,14 +155,12 @@ def test_mirrored_factor_matches_the_full_degree_oracle(distinct, picks):
 
 def test_mirrored_tensor_powers_match_the_oracle_to_300():
     for field, family in ((GAUSSIAN, GAUSSIAN_FAMILY), (EISENSTEIN, EISENSTEIN_FAMILY)):
-        for p in odd_primes_up_to(300):
-            if p in family.bad_primes or field.is_ramified(p):
-                continue
+        for p in family.good_primes(300):
             ap = family.curve_ap(p) if field.is_split(p) else None
             factor = cm_euler_factor(2, field, p, ap)
             for n in range(2, 7):
                 expected = tensor_euler_factor_full_degree([factor] * n)
-                assert tensor_power_lhs(ap, p, field, n) == expected, (field.d, n, p)
+                assert verify_power_factorization(ap, p, field, n).lhs == expected, (field.d, n, p)
 
 
 def test_empty_tensor_product_is_the_trivial_factor():
@@ -192,6 +199,8 @@ def test_g4xg3_computes_one_curve_ap_per_prime(monkeypatch):
     rows = verify_g4xg3(100)
     assert all(r.equal for r in rows)
     assert calls == Counter(odd_primes_up_to(100))
+    # and one sector count for the weights (4, 3), not one per prime
+    assert tensor_sectors.cache_info().misses == 1
 
 
 _local_factors = st.one_of(
@@ -249,7 +258,7 @@ def test_middle_quadratic_is_the_dirichlet_pair(monkeypatch, n):
         for p in (5, 7, 11, 13):  # split and inert in both fields
             ap = family.curve_ap(p) if field.is_split(p) else None
             seen.clear()
-            tensor.power_factorization_rhs(ap, p, field, n)
+            tensor.verify_power_factorization(ap, p, field, n)
             (factors,) = seen
             half = comb(n, n // 2) // 2
             pair = IntPoly((1, -(p ** (n // 2)))) * IntPoly((1, -field.chi(p) * p ** (n // 2)))
@@ -295,14 +304,12 @@ def test_power_factorization_sweep():
     # each side also against its oracle: the signed Newton loop on the
     # oracle's power sums, and the product side built from IntPoly powers
     for field, family in ((GAUSSIAN, GAUSSIAN_FAMILY), (EISENSTEIN, EISENSTEIN_FAMILY)):
-        for p in odd_primes_up_to(100):
-            if p in family.bad_primes or field.is_ramified(p):
-                continue
+        for p in family.good_primes(100):
             ap = family.curve_ap(p) if field.is_split(p) else None
             base = power_sums_from_poly(cm_euler_factor(2, field, p, ap), 2**6)
             for n in range(2, 7):
                 check = verify_power_factorization(ap, p, field, n)
-                assert isinstance(check, FactorizationCheck)
+                assert isinstance(check, TensorIdentityCheck)
                 assert check.equal, (field.d, n, p)
                 assert check.trace_identity, (field.d, n, p)
                 assert check.lhs == char_poly_signed_newton([s**n for s in base[: 2**n]], 2**n), (field.d, n, p)
@@ -317,9 +324,7 @@ def test_middle_binomial_exponent_integrality():
 
 def test_rhs_degree_bookkeeping():
     for n in range(2, 7):
-        from cyarith.tensor import power_factorization_rhs
-
-        poly = power_factorization_rhs(-2, 5, GAUSSIAN, n)
+        poly = verify_power_factorization(-2, 5, GAUSSIAN, n).rhs
         assert poly.degree == 2**n
 
 
@@ -335,3 +340,75 @@ def test_inert_euler_factor_det_sign():
     assert _factor(GAUSSIAN_FAMILY, 3, 3).coeff(2) == -9
     assert _factor(GAUSSIAN_FAMILY, 4, 3).coeff(2) == 27
     assert _factor(GAUSSIAN_FAMILY, 3, 3) == cm_euler_factor(3, GAUSSIAN, 3) == IntPoly((1, 0, -9))
+
+
+_good_primes_to_300 = st.sampled_from((GAUSSIAN_FAMILY, EISENSTEIN_FAMILY)).flatmap(
+    lambda family: st.tuples(st.just(family), st.sampled_from(family.good_primes(300)))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=4), _good_primes_to_300)
+def test_mixed_weights_match_the_full_degree_oracle(weights, family_and_p):
+    # any weights, either family, any good p: the sector rule's product
+    # side against the tensor factor computed at full degree, unmirrored
+    family, p = family_and_p
+    field, ap = family.field, family.curve_ap(p)
+    check = verify_tensor_identity(tuple(weights), ap, p, field)
+    inputs = [cm_euler_factor(k, field, p, ap) for k in weights]
+    assert check.rhs == tensor_euler_factor_full_degree(inputs)
+    assert check.trace_identity and check.equal
+    assert sum(count for _, _, count in tensor_sectors(tuple(weights))) == 2 ** len(weights)
+
+
+def test_sectors_of_a_tensor_square():
+    # alpha^2, alpha conj(alpha) twice, conj(alpha)^2
+    assert tensor_sectors((2, 2)) == ((2, 0, 1), (1, 1, 2), (0, 2, 1))
+    assert [count for _, _, count in tensor_sectors((2,) * 6)] == [comb(6, j) for j in range(7)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_power_factorization(-2, 5, GAUSSIAN, 0),
+        lambda: verify_power_factorization(-2, 5, GAUSSIAN, -1),
+        lambda: verify_tensor_identity((4, 1), -2, 5, GAUSSIAN),
+        lambda: verify_tensor_identity((), None, 3, EISENSTEIN),
+    ],
+    ids=["n=0", "n=-1", "weights=(4,1)", "no weights"],
+)
+def test_bad_tensor_input_is_an_input_error(monkeypatch, call):
+    # rejected before any Euler factor is built, not reported as a broken identity
+    def refuse(*args):
+        raise AssertionError("work done on bad input")
+
+    monkeypatch.setattr(tensor, "cm_euler_factor", refuse)
+    monkeypatch.setattr(tensor, "euler_product", refuse)
+    with pytest.raises(ValueError, match="weights >= 2"):
+        call()
+
+
+def test_equal_needs_both_the_trace_and_the_polynomial_identity():
+    poly = IntPoly((1, 2, 5))
+    for trace_ok, poly_ok in ((True, True), (True, False), (False, True), (False, False)):
+        assert TensorIdentityCheck(5, poly, poly, trace_ok, poly_ok).equal is (trace_ok and poly_ok)
+
+
+def test_trace_identity_is_read_from_the_factors_not_the_products(monkeypatch):
+    # a wrong product side leaves the trace identity standing; a wrong
+    # trace of the weight-3 sector factor of (2, 2) breaks it
+    real_product, real_factor = tensor.euler_product, tensor.cm_euler_factor
+    monkeypatch.setattr(tensor, "euler_product", lambda factors: real_product(factors) * IntPoly((1, 1)))
+    for p, ap in ((5, -2), (3, None)):
+        check = verify_power_factorization(ap, p, GAUSSIAN, 2)
+        assert (check.trace_identity, check.poly_equal, check.equal) == (True, False, False)
+    monkeypatch.setattr(tensor, "euler_product", real_product)
+
+    def off_by_one(weight, field, p, ap=None):
+        factor = real_factor(weight, field, p, ap)
+        return factor - IntPoly((0, 1)) if weight == 3 else factor
+
+    monkeypatch.setattr(tensor, "cm_euler_factor", off_by_one)
+    for p, ap in ((5, -2), (3, None)):  # split and inert
+        check = verify_power_factorization(ap, p, GAUSSIAN, 2)
+        assert not check.trace_identity and not check.equal
