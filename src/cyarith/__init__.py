@@ -25,7 +25,6 @@ from .cmforms import (
     CMForm,
     CMFormFamily,
     cm_euler_factor,
-    invariant_tensor_dimension,
     normalize_prime_element,
     power_trace,
     quotient_frobenius_trace,
@@ -39,6 +38,12 @@ from .pointcount import (
     verify_ahlgren,
 )
 from .qseries import EtaProduct, HeckeCoefficientSpec, QSeries, eta_product_expand, hecke_expand, series_match
-from .tensor import tensor_euler_factor, verify_g4xg3, verify_power_factorization, verify_tensor_identity
+from .tensor import (
+    invariant_tensor_dimension,
+    tensor_euler_factor,
+    verify_g4xg3,
+    verify_power_factorization,
+    verify_tensor_identity,
+)
 
 __version__ = "0.1.0"

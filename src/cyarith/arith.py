@@ -22,11 +22,18 @@ from array import array
 from itertools import combinations
 from math import isqrt
 
-# Strong-pseudoprime witnesses; deterministic for every n < 3.3e24,
-# far beyond any modulus used here.  The first four already decide every
-# n < 3,215,031,751, the least strong pseudoprime to bases 2, 3, 5 and 7.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Strong-pseudoprime witnesses: the primes up to 41 decide every n below
+# psi_13 = 3,317,044,064,679,887,385,961,981, the least strong pseudoprime
+# to all of them (the primes up to 37 stop at psi_12 = 318,665,857,834,
+# 031,151,167,461 = 399,165,290,221 x 798,330,580,441).  The first four
+# already decide every n < 3,215,031,751, the least strong pseudoprime to
+# bases 2, 3, 5 and 7.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_SMALL_LIMIT = 3_215_031_751
+
+#: is_prime raises ValueError at and above this bound (psi_13), where its
+#: witnesses stop being a proof
+PRIMALITY_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 class IdentityViolation(ArithmeticError):
@@ -38,9 +45,12 @@ class IdentityViolation(ArithmeticError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid for n < 3.3e24)."""
+    """Deterministic Miller-Rabin primality test for n < PRIMALITY_LIMIT;
+    a larger n raises ValueError rather than get an unproven answer."""
     if n < 2:
         return False
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"n = {n} is not below {PRIMALITY_LIMIT}, the limit of the deterministic primality test")
     for w in _MR_WITNESSES:
         if n == w:
             return True

@@ -1,7 +1,7 @@
 """CM eigenvalue systems for the two reference fields Q(i) and Q(sqrt(-3)):
 power-of-Grossencharakter trace recurrences, split/inert Euler factors,
-normalized prime elements, invariant tensor dimensions, and the Frobenius
-traces of the cyclic-quotient constructions."""
+normalized prime elements, and the Frobenius traces of the cyclic-quotient
+constructions."""
 
 from __future__ import annotations
 
@@ -143,25 +143,6 @@ class QuadOrderElem:
         return f"{self.x} {sign} {mag}{self.field.unit_symbol}"
 
 
-def norm_p_elements(p: int, field: CMField) -> list[QuadOrderElem]:
-    """All order elements of norm p (8 for Z[i], 12 for the Eisenstein order).
-
-    x^2 + t xy + y^2 = p gives y = (-t x +- sqrt(4p - d x^2)) / 2, so
-    |x| <= sqrt(4p/d).
-    """
-    d, t = field.d, field.t
-    out = []
-    bound = isqrt(4 * p // d)
-    for x in range(-bound, bound + 1):
-        disc = 4 * p - d * x * x
-        r = isqrt(disc)
-        if r * r == disc:
-            for s in (r - t * x, -r - t * x):
-                if s % 2 == 0:
-                    out.append(QuadOrderElem(field, x, s // 2))
-    return sorted(set(out), key=lambda e: (e.x, e.y))
-
-
 def is_normalized(elem: QuadOrderElem) -> bool:
     """The congruence singling out the canonical generator of a prime ideal.
 
@@ -171,23 +152,6 @@ def is_normalized(elem: QuadOrderElem) -> bool:
     if elem.field.d == 4:
         return (elem.x - 1 + elem.y) % 4 == 0 and (elem.y - elem.x + 1) % 4 == 0
     return elem.x % 3 == 1 and elem.y % 3 == 0
-
-
-def normalize_prime_element(p: int, field: CMField) -> QuadOrderElem:
-    """The normalized prime element above a split p.
-
-    Exactly one associate per prime ideal satisfies the congruence (the
-    units form a transversal of the residue classes), so two survivors
-    remain among all norm-p elements: a conjugate pair with equal trace.
-    Returns the one with y > 0.  That trace is the a_p of the reference
-    curve of the field's family.
-    """
-    if not (is_prime(p) and field.is_split(p)):
-        raise ValueError(f"p = {p} is not a split prime for d = {field.d}")
-    hits = [e for e in norm_p_elements(p, field) if is_normalized(e)]
-    if len(hits) != 2 or {hits[0].trace, hits[1].trace} != {hits[0].trace}:
-        raise IdentityViolation(f"normalization not unique at p = {p}: {[str(h) for h in hits]}")
-    return next(e for e in hits if e.y > 0)
 
 
 def _sqrt_minus(field: CMField, p: int) -> int:
@@ -228,23 +192,24 @@ def _cornacchia(field: CMField, p: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=4096)
-def normalized_trace(p: int, field: CMField) -> int:
-    """Trace of the normalized prime element above a split prime p.
+def normalize_prime_element(p: int, field: CMField) -> QuadOrderElem:
+    """The normalized prime element above a split prime p, in O(log p).
 
     Cornacchia's X^2 + d Y^2 = 4p gives pi = (X - tY)/2 + Y u of norm p.
-    Exactly one of its field.units associates pi u^k passes is_normalized;
-    the conjugate of that one is normalized above the conjugate ideal and
-    has the same trace.  O(log p) steps.  Shares only is_normalized and
-    QuadOrderElem with normalize_prime_element, its oracle.  A p that is
-    not prime, or not split in the field, raises ValueError before any
-    Cornacchia step.  The last 4096 traces are kept (about the split
-    primes of both fields below 39,000), so the weights of a family share
-    one Cornacchia and one primality test per prime.
+    Exactly one of its field.units associates pi u^k passes is_normalized
+    (the units form a transversal of the residue classes); the conjugate
+    of that one is normalized above the conjugate ideal and has the same
+    trace, the a_p of the reference curve of the field's family.  Of the
+    two, the one with y > 0 is returned.  A p that is not split in the
+    field, or not prime, raises ValueError before any Cornacchia step.
+    The last 4096 elements are kept (about the split primes of both
+    fields below 39,000), so the weights of a family share one primality
+    test and one Cornacchia per prime.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if not field.is_split(p):
         raise ValueError(f"p = {p} is not a split prime for d = {field.d}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     x, y = _cornacchia(field, p)
     elem = QuadOrderElem(field, (x - field.t * y) // 2, y)
     unit = QuadOrderElem(field, 0, 1)
@@ -255,43 +220,12 @@ def normalized_trace(p: int, field: CMField) -> int:
         elem = elem * unit
     if len(hits) != 1:
         raise IdentityViolation(f"normalization not unique at p = {p}: {[str(h) for h in hits]}")
-    return hits[0].trace
+    (alpha,) = hits
+    return alpha if alpha.y > 0 else alpha.conjugate()
 
 
 # ---------------------------------------------------------------------------
-# Invariant tensor dimensions and quotient traces
-
-
-_GROUPS = ("Z2diag", "Z3", "Z4")
-
-
-def invariant_tensor_dimension(group: str, n: int) -> int:
-    """Dimension of the subgroup-invariant part of the n-fold tensor square.
-
-    Basis tensors are sign vectors (e_1, ..., e_n), e_i in {+1, -1},
-    where the order-r generator acts on e_{+-1} with eigenvalue
-    zeta_r^(+-1); the element (a_1, ..., a_n) with sum a_i = 0 mod r
-    scales the tensor by zeta_r^(sum a_i e_i).  For the diagonal Z_2
-    group each factor acts by -1 on the whole 2-dimensional space
-    instead, so every tensor is invariant.  Checked against the group's
-    generators (1, 0, .., r-1, .., 0) by brute force over all 2^n signs.
-    """
-    if group not in _GROUPS:
-        raise ValueError(f"group must be one of {_GROUPS}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if group == "Z2diag":
-        # (-1)^(sum a_i) = +1 whenever sum a_i is even: everything survives
-        return 2**n
-    r = 3 if group == "Z3" else 4
-    count = 0
-    for bits in range(2**n):
-        signs = [1 if bits >> i & 1 else -1 for i in range(n)]
-        # generators a = e_1 + (r-1) e_j, j = 2..n; invariance needs
-        # signs[0] - signs[j] = 0 mod r for every j
-        if all((signs[0] - signs[j]) % r == 0 for j in range(1, n)):
-            count += 1
-    return count
+# Quotient traces
 
 
 def quotient_frobenius_trace(curve_ap: int, p: int, field: CMField, n: int) -> int:
@@ -373,9 +307,9 @@ class CMFormFamily:
         """Weight-2 coefficient at a good prime: the trace of the normalized
         prime element at split p (by Cornacchia, O(log p)), 0 at inert p.
         Bad primes and non-primes raise ValueError; a split p is tested for
-        primality by the cached `normalized_trace`, once per prime."""
+        primality by the cached `normalize_prime_element`, once per prime."""
         if self.field.is_split(p):
-            return normalized_trace(p, self.field)
+            return normalize_prime_element(p, self.field).trace
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if self.field.is_ramified(p):

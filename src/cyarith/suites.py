@@ -17,7 +17,7 @@ from .arrangement import (
     poset_matches_mod_p,
     resolution_schedule,
 )
-from .cmforms import invariant_tensor_dimension, normalize_prime_element, quotient_frobenius_trace
+from .cmforms import normalize_prime_element, quotient_frobenius_trace
 from .euler import (
     ELLIPTIC_BLOCK,
     KummerData,
@@ -28,7 +28,7 @@ from .euler import (
 from .pointcount import BRUTE_FORCE_LIMIT, ahlgren_predicted, elliptic_ap, verify_ahlgren
 from .qseries import hecke_expand
 from .report import DERIVED, PUBLISHED, VerificationReport
-from .tensor import verify_g4xg3, verify_power_factorization
+from .tensor import invariant_tensor_dimension, verify_g4xg3, verify_power_factorization
 
 
 def suite_eta() -> list[VerificationReport]:
@@ -73,13 +73,14 @@ def suite_cm(pmax: int = 100) -> list[VerificationReport]:
         good = family.good_primes(pmax)
         alphas = {p: normalize_prime_element(p, field) for p in good if field.is_split(p)}
         computed = {p: alpha.trace for p, alpha in alphas.items()}
-        # oracle: the curve's own point count, so the enumerated alpha is
-        # checked against the curve and not against the fast trace
+        # oracle: the curve's own point count, which shares no step with
+        # Cornacchia; this row is the independent check of alpha
         expected = {p: elliptic_ap(family.curve, p) for p in alphas}
         norm.check(f"trace of normalized element, d={field.d}, p<={pmax}", computed, expected, DERIVED)
         # oracle: the trace of alpha^n, powered by exact multiplication in the
         # order; the antidiagonal Frobenius at inert p has trace 0.  At n = 1
-        # this checks the fast curve_ap against the enumerated alpha.
+        # curve_ap and alpha come from the same Cornacchia, so that row
+        # compares it with itself; n >= 2 checks the Lucas power traces.
         powers = dict(alphas)
         aps = {p: family.curve_ap(p) for p in good}
         for n in range(1, 7):

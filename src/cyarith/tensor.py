@@ -8,10 +8,11 @@ a > b is the weight-(a-b+1) form in p^b T, the sector a = b the
 Dirichlet pair 1 and chi times N^a.  The paper's weight 4 (x) weight 3 =
 weight 6 + weight 2 in p^2 T, and the binomial factorization of the
 n-th tensor power of the weight-2 form, are this rule at (4, 3) and at
-(2,) * n.  Euler factors are compared as full polynomials, and the
-trace identity at every good prime: at inert primes every odd trace
-vanishes, so a trace-only check would be vacuous exactly where the
-sign conventions matter most.
+(2,) * n.  The invariant dimensions of the cyclic quotients are read off
+the same sectors of (2,) * n.  Euler factors are compared as full
+polynomials, and the trace identity at every good prime: at inert
+primes every odd trace vanishes, so a trace-only check would be vacuous
+exactly where the sign conventions matter most.
 
 The two sides share no algorithm.  The tensor side turns power sums
 into the lower half of the factor by Newton's identities, to degree
@@ -34,7 +35,7 @@ from functools import lru_cache
 from math import prod
 from operator import mul
 
-from .arith import IdentityViolation, IntPoly
+from .arith import IdentityViolation, IntPoly, is_prime
 from .cmforms import CMField, cm_euler_factor
 from .registry import GAUSSIAN_FAMILY
 
@@ -154,6 +155,30 @@ def tensor_sectors(weights: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]
     return tuple((a, top - a, count) for a, count in reversed(list(enumerate(counts))) if count)
 
 
+_GROUPS = ("Z2diag", "Z3", "Z4")
+
+
+def invariant_tensor_dimension(group: str, n: int) -> int:
+    """Dimension of the subgroup-invariant part of the n-fold tensor square
+    of the weight-2 form, read off the sectors of (2,) * n.
+
+    A basis tensor picks alpha or its conjugate from each factor, a sign
+    vector (e_1, ..., e_n); the order-r generator acts on e_{+-1} with
+    eigenvalue zeta_r^(+-1), and the element (a_1, ..., a_n) with
+    sum a_i = 0 mod r scales the tensor by zeta_r^(sum a_i e_i).  For
+    r = 3 and 4 the generators e_1 + (r-1) e_j fix it only when every
+    e_j = e_1, so the invariants are the pure sectors (n, 0) and (0, n).
+    The diagonal Z_2 group acts by -1 on each whole factor, and
+    (-1)^(sum a_i) = 1, so every sector is invariant.
+    """
+    if group not in _GROUPS:
+        raise ValueError(f"group must be one of {_GROUPS}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    sectors = tensor_sectors((2,) * n)
+    return sum(count for a, b, count in sectors if group == "Z2diag" or not (a and b))
+
+
 def sector_factors(weights, curve_ap: int | None, p: int, field: CMField) -> list[tuple[IntPoly, int]]:
     """The product side at a good prime as (local factor, multiplicity):
     each choice in a sector a > b, paired with its conjugate in (b, a),
@@ -189,7 +214,17 @@ def verify_tensor_identity(weights, curve_ap: int | None, p: int, field: CMField
     p against its sector factorization, as polynomials and as traces:
     prod a_p(k) = sum of multiplicity x trace over the product side, each
     trace read from its own factor.  curve_ap is the weight-2 trace,
-    needed at split p."""
+    needed at split p.
+
+    A p that is not prime raises ValueError before any Euler factor is
+    built, and so does a split-prime curve_ap beyond the Hasse bound
+    curve_ap^2 <= 4p.  Both sides are built from the one curve_ap, so a
+    wrong trace inside the bound passes here: only the caller's oracle
+    for the trace can catch it."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if field.is_split(p) and curve_ap is not None and curve_ap * curve_ap > 4 * p:
+        raise ValueError(f"a_p = {curve_ap} breaks the Hasse bound a_p^2 <= 4p at p = {p}")
     pieces = sector_factors(weights, curve_ap, p, field)
     inputs = {k: cm_euler_factor(k, field, p, curve_ap) for k in set(weights)}
     lhs = tensor_euler_factor([inputs[k] for k in weights])

@@ -54,6 +54,18 @@ Tensor factors (`cyarith.tensor`).
   the full degree 2^n, with no functional equation and no grouping of
   repeated factors, the reference for `tensor.tensor_euler_factor`.
 
+CM prime elements and invariant dimensions (`cyarith.cmforms`,
+`cyarith.tensor`).
+
+- `norm_p_elements` lists every element of norm p by trying each x with
+  |x| <= sqrt(4p/d), O(sqrt(p)) square roots, and
+  `normalized_element_by_enumeration` keeps the two that pass
+  `is_normalized`, the reference for the Cornacchia search of
+  `cmforms.normalize_prime_element`.
+- `invariant_dimension_by_signs` tests each of the 2^n sign vectors
+  against the generators of the sum-zero group, the reference for
+  `tensor.invariant_tensor_dimension`, which reads the sectors.
+
 Hecke expansion (`cyarith.qseries`).
 
 - `hecke_expand_trial_division` factors every index by trial division
@@ -66,11 +78,11 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
-from cyarith.arith import IdentityViolation, IntPoly, LegendreTable, require_odd_prime
+from cyarith.arith import IdentityViolation, IntPoly, LegendreTable, is_prime, require_odd_prime
 from cyarith.arrangement import GoodReductionReport, Stratum
-from cyarith.cmforms import cm_euler_factor
+from cyarith.cmforms import QuadOrderElem, cm_euler_factor, is_normalized
 from cyarith.qseries import QSeries, eta_unit_part
 
 
@@ -514,6 +526,56 @@ def tensor_euler_factor_full_degree(factors) -> IntPoly:
             sums[m] *= cur
             prev, cur = cur, t * cur - d * prev
     return char_poly_signed_newton(sums, degree)
+
+
+# ---------------------------------------------------------------------------
+# CM prime elements and invariant dimensions
+
+
+def norm_p_elements(p: int, field) -> list[QuadOrderElem]:
+    """All order elements of norm p (8 for Z[i], 12 for the Eisenstein order).
+
+    x^2 + t xy + y^2 = p gives y = (-t x +- sqrt(4p - d x^2)) / 2, so
+    |x| <= sqrt(4p/d).
+    """
+    d, t = field.d, field.t
+    out = []
+    bound = isqrt(4 * p // d)
+    for x in range(-bound, bound + 1):
+        disc = 4 * p - d * x * x
+        r = isqrt(disc)
+        if r * r == disc:
+            for s in (r - t * x, -r - t * x):
+                if s % 2 == 0:
+                    out.append(QuadOrderElem(field, x, s // 2))
+    return sorted(set(out), key=lambda e: (e.x, e.y))
+
+
+def normalized_element_by_enumeration(p: int, field) -> QuadOrderElem:
+    """The normalized element of norm p with y > 0, found among all
+    elements of norm p: the two that pass `is_normalized` must be a
+    conjugate pair, so of equal trace."""
+    if not (is_prime(p) and field.is_split(p)):
+        raise ValueError(f"p = {p} is not a split prime for d = {field.d}")
+    hits = [e for e in norm_p_elements(p, field) if is_normalized(e)]
+    if len(hits) != 2 or hits[0].conjugate() != hits[1]:
+        raise IdentityViolation(f"normalization not unique at p = {p}: {[str(h) for h in hits]}")
+    return next(e for e in hits if e.y > 0)
+
+
+def invariant_dimension_by_signs(group: str, n: int) -> int:
+    """The number of sign vectors e in {+1, -1}^n whose tensor every
+    generator a = e_1 + (r-1) e_j, j = 2..n, of the sum-zero subgroup of
+    (Z_r)^n fixes: Z3 and Z4 scale it by zeta_r^(a . e), the diagonal
+    Z2 by (-1)^(a_1 + a_j), whatever e is."""
+    r = {"Z2diag": 2, "Z3": 3, "Z4": 4}[group]
+    count = 0
+    for bits in range(2**n):
+        signs = [1 if bits >> i & 1 else -1 for i in range(n)]
+        exps = [1] * n if group == "Z2diag" else signs
+        if all((exps[0] + (r - 1) * exps[j]) % r == 0 for j in range(1, n)):
+            count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------

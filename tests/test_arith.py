@@ -12,6 +12,7 @@ from cyarith.arith import (
     IntPoly,
     _kronecker_mul,
     LegendreTable,
+    PRIMALITY_LIMIT,
     is_prime,
     legendre,
     minors_by_size,
@@ -50,6 +51,18 @@ def test_is_prime_strong_pseudoprimes_at_the_witness_boundary():
     small = primes_up_to(isqrt(3_215_031_800))
     for n in range(3_215_031_701, 3_215_031_800, 2):
         assert is_prime(n) == all(n % q for q in small), n
+
+
+def test_is_prime_at_the_end_of_its_deterministic_range():
+    # psi_12, the least strong pseudoprime to every prime base up to 37,
+    # falls to base 41; psi_13, the least one to every base up to 41, is
+    # where the test stops answering
+    psi12 = 318_665_857_834_031_151_167_461
+    assert psi12 == 399_165_290_221 * 798_330_580_441
+    assert not is_prime(psi12)
+    assert PRIMALITY_LIMIT == 3_317_044_064_679_887_385_961_981
+    with pytest.raises(ValueError, match="limit of the deterministic primality test"):
+        is_prime(PRIMALITY_LIMIT)
 
 
 def test_require_odd_prime():

@@ -74,6 +74,32 @@ def test_gross_normalize_inert_prime_fails(capsys):
     assert "split" in err
 
 
+def test_gross_normalize_errors(capsys):
+    # a prime that does not split keeps its message; a split composite is
+    # not prime; beyond the primality test's range is an input error
+    assert run(capsys, "gross-normalize", "7", "--field", "i") == (1, "", "error: p = 7 is not a split prime for d = 4\n")
+    assert run(capsys, "gross-normalize", "25") == (1, "", "error: p = 25 is not prime\n")
+    code, out, err = run(capsys, "gross-normalize", str(cyarith.arith.PRIMALITY_LIMIT * 4 + 1))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: n = ") and "limit of the deterministic primality test" in err
+
+
+def test_gross_normalize_reproduces_its_golden_byte_for_byte(capsys):
+    # one output per (field, p); the golden is the list of those outputs,
+    # written as the CLI writes one
+    golden = (GOLDEN / "gross_normalize.json").read_text()
+    payloads = []
+    for entry in json.loads(golden):
+        code, out, err = run(capsys, "gross-normalize", str(entry["p"]), "--field", entry["field"])
+        assert (code, err) == (0, "")
+        payloads.append(json.loads(out))
+        assert out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+    assert json.dumps(payloads, indent=2, sort_keys=True) + "\n" == golden
+    assert [(e["field"], e["p"]) for e in payloads] == [("i", p) for p in (5, 13, 97, 1009, 65537, 999961)] + [
+        ("zeta3", p) for p in (7, 13, 97, 1009, 999979)
+    ]
+
+
 def test_elliptic_ap(capsys):
     code, out, _ = run(capsys, "elliptic-ap", "--curve=-1,0", "--pmax", "13")
     assert code == 0
@@ -334,12 +360,13 @@ def test_suite_rejects_csv(capsys):
 
 
 def test_identity_violation_exits_1_without_traceback(monkeypatch, capsys):
-    # a third normalized element of norm p breaks the uniqueness of the
-    # normalization: a FAIL report inside `suite all`, whose other
-    # sub-suites still run, and a FAIL line on stderr for other commands
-    real = cmforms.norm_p_elements
+    # a congruence that a second associate passes too, alpha u^-1 for the
+    # unit u, breaks the uniqueness of the normalization: a FAIL report
+    # inside `suite all`, whose other sub-suites still run, and a FAIL line
+    # on stderr for other commands
+    real = cmforms.is_normalized
     monkeypatch.setattr(
-        cmforms, "norm_p_elements", lambda p, field: real(p, field) + [cmforms.QuadOrderElem(field, 1, 0)]
+        cmforms, "is_normalized", lambda e: real(e) or real(e * cmforms.QuadOrderElem(e.field, 0, 1))
     )
     code, out, err = run(capsys, "suite", "all")
     assert code == 1
@@ -377,9 +404,10 @@ def test_opposite_normalization_fails_the_normalized_element_row(monkeypatch):
 
 
 def test_wrong_fast_trace_fails_the_quotient_rows(monkeypatch):
-    # the fast curve_ap is checked against the enumerated alpha (n = 1)
-    real = cmforms.normalized_trace
-    monkeypatch.setattr(cmforms, "normalized_trace", lambda p, field: -real(p, field))
+    # a curve_ap that is not the trace of alpha fails the quotient rows
+    # (n = 1 compares the two directly), and alpha itself still passes
+    real = cmforms.CMFormFamily.curve_ap
+    monkeypatch.setattr(cmforms.CMFormFamily, "curve_ap", lambda self, p: -real(self, p))
     statuses = {r.claim: r.status for r in run_suite("cm", pmax=30)}
     assert statuses["quotient-frobenius-traces"] == "fail"
     assert statuses["normalized-prime-elements"] == "pass"

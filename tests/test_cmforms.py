@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cyarith import cmforms, pointcount
 from cyarith.arith import IntPoly, is_prime, legendre, odd_primes_up_to, primes_up_to
 from cyarith.cmforms import (
@@ -12,17 +13,16 @@ from cyarith.cmforms import (
     GAUSSIAN,
     QuadOrderElem,
     cm_euler_factor,
-    invariant_tensor_dimension,
     is_normalized,
-    norm_p_elements,
     normalize_prime_element,
-    normalized_trace,
     power_trace,
     quotient_frobenius_trace,
 )
 from cyarith.pointcount import elliptic_ap
 from cyarith.qseries import hecke_expand
 from cyarith.registry import CURVE_EISENSTEIN, CURVE_GAUSSIAN, EISENSTEIN_FAMILY, GAUSSIAN_FAMILY
+from cyarith.tensor import invariant_tensor_dimension
+from oracles import invariant_dimension_by_signs, norm_p_elements, normalized_element_by_enumeration
 
 
 def test_field_characters():
@@ -211,33 +211,47 @@ def test_curve_ap_equals_point_count_up_to_2000():
 
 
 def test_curve_ap_equals_enumerated_normalized_trace_up_to_20000():
+    # the whole element, not only its trace, against the O(sqrt(p)) search
     for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
-        d = family.field.d
+        field, d = family.field, family.field.d
         for p in _split_primes(family, 20000):
-            assert family.curve_ap(p) == normalize_prime_element(p, family.field).trace, p
-            x, y = cmforms._cornacchia(family.field, p)
+            alpha = normalize_prime_element(p, field)
+            assert alpha == normalized_element_by_enumeration(p, field), p
+            assert family.curve_ap(p) == alpha.trace, p
+            x, y = cmforms._cornacchia(field, p)
             assert x * x + d * y * y == 4 * p, p
 
 
 def test_curve_ap_calls_neither_enumeration_nor_point_count(monkeypatch):
-    # the oracles of curve_ap stay off its code path
+    # the enumeration lives only in the oracles, the point count only in
+    # pointcount, and neither is on curve_ap's path: a split p near 10^6
+    # takes the two square roots of one Cornacchia step, where the search
+    # over |x| <= sqrt(4p/d) would take about a thousand
     def forbidden(*args):
         raise AssertionError("oracle called from curve_ap")
 
     for module, name in (
-        (cmforms, "norm_p_elements"),
-        (cmforms, "normalize_prime_element"),
+        (oracles, "norm_p_elements"),
+        (oracles, "normalized_element_by_enumeration"),
         (cmforms, "elliptic_ap"),
         (pointcount, "elliptic_ap"),
     ):
         monkeypatch.setattr(module, name, forbidden, raising=False)
+    assert not hasattr(cmforms, "norm_p_elements")
     for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
         assert [family.curve_ap(p) for p in (5, 7, 13)] == [elliptic_ap(family.curve, p) for p in (5, 7, 13)]
+    roots = []
+    real_isqrt = cmforms.isqrt
+    monkeypatch.setattr(cmforms, "isqrt", lambda n: roots.append(n) or real_isqrt(n))
+    for family, p in ((GAUSSIAN_FAMILY, 999961), (EISENSTEIN_FAMILY, 999979)):
+        roots.clear()
+        family.curve_ap(p)
+        assert len(roots) == 2, p
 
 
 def test_family_weights_share_one_cornacchia_per_split_prime(monkeypatch):
     # and one primality test: inert primes take none, split ones take the
-    # cached normalized_trace's
+    # cached normalize_prime_element's
     calls = Counter()
     tested = Counter()
     real = cmforms._cornacchia
@@ -263,13 +277,14 @@ def test_family_weights_share_one_cornacchia_per_split_prime(monkeypatch):
 
 def test_composite_split_n_is_rejected_on_every_path():
     # 25 = 5^2 splits in Q(i) and 49 = 7^2 in Q(sqrt(-3)): chi(n) = 1, so
-    # only normalized_trace's primality test stands between n and Cornacchia
+    # only normalize_prime_element's primality test stands between n and
+    # Cornacchia
     for family, n in ((GAUSSIAN_FAMILY, 25), (EISENSTEIN_FAMILY, 49)):
         assert family.field.is_split(n)
         for call in (
             family.curve_ap,
             lambda n: family.ap(3, n),
-            lambda n: normalized_trace(n, family.field),
+            lambda n: normalize_prime_element(n, family.field),
         ):
             with pytest.raises(ValueError, match=f"^p = {n} is not prime$"):
                 call(n)
@@ -294,8 +309,28 @@ def test_non_split_prime_is_rejected_before_cornacchia(monkeypatch):
     for field, p in ((GAUSSIAN, 1000003), (EISENSTEIN, 1000037), (GAUSSIAN, 2), (EISENSTEIN, 3)):
         assert is_prime(p) and not field.is_split(p)
         with pytest.raises(ValueError, match=f"^p = {p} is not a split prime for d = {field.d}$"):
-            normalized_trace(p, field)
+            normalize_prime_element(p, field)
     assert calls == Counter()
+
+
+def test_normalize_above_2_to_the_61_takes_one_cornacchia(monkeypatch):
+    # a prime just above 2^61, 1 mod 12 so split in both fields, where the
+    # enumeration would need about 10^9 square roots
+    p = 2305843009213694017
+    assert p > 2**61 and is_prime(p) and p % 12 == 1
+    calls = Counter()
+    real = cmforms._cornacchia
+
+    def counting(field, q):
+        calls[field, q] += 1
+        return real(field, q)
+
+    monkeypatch.setattr(cmforms, "_cornacchia", counting)
+    for field in (GAUSSIAN, EISENSTEIN):
+        alpha = normalize_prime_element(p, field)
+        assert alpha.norm == p and alpha.y > 0 and is_normalized(alpha)
+        assert calls == Counter({(field, p): 1})
+        calls.clear()
 
 
 def test_curve_ap_hasse_and_torsion_near_10_12():
@@ -348,6 +383,12 @@ def _invariant_dim_full_group(r: int, n: int) -> int:
 def test_invariant_dimension_generator_shortcut_matches_full_group(n):
     assert invariant_tensor_dimension("Z3", n) == _invariant_dim_full_group(3, n)
     assert invariant_tensor_dimension("Z4", n) == _invariant_dim_full_group(4, n)
+
+
+def test_invariant_dimension_from_sectors_matches_the_sign_loop_to_12():
+    for n in range(1, 13):
+        for group in ("Z2diag", "Z3", "Z4"):
+            assert invariant_tensor_dimension(group, n) == invariant_dimension_by_signs(group, n), (group, n)
 
 
 def test_invariant_dimension_rejects_unknown_group():

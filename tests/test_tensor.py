@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyarith import tensor
-from cyarith.arith import IdentityViolation, IntPoly, odd_primes_up_to
+from cyarith.arith import IdentityViolation, IntPoly, is_prime, odd_primes_up_to
 from cyarith.cmforms import EISENSTEIN, GAUSSIAN, CMFormFamily, cm_euler_factor
 from cyarith.registry import EISENSTEIN_FAMILY, GAUSSIAN_FAMILY
 from cyarith.tensor import (
@@ -386,6 +386,26 @@ def test_bad_tensor_input_is_an_input_error(monkeypatch, call):
     monkeypatch.setattr(tensor, "euler_product", refuse)
     with pytest.raises(ValueError, match="weights >= 2"):
         call()
+
+
+def test_non_prime_p_and_a_trace_beyond_hasse_are_input_errors(monkeypatch):
+    # 9 = 1 mod 4 and 5 split in Q(i), so the field alone accepts both; one
+    # primality test per call, before any Euler factor is built
+    def refuse(*args):
+        raise AssertionError("work done on bad input")
+
+    tested = []
+    monkeypatch.setattr(tensor, "cm_euler_factor", refuse)
+    monkeypatch.setattr(tensor, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    with pytest.raises(ValueError, match="^p = 9 is not prime$"):
+        verify_tensor_identity((4, 3), 2, 9, GAUSSIAN)
+    assert tested == [9]
+    with pytest.raises(ValueError, match="Hasse bound"):
+        verify_tensor_identity((4, 3), 7, 5, GAUSSIAN)
+    for n in (2, 5):
+        with pytest.raises(ValueError, match="^p = 25 is not prime$"):
+            verify_power_factorization(0, 25, GAUSSIAN, n)
+    assert tested == [9, 5, 25, 25]
 
 
 def test_equal_needs_both_the_trace_and_the_polynomial_identity():
