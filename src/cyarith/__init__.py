@@ -7,7 +7,7 @@ hyperplane arrangements.  Everything is exact integer or rational
 arithmetic; every headline identity is runnable via the `cyarith` CLI.
 """
 
-from .arith import IdentityViolation, IntPoly, LegendreTable, is_prime, legendre
+from .arith import IdentityViolation, IntPoly, LegendreTable, is_prime
 from .arrangement import (
     Arrangement,
     Hyperplane,
@@ -27,7 +27,6 @@ from .cmforms import (
     cm_euler_factor,
     normalize_prime_element,
     power_trace,
-    quotient_frobenius_trace,
 )
 from .euler import KummerData, double_cover_euler, iterated_elliptic_euler
 from .pointcount import (
@@ -37,7 +36,7 @@ from .pointcount import (
     elliptic_ap,
     verify_ahlgren,
 )
-from .qseries import EtaProduct, HeckeCoefficientSpec, QSeries, eta_product_expand, hecke_expand, series_match
+from .qseries import EtaProduct, HeckeCoefficientSpec, QSeries, hecke_expand
 from .tensor import (
     invariant_tensor_dimension,
     tensor_euler_factor,

@@ -2,9 +2,10 @@
 
 Everything is integer and exact: deterministic primality testing,
 Legendre symbols with per-prime lookup tables, integer polynomials in
-one formal variable T, truncated products of integer coefficient lists
-by Kronecker substitution, and every square minor of an integer matrix
-by one level-by-level Laplace pass.  No floating point anywhere.
+one formal variable T as values (`tensor.euler_product` multiplies
+them), truncated products of integer coefficient lists by Kronecker
+substitution, and every square minor of an integer matrix by one
+level-by-level Laplace pass.  No floating point anywhere.
 
 The Kronecker product packs each list into one Python int, one digit of
 `width` bytes per coefficient.  A digit of 1, 2, 4 or 8 bytes is a
@@ -97,41 +98,26 @@ def require_odd_prime(p: int) -> int:
     return p
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) in {-1, 0, 1}, with the chi(0) = 0 convention.
-
-    The zero convention makes chi fully multiplicative, which the fast
-    point-count paths rely on.
-    """
-    require_odd_prime(p)
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 class LegendreTable:
-    """chi(a) lookups in O(1) after a single O(p) squares sieve.
+    """The Legendre symbol (a/p) for every residue a, from a single O(p)
+    squares sieve, with the chi(0) = 0 convention.
 
     Point counts and fibre sums evaluate chi O(p) times per prime, so
     the symbol is tabulated once.  `values` is indexed by residue and is
-    immutable after construction (safe to share across workers).
+    immutable after construction (safe to share across workers).  The
+    zero convention makes chi fully multiplicative, which the fast
+    point-count paths rely on.
     """
 
-    __slots__ = ("p", "values")
+    __slots__ = ("values",)
 
     def __init__(self, p: int):
         require_odd_prime(p)
-        self.p = p
         values = [-1] * p
         values[0] = 0
         for x in range(1, p):
             values[x * x % p] = 1
         self.values = values
-
-    def chi(self, a: int) -> int:
-        return self.values[a % self.p]
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +138,6 @@ class IntPoly:
                 raise TypeError(f"integer coefficients only, got {x!r}")
         self.coeffs = tuple(c)
 
-    @classmethod
-    def one(cls) -> "IntPoly":
-        return cls((1,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -169,49 +151,11 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if not self.coeffs or not other.coeffs:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
-    def __pow__(self, n: int) -> "IntPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = IntPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale_arg(self, c: int) -> "IntPoly":
         """p(c*T): the substitution T -> c*T; p itself when c = 1."""
         if c == 1:
             return self
         return IntPoly(tuple(a * c**k for k, a in enumerate(self.coeffs)))
-
-    def __call__(self, t: int) -> int:
-        v = 0
-        for a in reversed(self.coeffs):
-            v = v * t + a
-        return v
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -127,10 +127,6 @@ class Stratum:
             m |= 1 << i
         return m
 
-    @property
-    def type_key(self) -> tuple[int, int]:
-        return (self.dim, self.mult)
-
 
 def _pivot_col(v) -> int:
     """The column of the first nonzero entry of v."""
@@ -430,12 +426,6 @@ class GoodReductionReport:
     exceptional_odd_primes: tuple[int, ...]
     max_abs_minor: int
 
-    @property
-    def verdict(self) -> str:
-        return "all odd primes good" if self.all_unimodular else (
-            f"exceptional odd primes: {list(self.exceptional_odd_primes)}"
-        )
-
 
 def good_reduction_report(arr: Arrangement) -> GoodReductionReport:
     """Every square minor (all sizes) of the N x (n+1) coefficient matrix.
@@ -489,11 +479,14 @@ def _monic_mod(p: int, v) -> tuple[int, ...]:
 
 
 def _reduced_flats(arr: Arrangement, p: int) -> dict[int, int] | None:
-    """The flats of `poset_mod_p` keyed by the bitmask of their containing
-    hyperplanes, value = dimension, or None when two hyperplanes reduce to
-    the same line mod p.
+    """Flats of the reduced arrangement over F_p, keyed by the bitmask of
+    their containing hyperplanes, value = dimension, or None when two
+    hyperplanes reduce to the same line mod p; a hyperplane that reduces
+    to zero mod p raises ValueError.
 
-    Each hyperplane's form is reduced once, as `_monic_mod`, so two
+    The same mask-keyed enumerator as `intersection_poset`, with every
+    residual reduced mod p and scaled to lead coefficient 1.  Each
+    hyperplane's form is reduced once, as `_monic_mod`, so two
     hyperplanes coincide mod p exactly when their entries are equal.  Each
     residual of `_flats` is reduced in one pass: v - f w in one list,
     its first nonzero entry found by a plain loop, one inverse, one
@@ -525,19 +518,6 @@ def _reduced_flats(arr: Arrangement, p: int) -> dict[int, int] | None:
     n = arr.dim
     flats = _flats(lines, n, partial(_monic_mod, p), reduce)
     return {mask: n - rank for mask, (rank, _, _) in flats.items() if rank >= 2}
-
-
-def poset_mod_p(arr: Arrangement, p: int) -> dict[tuple[int, ...], int]:
-    """Flats of the reduced arrangement over F_p, keyed by the containing-
-    hyperplane index set, value = dimension.
-
-    The same mask-keyed enumerator as `intersection_poset`, with every
-    residual reduced mod p and scaled to lead coefficient 1.  Raises
-    ValueError when a hyperplane reduces to zero mod p, and returns {}
-    when two hyperplanes reduce to the same line mod p.
-    """
-    flats = _reduced_flats(arr, p) or {}
-    return {_indices(mask): dim for mask, dim in flats.items()}
 
 
 def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum] | None = None) -> ModPComparison:

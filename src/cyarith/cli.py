@@ -14,7 +14,7 @@ subcommand that takes `--pmax` rejects values below 3 the same way
 The table subcommands (eta-expand, cm-coeffs, elliptic-ap,
 verify-ahlgren, tensor-factor, classify-arrangement) print through one
 writer, `_write`: JSON by default, or with `--csv` a header line and
-one line per row.  In a CSV row a `None` cell is empty, a list cell is
+one line per row; `--json` with `--csv` is a usage error (exit 2).  In a CSV row a `None` cell is empty, a list cell is
 its items joined by `;`, and any other cell is `str(value)`.
 """
 
@@ -232,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--json", action="store_true", help="JSON output (default)")
-        p.add_argument("--csv", action="store_true", help="CSV output where supported")
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true", help="JSON output (default)")
+        fmt.add_argument("--csv", action="store_true", help="CSV output where supported")
         p.add_argument("--pmax", type=int, default=100, metavar="P", help="at least 3")
 
     p = sub.add_parser("eta-expand", help="expand an eta product")
@@ -269,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify-arrangement", help="intersection-lattice classification")
     p.add_argument("file", help="arrangement file, or bundled name: ahlgren | octic | sextic")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true", help="the type table only (exit 2 with the options below)")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true", help="the type table only (exit 2 with the options below)")
     p.add_argument("--schedule", action="store_true", help="include blow-up schedule")
     p.add_argument("--good-reduction", action="store_true")
     p.add_argument("--check-prime", type=int, default=None, metavar="P")

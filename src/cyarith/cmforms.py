@@ -1,17 +1,18 @@
 """CM eigenvalue systems for the two reference fields Q(i) and Q(sqrt(-3)):
 power-of-Grossencharakter trace recurrences, split/inert Euler factors,
-normalized prime elements, and the Frobenius traces of the cyclic-quotient
-constructions."""
+normalized prime elements, and the form families whose weight-(n+1)
+prime coefficients are the Frobenius traces of the cyclic-quotient
+n-folds."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 
 from .arith import IdentityViolation, IntPoly, is_prime, odd_primes_up_to
 from .pointcount import EllipticCurveModel
-from .qseries import DEFAULT_PRECISION, HeckeCoefficientSpec, QSeries, hecke_expand
+from .qseries import HeckeCoefficientSpec
 
 
 #: d -> (name, unit symbol, unit count, chi_{-d} by residue mod d)
@@ -49,9 +50,6 @@ class CMField:
 
     def is_split(self, p: int) -> bool:
         return self.chi(p) == 1
-
-    def is_inert(self, p: int) -> bool:
-        return self.chi(p) == -1
 
     def is_ramified(self, p: int) -> bool:
         return self.chi(p) == 0
@@ -225,58 +223,25 @@ def normalize_prime_element(p: int, field: CMField) -> QuadOrderElem:
 
 
 # ---------------------------------------------------------------------------
-# Quotient traces
-
-
-def quotient_frobenius_trace(curve_ap: int, p: int, field: CMField, n: int) -> int:
-    """tr Frob_p on the 2-dimensional invariant piece of the n-fold quotient.
-
-    Split p: the invariant subspace is spanned by the two pure tensors,
-    on which Frobenius acts by alpha^n and conj(alpha)^n.  Inert p: the
-    matrix is antidiagonal, trace 0 for both parities.  This is the
-    prime coefficient of the weight-(n+1) form of the family, read off
-    its Euler factor; a ramified p raises ValueError.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return -cm_euler_factor(n + 1, field, p, curve_ap).coeff(1)
-
-
-# ---------------------------------------------------------------------------
 # Form families over the two reference curves
 
 
 @dataclass(frozen=True)
 class CMForm:
-    """Weight-k member of a CM family; prime coefficients from the family."""
+    """Weight-k member of a CM family: its Hecke spec takes a_p from
+    `CMFormFamily.ap` and its character from `nebentypus`."""
 
     family: "CMFormFamily"
     weight: int
 
-    def ap(self, p: int) -> int:
-        return self.family.ap(self.weight, p)
-
-    def character(self, n: int) -> int:
-        return nebentypus(self.weight, self.family.field, n)
-
-    def euler_factor(self, p: int) -> IntPoly:
-        # curve_ap rejects bad primes and non-primes
-        fam = self.family
-        return cm_euler_factor(self.weight, fam.field, p, fam.curve_ap(p))
-
     def hecke_spec(self) -> HeckeCoefficientSpec:
+        fam, k = self.family, self.weight
         return HeckeCoefficientSpec(
-            weight=self.weight,
-            character=self.character,
-            ap_source=lambda p: self.ap(p),
-            bad_primes=self.family.bad_primes,
+            weight=k,
+            character=partial(nebentypus, k, fam.field),
+            ap_source=partial(fam.ap, k),
+            bad_primes=fam.bad_primes,
         )
-
-    def q_expansion(self, precision: int = DEFAULT_PRECISION) -> QSeries:
-        return hecke_expand(self.hecke_spec(), precision)
-
-    def __str__(self) -> str:
-        return f"weight-{self.weight} CM form ({self.family.name} family)"
 
 
 @dataclass(frozen=True)

@@ -36,15 +36,6 @@ class QSeries:
         if not self.values or self.values[0] != 0:
             raise ValueError("cusp-form series: index starts at q^1, c_0 = 0")
 
-    @classmethod
-    def from_coeffs(cls, coeffs, precision: int) -> "QSeries":
-        vals = [0] * (precision + 1)
-        for n, c in enumerate(coeffs, start=1):
-            if n > precision:
-                break
-            vals[n] = c
-        return cls(tuple(vals))
-
     @property
     def precision(self) -> int:
         return len(self.values) - 1
@@ -55,48 +46,26 @@ class QSeries:
         return self.values[n]
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    equal: bool
-    first_mismatch: int | None = None
-    left: int | None = None
-    right: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
-def series_match(a: QSeries, b: QSeries, upto: int) -> MatchResult:
-    """Coefficient-exact comparison through q^upto with first-mismatch report."""
-    if upto > min(a.precision, b.precision):
-        raise ValueError("comparison range exceeds series precision")
-    for n in range(1, upto + 1):
-        if a.values[n] != b.values[n]:
-            return MatchResult(False, n, a.values[n], b.values[n])
-    return MatchResult(True)
-
-
 # ---------------------------------------------------------------------------
 # Eta products
 
 
-def eta_unit_part(scale: int, top: int) -> list[int]:
-    """prod_{k>=1} (1 - q^(scale*k)) truncated at q^top.
+def eta_unit_part(top: int) -> list[int]:
+    """prod_{k>=1} (1 - q^k) truncated at q^top.
 
-    Pentagonal number theorem: the product is sum_m (-1)^m q^(g_m*scale)
+    Pentagonal number theorem: the product is sum_m (-1)^m q^(g_m)
     over generalized pentagonal numbers g_m = m(3m-1)/2, m in Z.
     """
     out = [0] * (top + 1)
     out[0] = 1
     m = 1
     while True:
-        g1 = scale * m * (3 * m - 1) // 2
-        g2 = scale * m * (3 * m + 1) // 2
-        if g1 > top and g2 > top:
+        g1 = m * (3 * m - 1) // 2
+        g2 = m * (3 * m + 1) // 2
+        if g1 > top:  # g1 < g2
             break
         s = -1 if m % 2 else 1
-        if g1 <= top:
-            out[g1] = s
+        out[g1] = s
         if g2 <= top:
             out[g2] = s
         m += 1
@@ -126,7 +95,7 @@ class _UnitPowerCache:
         power = self.powers.pop(k, None)
         if power is None or len(power) <= top:
             if k == 1:
-                power = eta_unit_part(1, top)
+                power = eta_unit_part(top)
             else:
                 half = self(k // 2, top)
                 power = _kronecker_mul(half, half if k % 2 == 0 else self(k - k // 2, top), top)
@@ -156,6 +125,8 @@ class EtaProduct:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple((int(m), int(k)) for m, k in self.factors))
+        if not self.factors:
+            raise ValueError("an eta product needs at least one factor")
         for m, k in self.factors:
             if m < 1 or k < 1:
                 raise ValueError("eta factors need positive scale and exponent")
@@ -213,10 +184,6 @@ class EtaProduct:
         )
 
 
-def eta_product_expand(factors, precision: int = DEFAULT_PRECISION) -> QSeries:
-    return EtaProduct(tuple(factors)).expand(precision)
-
-
 # ---------------------------------------------------------------------------
 # Hecke-multiplicative expansion
 
@@ -225,7 +192,9 @@ def eta_product_expand(factors, precision: int = DEFAULT_PRECISION) -> QSeries:
 class HeckeCoefficientSpec:
     """Everything needed to expand an eigenform from its prime coefficients.
 
-    `ap_source` must yield a_p for every good prime in range; primes in
+    `ap_source` must yield a_p for every good prime in range; a
+    LookupError or ValueError it raises (`QSeries.coeff` raises IndexError
+    beyond its precision) is a ValueError for the missing a_p.  Primes in
     `bad_primes` take their value from `bad_values` (default 0).  The
     character is the form's nebentypus evaluated at good primes.
     """
@@ -245,7 +214,7 @@ class HeckeCoefficientSpec:
             return (self.bad_values or {}).get(p, 0)
         try:
             a = self.ap_source(p)
-        except (KeyError, ValueError) as exc:
+        except (LookupError, ValueError) as exc:
             raise ValueError(f"missing prime coefficient a_{p}") from exc
         # Ramanujan bound |a_p| <= 2 p^((k-1)/2), integer-exact form
         if a * a > 4 * p ** (self.weight - 1):

@@ -17,7 +17,7 @@ from .arrangement import (
     poset_matches_mod_p,
     resolution_schedule,
 )
-from .cmforms import normalize_prime_element, quotient_frobenius_trace
+from .cmforms import normalize_prime_element
 from .euler import (
     ELLIPTIC_BLOCK,
     KummerData,
@@ -77,14 +77,18 @@ def suite_cm(pmax: int = 100) -> list[VerificationReport]:
         # Cornacchia; this row is the independent check of alpha
         expected = {p: elliptic_ap(family.curve, p) for p in alphas}
         norm.check(f"trace of normalized element, d={field.d}, p<={pmax}", computed, expected, DERIVED)
-        # oracle: the trace of alpha^n, powered by exact multiplication in the
-        # order; the antidiagonal Frobenius at inert p has trace 0.  At n = 1
-        # curve_ap and alpha come from the same Cornacchia, so that row
-        # compares it with itself; n >= 2 checks the Lucas power traces.
+        # tr Frob_p on the 2-dimensional invariant piece of the n-fold
+        # quotient.  Split p: the invariant subspace is spanned by the two
+        # pure tensors, on which Frobenius acts by alpha^n and conj(alpha)^n.
+        # Inert p: the matrix is antidiagonal, trace 0 for both parities.
+        # This is the prime coefficient of the weight-(n+1) form of the
+        # family.  Oracle: the trace of alpha^n, powered by exact
+        # multiplication in the order.  At n = 1 the coefficient and alpha
+        # come from the same Cornacchia, so that row compares it with
+        # itself; n >= 2 checks the Lucas power traces.
         powers = dict(alphas)
-        aps = {p: family.curve_ap(p) for p in good}
         for n in range(1, 7):
-            computed = {p: quotient_frobenius_trace(aps[p], p, field, n) for p in good}
+            computed = {p: family.ap(n + 1, p) for p in good}
             expected = {p: powers[p].trace if p in powers else 0 for p in good}
             quot.check(f"d={field.d}, n={n}, p<={pmax}", computed, expected, DERIVED)
             powers = {p: power * alphas[p] for p, power in powers.items()}

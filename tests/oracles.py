@@ -13,13 +13,19 @@ from its own pivot rows.
 - `closure_poset` seeds with the pairwise intersections and intersects
   the frontier with one hyperplane at a time, breadth first.
 - `subsets_poset_mod_p` and `closure_poset_mod_p` are the same two
-  loops over F_p, with the input checks of `poset_mod_p`.
+  loops over F_p, the references for the flats that
+  `poset_matches_mod_p` compares: like it, they raise ValueError when a
+  hyperplane reduces to zero mod p, and find no flat when two
+  hyperplanes reduce to the same line.
 - Near-pencil flags, cover edges and `incidence_rows` come from the
   hyperplane sets and dimensions those loops find, by their
   definitions: no cover edge of the engine is reused.
 
-Series and point counts (`cyarith.qseries`, `cyarith.pointcount`).
+Series and point counts (`cyarith.arith`, `cyarith.qseries`,
+`cyarith.pointcount`).
 
+- `legendre` is Euler's criterion a^((p-1)/2) mod p, the reference for
+  the squares sieve of `arith.LegendreTable` and for `CMField.chi`.
 - `mul_trunc` is the schoolbook truncated product, the reference for
   `arith._kronecker_mul`.  `pow_trunc` is binary powering on top of it,
   and `eta_unit_power` is J.C.P. Miller's power recurrence, O(N^1.5)
@@ -47,9 +53,11 @@ Tensor factors (`cyarith.tensor`).
   to its power sums, the round trip of `char_poly_from_power_sums`.
 - `char_poly_signed_newton` is the signed Newton loop on e_k, the
   reference for the signless steps of `char_poly_from_power_sums`.
-- `power_factorization_rhs_by_powers` builds the product side from
-  `IntPoly` powers and schoolbook products, the reference for
-  `tensor.euler_product` and `tensor.power_factorization_rhs`.
+- `poly_mul` is the schoolbook product of two `IntPoly` and `poly_pow`
+  binary powering on top of it, the reference for `tensor.euler_product`.
+- `power_factorization_rhs_by_powers` builds the binomial product side
+  from `poly_pow` powers and `poly_mul` products, the reference for the
+  sector factors of `tensor.verify_power_factorization`.
 - `tensor_euler_factor_full_degree` runs the signed Newton loop through
   the full degree 2^n, with no functional equation and no grouping of
   repeated factors, the reference for `tensor.tensor_euler_factor`.
@@ -359,7 +367,7 @@ def eta_unit_power(k: int, top: int) -> list[int]:
     n f_n = sum_{j>=1} e_j ((k+1) j - n) f_{n-j}.  Only the O(sqrt(top))
     nonzero e_j enter, and the division by n is exact.
     """
-    terms = [(j, c, (k + 1) * j) for j, c in enumerate(eta_unit_part(1, top)) if j and c]
+    terms = [(j, c, (k + 1) * j) for j, c in enumerate(eta_unit_part(top)) if j and c]
     f = [0] * (top + 1)
     f[0] = 1
     for n in range(1, top + 1):
@@ -370,6 +378,16 @@ def eta_unit_power(k: int, top: int) -> list[int]:
             s += c * (kj - n) * f[n - j]
         f[n] = s // n
     return f
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) in {-1, 0, 1}, with the chi(0) = 0 convention,
+    by Euler's criterion; p must be an odd prime."""
+    require_odd_prime(p)
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def legendre_family_sum(p: int, v: int) -> int:
@@ -463,6 +481,31 @@ def good_reduction_scan(arr) -> GoodReductionReport:
 # Tensor factors
 
 
+def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The schoolbook product of two integer polynomials."""
+    if not a.coeffs or not b.coeffs:
+        return IntPoly()
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                out[i + j] += x * y
+    return IntPoly(out)
+
+
+def poly_pow(a: IntPoly, n: int) -> IntPoly:
+    """a^n by binary powering with `poly_mul`, for n >= 0."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = IntPoly((1,))
+    while n:
+        if n & 1:
+            result = poly_mul(result, a)
+        a = poly_mul(a, a)
+        n >>= 1
+    return result
+
+
 def power_sums_from_poly(poly: IntPoly, upto: int) -> list[int]:
     """Power sums tr(Frob^m), m = 1..upto, of det(1 - Frob T) = poly, by
     Newton's identities run the other way: the inverse of
@@ -497,16 +540,17 @@ def char_poly_signed_newton(sums: list[int], degree: int) -> IntPoly:
 
 def power_factorization_rhs_by_powers(curve_ap: int | None, p: int, field, n: int) -> IntPoly:
     """prod_j L_p(weight n-2j+1, shift j)^C(n,j) times the even-n Dirichlet
-    factors, each multiplicity an `IntPoly` power and the pieces multiplied
-    by the schoolbook `IntPoly.__mul__`."""
+    factors, each multiplicity a `poly_pow` power and the pieces multiplied
+    by the schoolbook `poly_mul`."""
     ap = curve_ap if field.is_split(p) else None
-    out = IntPoly.one()
+    out = IntPoly((1,))
     for j in range((n - 1) // 2 + 1):
-        out = out * cm_euler_factor(n - 2 * j + 1, field, p, ap).scale_arg(p**j) ** comb(n, j)
+        out = poly_mul(out, poly_pow(cm_euler_factor(n - 2 * j + 1, field, p, ap).scale_arg(p**j), comb(n, j)))
     if n % 2 == 0:
         half = comb(n, n // 2) // 2
         pn2 = p ** (n // 2)
-        out = out * IntPoly((1, -pn2)) ** half * IntPoly((1, -field.chi(p) * pn2)) ** half
+        pair = poly_mul(IntPoly((1, -pn2)), IntPoly((1, -field.chi(p) * pn2)))
+        out = poly_mul(out, poly_pow(pair, half))
     return out
 
 

@@ -19,7 +19,6 @@ from cyarith.arrangement import (
     intersection_poset,
     parse_arrangement,
     poset_matches_mod_p,
-    poset_mod_p,
     resolution_schedule,
 )
 from cyarith.registry import (
@@ -31,6 +30,7 @@ from oracles import (
     closure_poset,
     closure_poset_mod_p,
     echelon,
+    echelon_mod,
     good_reduction_scan,
     incidence_rows,
     primitive_rows,
@@ -121,21 +121,21 @@ def test_three_generic_lines():
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, -1))
     poset = intersection_poset(arr)
     assert len(poset) == 3
-    assert all(s.type_key == (0, 2) for s in poset)
+    assert all((s.dim, s.mult) == (0, 2) for s in poset)
 
 
 def test_three_concurrent_lines():
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, 0))
     poset = intersection_poset(arr)
     assert len(poset) == 1
-    assert poset[0].type_key == (0, 3)
+    assert (poset[0].dim, poset[0].mult) == (0, 3)
 
 
 def test_four_concurrent_lines_not_resolvable():
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0))
     ok, violators = crepant_resolvable(arr)
     assert not ok
-    assert [v.type_key for v in violators] == [(0, 4)]
+    assert [(v.dim, v.mult) for v in violators] == [(0, 4)]
 
 
 def test_two_lines_resolvable():
@@ -179,7 +179,7 @@ def test_near_pencil_example():
     poset = intersection_poset(arr)
     by_key = {}
     for s in poset:
-        by_key.setdefault(s.type_key, []).append(s)
+        by_key.setdefault((s.dim, s.mult), []).append(s)
     # the point {x=y=z=0} has mult 4 and sits on the mult-3 line {x=y=0}
     point = by_key[(0, 4)][0]
     assert point.near_pencil
@@ -375,7 +375,6 @@ def test_ahlgren_good_reduction(ahlgren):
     assert rep.all_unimodular
     assert rep.max_abs_minor == 1
     assert rep.exceptional_odd_primes == ()
-    assert rep.verdict == "all odd primes good"
 
 
 def test_minor_two_is_not_odd_exceptional():
@@ -433,10 +432,33 @@ def test_mod_p_detects_changed_intersection():
     assert not cmp.equal
 
 
+DIFF_FIELDS = ("missing", "extra", "changed_dim", "coincident")
+
+
+def comparison(arr, p) -> dict:
+    cmp = poset_matches_mod_p(arr, p)
+    return {field: getattr(cmp, field) for field in DIFF_FIELDS}
+
+
+def oracle_comparison(arr, p, modp_oracle=subsets_poset_mod_p) -> dict:
+    """The diff fields of `poset_matches_mod_p`, as sorted index sets, from
+    the rational subset oracle and a mod-p oracle; two hyperplanes on one
+    line mod p are coincident, and the oracle then finds no flat."""
+    rational = {s.hyperplanes: s.dim for s in subsets_poset(arr)}
+    modp = modp_oracle(arr, p)
+    return {
+        "missing": tuple(sorted(rational.keys() - modp.keys())),
+        "extra": tuple(sorted(modp.keys() - rational.keys())),
+        "changed_dim": tuple(sorted(k for k in rational.keys() & modp.keys() if rational[k] != modp[k])),
+        "coincident": len({echelon_mod([h.coeffs], p) for h in arr.hyperplanes}) < arr.size,
+    }
+
+
 def test_mod_p_coincidence_compares_lines():
     # (2, -1, 0) = 2 * (1, 1, 0) mod 3: the same line, not the same residues
     arr = lines((1, 1, 0), (2, -1, 0), (0, 0, 1))
-    assert poset_mod_p(arr, 3) == subsets_poset_mod_p(arr, 3) == {}
+    assert subsets_poset_mod_p(arr, 3) == {}
+    assert comparison(arr, 3) == oracle_comparison(arr, 3)
     cmp = poset_matches_mod_p(arr, 3)
     assert cmp.coincident and not cmp.equal
 
@@ -444,7 +466,8 @@ def test_mod_p_coincidence_compares_lines():
 def test_mod_p_coincidence_never_equal():
     # two points of P^1 meeting mod 3: both posets are empty, yet unequal
     arr = Arrangement.from_rows(1, [(1, 1), (1, -2)])
-    assert intersection_poset(arr) == [] and poset_mod_p(arr, 3) == {}
+    assert intersection_poset(arr) == [] and subsets_poset_mod_p(arr, 3) == {}
+    assert comparison(arr, 3) == oracle_comparison(arr, 3) == {**dict.fromkeys(DIFF_FIELDS, ()), "coincident": True}
     cmp = poset_matches_mod_p(arr, 3)
     assert cmp.coincident and not cmp.equal
     assert poset_matches_mod_p(arr, 5).equal
@@ -453,8 +476,11 @@ def test_mod_p_coincidence_never_equal():
 def test_mod_p_contract():
     with pytest.raises(ValueError, match="degenerates"):
         # Hyperplane.from_coeffs would divide out the content 3
-        poset_mod_p(Arrangement(2, (Hyperplane((1, 0, 0)), Hyperplane((3, 3, 3)))), 3)
-    assert poset_mod_p(lines((1, 1, 0), (1, -2, 0), (0, 0, 1)), 3) == {}
+        poset_matches_mod_p(Arrangement(2, (Hyperplane((1, 0, 0)), Hyperplane((3, 3, 3)))), 3)
+    arr = lines((1, 1, 0), (1, -2, 0), (0, 0, 1))
+    assert subsets_poset_mod_p(arr, 3) == {}
+    assert comparison(arr, 3) == oracle_comparison(arr, 3)
+    assert poset_matches_mod_p(arr, 3).coincident
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -466,12 +492,13 @@ def test_poset_mod_p_matches_subset_oracle(p):
     for _ in range(150):
         n = rng.choice((2, 3, 4))
         arr = random_arrangement(rng, n, rng.randint(3, 7), bound=p + 1)
-        got = poset_mod_p(arr, p)
-        assert got == subsets_poset_mod_p(arr, p)
+        got = comparison(arr, p)
+        assert got == oracle_comparison(arr, p)
+        modp = subsets_poset_mod_p(arr, p)
         rational = {s.hyperplanes: s.dim for s in intersection_poset(arr)}
-        if got and got != rational:
+        if modp and modp != rational:
             changed += 1
-            assert got == closure_poset_mod_p(arr, p)
+            assert got == oracle_comparison(arr, p, closure_poset_mod_p)
     assert changed >= 10
 
 
@@ -484,17 +511,10 @@ def test_mod_p_diff_fields_match_subset_oracles(p):
     for _ in range(150):
         n = rng.choice((2, 3, 4))
         arr = random_arrangement(rng, n, rng.randint(3, 7), bound=p + 1)
-        rational = {s.hyperplanes: s.dim for s in subsets_poset(arr)}
-        modp = subsets_poset_mod_p(arr, p)
-        cmp = poset_matches_mod_p(arr, p)
-        expected = {
-            "missing": tuple(sorted(rational.keys() - modp.keys())),
-            "extra": tuple(sorted(modp.keys() - rational.keys())),
-            "changed_dim": tuple(sorted(k for k in rational.keys() & modp.keys() if rational[k] != modp[k])),
-        }
-        for field, want in expected.items():
-            assert getattr(cmp, field) == want, field
-            seen[field] += bool(want)
+        got, expected = comparison(arr, p), oracle_comparison(arr, p)
+        for field in seen:
+            assert got[field] == expected[field], field
+            seen[field] += bool(expected[field])
     assert all(seen.values()), seen
 
 
@@ -503,7 +523,8 @@ def test_triple_point_mod_a_large_prime():
     # one triple point mod q
     q = 2**31 - 1
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, q))
-    assert poset_mod_p(arr, q) == subsets_poset_mod_p(arr, q) == {(0, 1, 2): 0}
+    assert subsets_poset_mod_p(arr, q) == {(0, 1, 2): 0}
+    assert comparison(arr, q) == oracle_comparison(arr, q)
     cmp = poset_matches_mod_p(arr, q)
     assert not cmp.equal and not cmp.coincident
     assert cmp.missing == ((0, 1), (0, 2), (1, 2))
@@ -546,10 +567,12 @@ def test_canonical_line_representatives(v, c, p, data):
             arr = Arrangement.from_rows(len(v) - 1, [v, w])
         except ValueError:  # w is v's line over Q: v is a multiple of e_i
             continue
-        got = outcome(poset_mod_p, arr, p)
-        assert got == outcome(subsets_poset_mod_p, arr, p)
+        got = outcome(comparison, arr, p)
+        assert got == outcome(oracle_comparison, arr, p)
         if shift == p and gcd(*v) % p and gcd(*w) % p:
-            assert got == {} and poset_matches_mod_p(arr, p).coincident
+            # no flat mod p: every rational flat is missing
+            missing = tuple(sorted(s.hyperplanes for s in intersection_poset(arr)))
+            assert got == {"missing": missing, "extra": (), "changed_dim": (), "coincident": True}
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +590,10 @@ def test_golden_classification(name):
 def test_sextic_structure():
     arr = load_bundled_arrangement("sextic")
     poset = intersection_poset(arr)
-    assert {s.type_key for s in poset} == {(0, 2), (0, 3)}
+    assert {(s.dim, s.mult) for s in poset} == {(0, 2), (0, 3)}
     counts = {(0, 2): 0, (0, 3): 0}
     for s in poset:
-        counts[s.type_key] += 1
+        counts[s.dim, s.mult] += 1
     assert counts == {(0, 2): 3, (0, 3): 4}  # six lines with four triple points
 
 

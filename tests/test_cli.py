@@ -352,6 +352,19 @@ def test_pmax_3_is_accepted(command, capsys):
     assert out.splitlines()[1].startswith("3,")  # one row, for p = 3
 
 
+@pytest.mark.parametrize(
+    "argv", [("cm-coeffs", "--field", "i", "--weight", "2", "--pmax", "13"), ("classify-arrangement", "octic")]
+)
+def test_json_and_csv_together_are_a_usage_error(argv, capsys):
+    # one output format per run: argparse refuses the pair before any work
+    for flags in (("--json", "--csv"), ("--csv", "--json")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flags])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err and err.startswith("usage:")
+
+
 def test_suite_rejects_csv(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "euler", "--csv"])

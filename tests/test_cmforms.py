@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cyarith import cmforms, pointcount
-from cyarith.arith import IntPoly, is_prime, legendre, odd_primes_up_to, primes_up_to
+from cyarith.arith import IntPoly, is_prime, odd_primes_up_to, primes_up_to
 from cyarith.cmforms import (
     EISENSTEIN,
     GAUSSIAN,
@@ -16,13 +16,12 @@ from cyarith.cmforms import (
     is_normalized,
     normalize_prime_element,
     power_trace,
-    quotient_frobenius_trace,
 )
 from cyarith.pointcount import elliptic_ap
 from cyarith.qseries import hecke_expand
 from cyarith.registry import CURVE_EISENSTEIN, CURVE_GAUSSIAN, EISENSTEIN_FAMILY, GAUSSIAN_FAMILY
 from cyarith.tensor import invariant_tensor_dimension
-from oracles import invariant_dimension_by_signs, norm_p_elements, normalized_element_by_enumeration
+from oracles import invariant_dimension_by_signs, legendre, norm_p_elements, normalized_element_by_enumeration
 
 
 def test_field_characters():
@@ -270,7 +269,7 @@ def test_family_weights_share_one_cornacchia_per_split_prime(monkeypatch):
         calls.clear()
         tested.clear()
         for weight in range(2, 8):
-            family.form(weight).q_expansion(2000)
+            hecke_expand(family.form(weight).hecke_spec(), 2000)
         assert calls == Counter((family.field, p) for p in _split_primes(family, 2000))
         assert tested == Counter(_split_primes(family, 2000))
 
@@ -289,7 +288,7 @@ def test_composite_split_n_is_rejected_on_every_path():
             with pytest.raises(ValueError, match=f"^p = {n} is not prime$"):
                 call(n)
     # 27 = 3^3 is inert in Q(i): curve_ap tests it itself
-    assert GAUSSIAN.is_inert(27)
+    assert GAUSSIAN.chi(27) == -1
     with pytest.raises(ValueError, match="^p = 27 is not prime$"):
         GAUSSIAN_FAMILY.curve_ap(27)
 
@@ -400,18 +399,24 @@ def test_invariant_dimension_rejects_unknown_group():
 # quotient Frobenius traces
 
 
+def _quotient_trace(curve_ap, p, field, n):
+    # tr Frob_p on the invariant piece of the n-fold quotient: the prime
+    # coefficient of the weight-(n+1) form, read off its Euler factor
+    return -cm_euler_factor(n + 1, field, p, curve_ap).coeff(1)
+
+
 def test_quotient_trace_examples():
-    assert quotient_frobenius_trace(-1, 7, EISENSTEIN, 3) == 20
-    assert quotient_frobenius_trace(0, 2, EISENSTEIN, 4) == 0  # inert: trace 0
-    assert quotient_frobenius_trace(-2, 5, GAUSSIAN, 5) == -82
+    assert _quotient_trace(-1, 7, EISENSTEIN, 3) == 20
+    assert _quotient_trace(0, 2, EISENSTEIN, 4) == 0  # inert: trace 0
+    assert _quotient_trace(-2, 5, GAUSSIAN, 5) == -82
 
 
 def test_quotient_trace_ramified_rejected():
     for n in (1, 2, 3):
         with pytest.raises(ValueError, match="ramified"):
-            quotient_frobenius_trace(0, 2, GAUSSIAN, n)
+            _quotient_trace(0, 2, GAUSSIAN, n)
         with pytest.raises(ValueError, match="ramified"):
-            quotient_frobenius_trace(0, 3, EISENSTEIN, n)
+            _quotient_trace(0, 3, EISENSTEIN, n)
 
 
 def test_quotient_traces_match_hecke_coefficients():
@@ -425,14 +430,14 @@ def test_quotient_traces_match_hecke_coefficients():
             series = hecke_expand(family.form(n + 1).hecke_spec(), 100)
             for p in good:
                 ap = family.curve_ap(p) if field.is_split(p) else 0
-                assert quotient_frobenius_trace(ap, p, field, n) == series.coeff(p)
+                assert _quotient_trace(ap, p, field, n) == series.coeff(p)
 
 
 def test_family_bad_prime_handling():
     assert GAUSSIAN_FAMILY.ap(2, 2) == 0
     assert EISENSTEIN_FAMILY.ap(4, 3) == 0
     with pytest.raises(ValueError):
-        EISENSTEIN_FAMILY.form(2).euler_factor(3)
+        cm_euler_factor(2, EISENSTEIN, 3, EISENSTEIN_FAMILY.curve_ap(3))
     for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
         (bad,) = family.bad_primes
         with pytest.raises(ValueError, match="bad prime"):

@@ -1,6 +1,8 @@
 """Code that nothing needs is deleted: every module-level private name
 (`_x`, not a dunder) that a module of the package defines is used
-somewhere in the package outside its own definition."""
+somewhere in the package outside its own definition, and every public
+name and public method is read by the package, the benchmark or the
+test fixtures, not by its own tests alone."""
 
 import ast
 from pathlib import Path
@@ -8,37 +10,54 @@ from pathlib import Path
 import cyarith
 
 SOURCES = sorted(Path(cyarith.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).parent.parent
+#: production readers of the public names besides the package: the
+#: benchmark, and the fixture that resets every cache by `cache_clear`
+READERS = sorted((ROOT / "perfbench").glob("*.py")) + [Path(__file__).parent / "conftest.py"]
 
 
 def is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def private_definitions(tree: ast.Module) -> dict[str, ast.AST]:
+def is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCTIONS, ast.ClassDef)
+
+
+def definitions(tree: ast.Module, public: bool = False) -> list[tuple[str, ast.AST]]:
     """Each module-level private function, class or assigned name, with
-    the statement that defines it."""
-    found = {}
+    the statement that defines it; with `public`, each public one instead,
+    and each public method of a module-level class after its class."""
+    wanted = is_public if public else is_private
+    found = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, _DEFS):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
         else:
             continue
-        found.update((name, node) for name in names if is_private(name))
+        found += [(name, node) for name in names if wanted(name)]
+        if public and isinstance(node, ast.ClassDef):
+            found += [(m.name, m) for m in node.body if isinstance(m, _FUNCTIONS) and wanted(m.name)]
     return found
 
 
-def dead_helpers(trees: dict[str, ast.Module]) -> list[str]:
-    """`module: name` for every private definition read nowhere in `trees`
-    but inside the statement that defines it; an import alone is no use."""
-    definitions = {
-        (module, name): node for module, tree in trees.items() for name, node in private_definitions(tree).items()
-    }
-    inside = {id(n): key for key, node in definitions.items() for n in ast.walk(node)}
+def dead_helpers(trees: dict[str, ast.Module], public: bool = False, readers=()) -> list[str]:
+    """`module: name` for every definition (see `definitions`) read nowhere
+    in `trees` or `readers` but inside the statement that defines it; an
+    import alone is no use.  Names are matched, not objects: a read of
+    `x.chi` counts for every `chi` defined."""
+    defined = [(module, name, node) for module, tree in trees.items() for name, node in definitions(tree, public)]
+    # a method comes after its class, so a node inside it is owned by the method
+    inside = {id(n): (module, name) for module, name, node in defined for n in ast.walk(node)}
     used = set()
-    for module, tree in trees.items():
+    for tree in [*trees.values(), *readers]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 name = node.id
@@ -49,16 +68,24 @@ def dead_helpers(trees: dict[str, ast.Module]) -> list[str]:
             owner = inside.get(id(node))
             if owner is None or owner[1] != name:
                 used.add(name)
-    return sorted(f"{module}: {name}" for module, name in definitions if name not in used)
+    return sorted({f"{module}: {name}" for module, name, _ in defined if name not in used})
+
+
+def parse(paths) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
 
 
 def test_sources_found():
     assert {path.name for path in SOURCES} >= {"arith.py", "arrangement.py", "qseries.py"}
+    assert {path.name for path in READERS} >= {"workloads.py", "conftest.py"}
 
 
 def test_every_private_helper_is_used():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    assert dead_helpers(trees) == []
+    assert dead_helpers(parse(SOURCES)) == []
+
+
+def test_every_public_name_is_read():
+    assert dead_helpers(parse(SOURCES), public=True, readers=parse(READERS).values()) == []
 
 
 def test_detector_flags_each_kind():
@@ -77,3 +104,26 @@ def test_detector_flags_each_kind():
     user = "from .lib import _SEEN, _IMPORTED_ONLY\nimport lib\nx = lib._WIDTH + _SEEN\n"
     trees = {"lib.py": ast.parse(lib), "user.py": ast.parse(user)}
     assert dead_helpers(trees) == [f"lib.py: {name}" for name in ("_IMPORTED_ONLY", "_Unused", "_dead", "_recursive")]
+
+
+def test_public_detector_flags_each_kind():
+    lib = (
+        "LIMIT = 3\n"
+        "UNREAD = 4\n"
+        "def helper():\n    return LIMIT\n"
+        "def orphan():\n    return orphan()\n"
+        "class Box:\n"
+        "    def read(self):\n        return self.alias()\n"
+        "    def alias(self):\n        return self.read()\n"
+        "    def selfish(self):\n        return self.selfish()\n"
+        "    def _private(self):\n        pass\n"
+        "    def __str__(self):\n        return helper()\n"
+        "class Lonely:\n    pass\n"
+    )
+    init = "from .lib import UNREAD, Lonely\n"
+    bench = "import lib\nlib.Box().read()\n"
+    trees = {"lib.py": ast.parse(lib), "__init__.py": ast.parse(init)}
+    flagged = ("Lonely", "UNREAD", "orphan", "selfish")
+    assert dead_helpers(trees, public=True, readers=[ast.parse(bench)]) == [f"lib.py: {name}" for name in flagged]
+    # without the reader, nothing outside Box reads Box
+    assert "lib.py: Box" in dead_helpers(trees, public=True)

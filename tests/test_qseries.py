@@ -12,10 +12,8 @@ from cyarith.qseries import (
     EtaProduct,
     HeckeCoefficientSpec,
     QSeries,
-    eta_product_expand,
     eta_unit_part,
     hecke_expand,
-    series_match,
     unit_powers,
 )
 from oracles import eta_unit_power, hecke_expand_trial_division, mul_trunc, pow_trunc
@@ -50,12 +48,16 @@ def product_unit_direct(scale: int, top: int) -> list[int]:
 
 @pytest.mark.parametrize("scale", [1, 2, 3, 4])
 def test_pentagonal_expansion_matches_direct_product(scale):
-    assert eta_unit_part(scale, 50) == product_unit_direct(scale, 50)
+    # prod (1 - q^(scale k)) is the pentagonal series in q^scale, spread
+    # onto the multiples of scale as `EtaProduct.expand` spreads a factor
+    spread = [0] * 51
+    spread[::scale] = eta_unit_part(50 // scale)
+    assert spread == product_unit_direct(scale, 50)
 
 
 def test_eta24_against_direct_product():
     # 24th power of the unit part, compared to literal repeated multiplication
-    series = eta_product_expand([(1, 24)], 50)
+    series = EtaProduct(((1, 24),)).expand(50)
     direct = product_unit_direct(1, 49)
     power = [1] + [0] * 49
     for _ in range(24):
@@ -83,17 +85,19 @@ def _mul(a, b, top):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 30), st.integers(0, 300))
 def test_eta_unit_power_matches_dense_powering(k, top):
-    assert eta_unit_power(k, top) == pow_trunc(eta_unit_part(1, top), k, top)
+    assert eta_unit_power(k, top) == pow_trunc(eta_unit_part(top), k, top)
 
 
 def _dense_expansion(eta: EtaProduct, precision: int) -> tuple[int, ...]:
-    # every factor at full length in q, zeros included, one dense product each
+    # every factor at full length in q, zeros included, one dense product
+    # each; the factors come from the direct product, not the pentagonal
+    # series of the code under test
     top = precision - eta.q_shift
     expected = [0] * (precision + 1)
     if top >= 0:
         unit = [1] + [0] * top
         for m, k in eta.factors:
-            unit = mul_trunc(unit, pow_trunc(eta_unit_part(m, top), k, top), top)
+            unit = mul_trunc(unit, pow_trunc(product_unit_direct(m, top), k, top), top)
         expected[eta.q_shift :] = unit
     return tuple(expected)
 
@@ -216,7 +220,7 @@ def test_even_exponents_square_one_list(monkeypatch):
     unit_powers(24, 300)
     unit_powers(7, 300)
     assert steps == {2: True, 3: False, 4: True, 6: True, 7: False, 12: True, 24: True}
-    assert unit_powers(24, 300) == pow_trunc(eta_unit_part(1, 300), 24, 300)
+    assert unit_powers(24, 300) == pow_trunc(eta_unit_part(300), 24, 300)
 
 
 @settings(max_examples=25, deadline=None)
@@ -226,7 +230,7 @@ def test_cached_powers_are_the_truncated_powers(requests):
     for k, top in requests:
         power = unit_powers(k, top)
         assert power == eta_unit_power(k, top)
-        assert power == pow_trunc(eta_unit_part(1, top), k, top)
+        assert power == pow_trunc(eta_unit_part(top), k, top)
         assert len(unit_powers.powers) <= unit_powers.size
 
 
@@ -275,6 +279,13 @@ def test_eta_product_rejects_fractional_shift():
         EtaProduct(((0, 24),))
 
 
+
+def test_eta_product_rejects_no_factors():
+    # gcd() of no scales is 0, so an empty product could not expand
+    with pytest.raises(ValueError, match="at least one factor"):
+        EtaProduct(())
+
+
 def test_q_shift_bookkeeping():
     assert ETA_WEIGHT2_GAUSSIAN.q_shift == 1
     assert ETA_WEIGHT6_LEVEL4.q_shift == 1
@@ -312,6 +323,16 @@ def test_hecke_missing_prime_raises():
     spec = _const_spec(2, lambda p: 1, {2: 0})
     with pytest.raises(ValueError, match="missing prime coefficient"):
         hecke_expand(spec, 10)
+
+
+
+def test_series_source_beyond_its_precision_is_a_missing_prime():
+    # QSeries.coeff signals a coefficient beyond its precision by IndexError
+    series = EtaProduct(((4, 2), (8, 2))).expand(20)
+    spec = HeckeCoefficientSpec(weight=2, character=lambda p: 1, ap_source=series.coeff, bad_primes=frozenset({2}))
+    with pytest.raises(ValueError, match="missing prime coefficient a_23"):
+        hecke_expand(spec, 40)
+    assert hecke_expand(spec, 20).values == series.values
 
 
 def test_hecke_ramanujan_guard():
@@ -368,8 +389,7 @@ def test_hecke_expansion_equals_eta_for_all_four_cm_forms():
     for eta, form in pairs:
         left = eta.expand(200)
         right = hecke_expand(form.hecke_spec(), 200)
-        result = series_match(left, right, 200)
-        assert result.equal, f"{eta} vs {form}: mismatch at q^{result.first_mismatch}"
+        assert left.values == right.values, f"{eta} vs the weight-{form.weight} CM form"
 
 
 def test_hecke_prime_indices_echo_supplied_ap():
@@ -408,24 +428,8 @@ def test_ramanujan_bound_on_registry_forms():
 # series plumbing
 
 
-def test_series_match_reports_first_mismatch():
-    a = QSeries.from_coeffs([1, 0, 0, 0, 2], 5)
-    b = QSeries.from_coeffs([1, 0, 0, 0, 3], 5)
-    assert series_match(a, a, 5).equal
-    result = series_match(a, b, 5)
-    assert not result.equal
-    assert result.first_mismatch == 5
-    assert (result.left, result.right) == (2, 3)
-
-
-def test_series_match_range_check():
-    a = QSeries.from_coeffs([1], 3)
-    with pytest.raises(ValueError):
-        series_match(a, a, 4)
-
-
 def test_qseries_never_reads_beyond_precision():
-    s = QSeries.from_coeffs([1, 2, 3], 3)
+    s = QSeries((0, 1, 2, 3))
     with pytest.raises(IndexError):
         s.coeff(4)
     with pytest.raises(IndexError):
