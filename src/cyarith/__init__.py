@@ -7,7 +7,7 @@ hyperplane arrangements.  Everything is exact integer or rational
 arithmetic; every headline identity is runnable via the `cyarith` CLI.
 """
 
-from .arith import IdentityViolation, IntPoly, LegendreTable, is_prime
+from .arith import IdentityViolation, IntPoly, is_prime, legendre_table
 from .arrangement import (
     Arrangement,
     Hyperplane,

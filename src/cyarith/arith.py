@@ -98,26 +98,20 @@ def require_odd_prime(p: int) -> int:
     return p
 
 
-class LegendreTable:
-    """The Legendre symbol (a/p) for every residue a, from a single O(p)
-    squares sieve, with the chi(0) = 0 convention.
+def legendre_table(p: int) -> list[int]:
+    """The Legendre symbol (a/p) for every residue a, indexed by residue,
+    from a single O(p) squares sieve, with the chi(0) = 0 convention.
 
     Point counts and fibre sums evaluate chi O(p) times per prime, so
-    the symbol is tabulated once.  `values` is indexed by residue and is
-    immutable after construction (safe to share across workers).  The
-    zero convention makes chi fully multiplicative, which the fast
-    point-count paths rely on.
+    the symbol is tabulated once.  The zero convention makes chi fully
+    multiplicative, which the fast point-count paths rely on.
     """
-
-    __slots__ = ("values",)
-
-    def __init__(self, p: int):
-        require_odd_prime(p)
-        values = [-1] * p
-        values[0] = 0
-        for x in range(1, p):
-            values[x * x % p] = 1
-        self.values = values
+    require_odd_prime(p)
+    values = [-1] * p
+    values[0] = 0
+    for x in range(1, p):
+        values[x * x % p] = 1
+    return values
 
 
 # ---------------------------------------------------------------------------

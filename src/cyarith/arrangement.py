@@ -300,7 +300,7 @@ class Classification:
         }
 
 
-def classify(arr: Arrangement, poset: list[Stratum] | None = None) -> Classification:
+def classify(arr: Arrangement, poset: list[Stratum]) -> Classification:
     """Group strata into types, ordered by descending dimension then
     ascending multiplicity; report counts, flags, and incidence counts.
 
@@ -313,8 +313,6 @@ def classify(arr: Arrangement, poset: list[Stratum] | None = None) -> Classifica
     is reported when it is constant across the type (incidence_uniform),
     with -1 sentinels otherwise.
     """
-    if poset is None:
-        poset = intersection_poset(arr)
     n = arr.dim
     # key: (dim, mult, near_pencil); sorts like (dim, mult) when flags are constant
     type_of = {s.mask: (s.dim, s.mult, s.near_pencil) for s in poset}
@@ -381,10 +379,8 @@ def incidence_count_breaks(rows) -> list[tuple[int, int]]:
     return breaks
 
 
-def crepant_resolvable(arr: Arrangement, poset: list[Stratum] | None = None):
+def crepant_resolvable(arr: Arrangement, poset: list[Stratum]):
     """True iff every stratum is near-pencil or admissible, plus violators."""
-    if poset is None:
-        poset = intersection_poset(arr)
     violators = [s for s in poset if not (s.near_pencil or admissible(s.dim, s.mult, arr.dim))]
     return not violators, violators
 
@@ -396,7 +392,7 @@ class BlowUpStep:
     adds_exceptional: bool  # branch divisor picks up E exactly when mult is odd
 
 
-def resolution_schedule(arr: Arrangement, poset: list[Stratum] | None = None) -> list[BlowUpStep]:
+def resolution_schedule(arr: Arrangement, poset: list[Stratum]) -> list[BlowUpStep]:
     """Blow-up centers in resolution order: all non-near-pencil strata by
     ascending dimension (ties by canonical basis), each annotated with
     the branch-divisor update D* = s*D - 2 floor(m/2) E.
@@ -405,8 +401,6 @@ def resolution_schedule(arr: Arrangement, poset: list[Stratum] | None = None) ->
     are near-pencil, so the schedule is computable from the original
     poset; only resolvable arrangements are accepted.
     """
-    if poset is None:
-        poset = intersection_poset(arr)
     ok, violators = crepant_resolvable(arr, poset)
     if not ok:
         raise ValueError(f"arrangement is not crepant-resolvable: {len(violators)} violating strata")
@@ -520,7 +514,7 @@ def _reduced_flats(arr: Arrangement, p: int) -> dict[int, int] | None:
     return {mask: n - rank for mask, (rank, _, _) in flats.items() if rank >= 2}
 
 
-def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum] | None = None) -> ModPComparison:
+def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum]) -> ModPComparison:
     """Diff the F_p intersection poset against the rational one.
 
     Flats on both sides are identified with their containing-hyperplane
@@ -531,8 +525,6 @@ def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum] | None = 
     become index tuples.  Two hyperplanes that coincide mod p never
     compare equal, even when both posets are empty.
     """
-    if poset is None:
-        poset = intersection_poset(arr)
     modp = _reduced_flats(arr, p)
     coincident = modp is None
     modp = modp or {}

@@ -9,7 +9,9 @@ breaks mid-computation (`IdentityViolation`) is one `FAIL` line on
 stderr and exit code 1, never a traceback; inside `suite` it is a `FAIL`
 report for its sub-suite, and the other sub-suites still run.  Every
 subcommand that takes `--pmax` rejects values below 3 the same way
-(`error: ...`, exit 1): no odd prime lies below 3.
+(`error: ...`, exit 1): no odd prime lies below 3.  A reader that closes
+stdout early (`| head`) ends the command with exit code 1 and nothing on
+stderr.
 
 The table subcommands (eta-expand, cm-coeffs, elliptic-ap,
 verify-ahlgren, tensor-factor, classify-arrangement) print through one
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -37,7 +40,7 @@ from .arrangement import (
 )
 from .cmforms import normalize_prime_element
 from .euler import KummerData, double_cover_euler, fold_elliptic, iterated_elliptic_euler
-from .pointcount import BRUTE_FORCE_LIMIT, EllipticCurveModel, elliptic_ap, verify_ahlgren
+from .pointcount import EllipticCurveModel, elliptic_ap, verify_ahlgren
 from .qseries import EtaProduct
 from .report import format_report_text, reports_to_json, suite_exit_code
 from .suites import SUITES, run_suite
@@ -213,7 +216,7 @@ def cmd_euler(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    reports = run_suite(args.name, pmax=args.pmax, brute_max=args.brute_max)
+    reports = run_suite(args.name, pmax=args.pmax)
     if args.json:
         print(reports_to_json(reports))
     else:
@@ -288,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=SUITES)
     p.add_argument("--json", action="store_true", help="JSON output (default: text)")
     p.add_argument("--pmax", type=int, default=100, metavar="P", help="at least 3")
-    p.add_argument("--brute-max", type=int, default=BRUTE_FORCE_LIMIT, metavar="Q")
     p.set_defaults(func=cmd_suite)
 
     return parser
@@ -309,7 +311,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early: end quietly, and point stdout at
+        # devnull so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,8 @@ as a single Kronecker-substitution product."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .arith import IdentityViolation, LegendreTable, _kronecker_mul, odd_primes_up_to, require_odd_prime
+from .arith import IdentityViolation, _kronecker_mul, legendre_table, odd_primes_up_to, require_odd_prime
 from .qseries import EtaProduct, QSeries
 
 # default cap for the exact count, which the suites run at every p up to it
@@ -51,7 +50,7 @@ def elliptic_ap(curve: EllipticCurveModel, p: int) -> int:
     """Trace of Frobenius a_p = p + 1 - #E(F_p) = -sum_x chi(x^3 + ax + b)."""
     if not curve.is_good(p):
         raise ValueError(f"p = {p} is a bad prime for {curve}")
-    chi = LegendreTable(p).values
+    chi = legendre_table(p)
     a, b = curve.a % p, curve.b % p
     total = 0
     for x in range(p):
@@ -60,11 +59,6 @@ def elliptic_ap(curve: EllipticCurveModel, p: int) -> int:
     if ap * ap > 4 * p:  # Hasse bound; failure would mean a bug
         raise IdentityViolation(f"Hasse bound violated at p={p} for {curve}")
     return ap
-
-
-def _ahlgren_value_tables(p: int) -> list[list[int]]:
-    # table[v][s] = s(s-1)(s-v) mod p
-    return [[s * (s - 1) % p * (s - v) % p for s in range(p)] for v in range(p)]
 
 
 def ahlgren_count_bruteforce(p: int, limit: int = BRUTE_FORCE_LIMIT) -> int:
@@ -77,26 +71,20 @@ def ahlgren_count_bruteforce(p: int, limit: int = BRUTE_FORCE_LIMIT) -> int:
     two factors), and the number of w per value from a squares
     histogram.  O(p^3) steps, no character and no multiplicativity, so
     this path is independent of the character-sum identity and serves
-    as the oracle for the fast count.  Each p is counted at most once
-    per process.
+    as the oracle for the fast count.
     """
     require_odd_prime(p)
     if p > limit:
         raise ValueError(f"p = {p} exceeds the brute-force cap {limit} (pass a larger limit)")
-    return _ahlgren_enumerate(p)
-
-
-@lru_cache(maxsize=None)
-def _ahlgren_enumerate(p: int) -> int:
     nsol = [0] * p
     for w in range(p):
         nsol[w * w % p] += 1
     total = 0
-    for row in _ahlgren_value_tables(p):
+    for v in range(p):
         hist = [0] * p
-        for r in row:
-            hist[r] += 1
-        # pairs[r] = #{(x, y) : row[x] row[y] = r}
+        for s in range(p):
+            hist[s * (s - 1) % p * (s - v) % p] += 1
+        # pairs[r] = #{(x, y) : g(x) g(y) = r}, where g(s) = s(s-1)(s-v)
         pairs = [0] * p
         for r1, c1 in enumerate(hist):
             if c1:
@@ -121,7 +109,7 @@ def ahlgren_count_fast(p: int) -> int:
     Kronecker product of two length-p lists gives them all.
     """
     require_odd_prime(p)
-    chi = LegendreTable(p).values
+    chi = legendre_table(p)
     a = [chi[s * (s - 1) % p] for s in range(p)]
     fibres = _kronecker_mul(a, chi[::-1] * 2, 2 * p - 2)[p - 1 :]
     return p**5 + sum(s**4 for s in fibres)
@@ -160,7 +148,7 @@ def verify_ahlgren(
     """
     if pmax < 3:
         raise ValueError("pmax must be at least 3")
-    series = eta_series if eta_series is not None else AHLGREN_ETA.expand(max(pmax, 3))
+    series = eta_series if eta_series is not None else AHLGREN_ETA.expand(pmax)
     rows = []
     for p in odd_primes_up_to(pmax):
         count = ahlgren_count_fast(p)

@@ -23,8 +23,6 @@ from typing import Callable, Mapping
 
 from .arith import _kronecker_mul, primes_up_to
 
-DEFAULT_PRECISION = 200  # every bundled comparison needs far less
-
 
 @dataclass(frozen=True)
 class QSeries:
@@ -144,7 +142,7 @@ class EtaProduct:
     def q_shift(self) -> int:
         return self.weight_24 // 24
 
-    def expand(self, precision: int = DEFAULT_PRECISION) -> QSeries:
+    def expand(self, precision: int) -> QSeries:
         """Exact coefficients through q^precision.
 
         The product runs in x = q^g, g the gcd of the scales, so a factor
@@ -225,7 +223,7 @@ class HeckeCoefficientSpec:
         return 0 if p in self.bad_primes else self.character(p)
 
 
-def hecke_expand(spec: HeckeCoefficientSpec, precision: int = DEFAULT_PRECISION) -> QSeries:
+def hecke_expand(spec: HeckeCoefficientSpec, precision: int) -> QSeries:
     """Full multiplicative expansion a_1 .. a_N from prime data.
 
     Prime powers follow a_{p^(r+1)} = a_p a_{p^r} - chi(p) p^(k-1) a_{p^(r-1)};

@@ -25,7 +25,7 @@ from .euler import (
     fold_elliptic,
     iterated_elliptic_euler,
 )
-from .pointcount import BRUTE_FORCE_LIMIT, ahlgren_predicted, elliptic_ap, verify_ahlgren
+from .pointcount import BRUTE_FORCE_LIMIT, ahlgren_count_bruteforce, ahlgren_predicted, elliptic_ap, verify_ahlgren
 from .qseries import hecke_expand
 from .report import DERIVED, PUBLISHED, VerificationReport
 from .tensor import invariant_tensor_dimension, verify_g4xg3, verify_power_factorization
@@ -43,17 +43,17 @@ def suite_eta() -> list[VerificationReport]:
         # the printed expansion lists every nonzero coefficient up to its top index
         unprinted = [n for n in range(1, top + 1) if n not in printed and series.coeff(n)]
         report.check(f"{eta}: c_n = 0 at unprinted n <= {top}", unprinted, [], PUBLISHED)
-    # eta(q^2)^12 has no printed coefficients; its oracle is the brute-force
+    # eta(q^2)^12 has no printed coefficients; its oracle is the exact
     # fivefold count through p = 13 (solved for a_p)
     series = registry.ETA_WEIGHT6_LEVEL4.expand(BRUTE_FORCE_LIMIT)
-    rows = verify_ahlgren(BRUTE_FORCE_LIMIT, brute_max=BRUTE_FORCE_LIMIT, eta_series=series)
-    computed = {row.p: series.coeff(row.p) for row in rows}
-    expected = {row.p: ahlgren_predicted(row.p, 0) - row.brute for row in rows}
+    primes = odd_primes_up_to(BRUTE_FORCE_LIMIT)
+    computed = {p: series.coeff(p) for p in primes}
+    expected = {p: ahlgren_predicted(p, 0) - ahlgren_count_bruteforce(p) for p in primes}
     report.check(str(registry.ETA_WEIGHT6_LEVEL4), computed, expected, DERIVED)
     return [report]
 
 
-def suite_cm(pmax: int = 100) -> list[VerificationReport]:
+def suite_cm(pmax: int) -> list[VerificationReport]:
     reports = []
 
     printed = VerificationReport("grossencharakter-power-coefficients")
@@ -102,7 +102,7 @@ def suite_cm(pmax: int = 100) -> list[VerificationReport]:
     reports.append(dims)
 
     gauss = VerificationReport("gaussian-model-audit")
-    series = registry.ETA_WEIGHT2_GAUSSIAN.expand(max(pmax, 17))
+    series = registry.ETA_WEIGHT2_GAUSSIAN.expand(pmax)
     mism = model_mismatch_primes(registry.CURVE_GAUSSIAN, series, pmax)
     gauss.check(f"y^2 = x^3 - x vs eta(q^8)^2 eta(q^4)^2, odd good p <= {pmax}", mism, [], DERIVED)
     reports.append(gauss)
@@ -110,7 +110,7 @@ def suite_cm(pmax: int = 100) -> list[VerificationReport]:
     # model audit: the level-27 eta product matches y^2 = x^3 + 16 on the
     # nose, while the twist y^2 = x^3 - 16 flips sign at split p = 3 mod 4
     audit = VerificationReport("eisenstein-model-audit")
-    series = registry.ETA_WEIGHT2_EISENSTEIN.expand(max(pmax, 19))
+    series = registry.ETA_WEIGHT2_EISENSTEIN.expand(pmax)
     mism = model_mismatch_primes(registry.CURVE_EISENSTEIN, series, pmax)
     audit.check(f"y^2 = x^3 + 16 vs eta(q^9)^2 eta(q^3)^2, odd good p <= {pmax}", mism, [], DERIVED)
     twist_mism = model_mismatch_primes(registry.CURVE_EISENSTEIN_TWIST, series, pmax)
@@ -141,7 +141,7 @@ def model_mismatch_primes(curve, eta_series, pmax: int) -> list[int]:
     return out
 
 
-def suite_tensor(pmax: int = 100) -> list[VerificationReport]:
+def suite_tensor(pmax: int) -> list[VerificationReport]:
     reports = []
     g4g3 = VerificationReport("tensor-w4xw3-factorization")
     rows = verify_g4xg3(pmax)
@@ -175,22 +175,21 @@ def suite_tensor(pmax: int = 100) -> list[VerificationReport]:
     return reports
 
 
-def suite_ahlgren(pmax: int = 100, brute_max: int | None = BRUTE_FORCE_LIMIT) -> list[VerificationReport]:
+def suite_ahlgren(pmax: int) -> list[VerificationReport]:
     report = VerificationReport("ahlgren-fivefold-count-identity")
-    rows = verify_ahlgren(pmax, brute_max=brute_max)
+    rows = verify_ahlgren(pmax, brute_max=BRUTE_FORCE_LIMIT)
     report.check(
         f"N(p) = p^5 + 2p^3 - 4p^2 - 9p - 1 - a_p for odd p <= {pmax}",
         [r.p for r in rows if not r.match],
         [],
         DERIVED,
     )
-    if brute_max is not None:
-        report.check(
-            f"fast count == brute-force count for p <= {brute_max}",
-            [r.p for r in rows if r.brute is not None and r.brute != r.count],
-            [],
-            DERIVED,
-        )
+    report.check(
+        f"fast count == brute-force count for p <= {BRUTE_FORCE_LIMIT}",
+        [r.p for r in rows if r.brute is not None and r.brute != r.count],
+        [],
+        DERIVED,
+    )
     report.notes.append(f"{len(rows)} primes checked")
     return [report]
 
@@ -280,23 +279,24 @@ def suite_euler() -> list[VerificationReport]:
     return [report]
 
 
-#: suite name -> runner(pmax, brute_max); `all` runs them in this order
+#: suite name -> runner(pmax); `all` runs them in this order
 _RUNNERS = {
-    "eta": lambda pmax, brute_max: suite_eta(),
-    "cm": lambda pmax, brute_max: suite_cm(pmax),
-    "tensor": lambda pmax, brute_max: suite_tensor(pmax),
+    "eta": lambda pmax: suite_eta(),
+    "cm": suite_cm,
+    "tensor": suite_tensor,
     "ahlgren": suite_ahlgren,
-    "arrangement": lambda pmax, brute_max: suite_arrangement(),
-    "euler": lambda pmax, brute_max: suite_euler(),
+    "arrangement": lambda pmax: suite_arrangement(),
+    "euler": lambda pmax: suite_euler(),
 }
 SUITES = (*_RUNNERS, "all")
 
 
-def run_suite(name: str, pmax: int = 100, brute_max: int | None = BRUTE_FORCE_LIMIT) -> list[VerificationReport]:
+def run_suite(name: str, pmax: int = 100) -> list[VerificationReport]:
     """Reports of suite `name` (every sub-suite for `all`).  pmax < 3 is
-    rejected for every name: no sub-suite has an odd prime below 3.  pmax
-    does not change the eta suite, which checks the printed coefficients
-    and the p <= 13 brute-force oracle."""
+    rejected for every name: no sub-suite has an odd prime below 3.  The
+    eta and ahlgren suites both count the fivefold exactly at the odd
+    p <= BRUTE_FORCE_LIMIT (13); pmax does not change the eta suite, and
+    the ahlgren suite stops at pmax."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if pmax < 3:
@@ -304,7 +304,7 @@ def run_suite(name: str, pmax: int = 100, brute_max: int | None = BRUTE_FORCE_LI
     reports = []
     for sub in _RUNNERS if name == "all" else (name,):
         try:
-            reports += _RUNNERS[sub](pmax, brute_max)
+            reports += _RUNNERS[sub](pmax)
         except IdentityViolation as exc:
             # one FAIL report for the broken sub-suite; the others still run
             failed = VerificationReport(f"suite {sub}")

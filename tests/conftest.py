@@ -2,13 +2,12 @@ import pytest
 
 from cyarith.arrangement import intersection_poset
 from cyarith.cmforms import normalize_prime_element
-from cyarith.pointcount import _ahlgren_enumerate
 from cyarith.qseries import unit_powers
 from cyarith.registry import load_bundled_arrangement
 from cyarith.tensor import tensor_sectors
 
 #: every cache in cyarith; test_caches.py fails when one is missing here
-CACHES = (normalize_prime_element, unit_powers, _ahlgren_enumerate, tensor_sectors)
+CACHES = (normalize_prime_element, unit_powers, tensor_sectors)
 
 
 @pytest.fixture(autouse=True)

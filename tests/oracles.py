@@ -25,7 +25,7 @@ Series and point counts (`cyarith.arith`, `cyarith.qseries`,
 `cyarith.pointcount`).
 
 - `legendre` is Euler's criterion a^((p-1)/2) mod p, the reference for
-  the squares sieve of `arith.LegendreTable` and for `CMField.chi`.
+  the squares sieve of `arith.legendre_table` and for `CMField.chi`.
 - `mul_trunc` is the schoolbook truncated product, the reference for
   `arith._kronecker_mul`.  `pow_trunc` is binary powering on top of it,
   and `eta_unit_power` is J.C.P. Miller's power recurrence, O(N^1.5)
@@ -88,7 +88,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, isqrt, lcm
 
-from cyarith.arith import IdentityViolation, IntPoly, LegendreTable, is_prime, require_odd_prime
+from cyarith.arith import IdentityViolation, IntPoly, is_prime, legendre_table, require_odd_prime
 from cyarith.arrangement import GoodReductionReport, Stratum
 from cyarith.cmforms import QuadOrderElem, cm_euler_factor, is_normalized
 from cyarith.qseries import QSeries, eta_unit_part
@@ -392,7 +392,7 @@ def legendre(a: int, p: int) -> int:
 
 def legendre_family_sum(p: int, v: int) -> int:
     """S(v) = sum_s chi(s(s-1)(s-v)); equals -a_p of y^2 = x(x-1)(x-v) for v != 0, 1."""
-    chi = LegendreTable(p).values
+    chi = legendre_table(p)
     return sum(chi[s * (s - 1) % p * (s - v) % p] for s in range(p))
 
 

@@ -11,9 +11,9 @@ from cyarith import arith
 from cyarith.arith import (
     IntPoly,
     _kronecker_mul,
-    LegendreTable,
     PRIMALITY_LIMIT,
     is_prime,
+    legendre_table,
     minors_by_size,
     odd_primes_up_to,
     primes_up_to,
@@ -98,9 +98,9 @@ def test_legendre_sums_to_zero():
 
 def test_legendre_table_matches_symbol():
     for p in SMALL_ODD_PRIMES:
-        table = LegendreTable(p)
+        table = legendre_table(p)
         for a in range(-p, 2 * p):
-            assert table.values[a % p] == legendre(a, p)
+            assert table[a % p] == legendre(a, p)
 
 
 # ---------------------------------------------------------------------------

@@ -133,13 +133,14 @@ def test_three_concurrent_lines():
 
 def test_four_concurrent_lines_not_resolvable():
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0))
-    ok, violators = crepant_resolvable(arr)
+    ok, violators = crepant_resolvable(arr, intersection_poset(arr))
     assert not ok
     assert [(v.dim, v.mult) for v in violators] == [(0, 4)]
 
 
 def test_two_lines_resolvable():
-    ok, violators = crepant_resolvable(lines((1, 0, 0), (0, 1, 0)))
+    arr = lines((1, 0, 0), (0, 1, 0))
+    ok, violators = crepant_resolvable(arr, intersection_poset(arr))
     assert ok and not violators
 
 
@@ -152,14 +153,14 @@ def test_admissible_examples():
 
 def test_triangle_schedule():
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, -1))
-    steps = resolution_schedule(arr)
+    steps = resolution_schedule(arr, intersection_poset(arr))
     assert len(steps) == 3
     assert all(s.stratum.mult == 2 and not s.adds_exceptional for s in steps)
 
 
 def test_pencil_schedule_adds_exceptional():
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, 0))
-    steps = resolution_schedule(arr)
+    steps = resolution_schedule(arr, intersection_poset(arr))
     assert len(steps) == 1
     assert steps[0].adds_exceptional  # mult 3 is odd
     assert steps[0].half_mult == 1
@@ -168,7 +169,7 @@ def test_pencil_schedule_adds_exceptional():
 def test_schedule_refuses_unresolvable():
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0))
     with pytest.raises(ValueError, match="not crepant-resolvable"):
-        resolution_schedule(arr)
+        resolution_schedule(arr, intersection_poset(arr))
 
 
 def test_near_pencil_example():
@@ -314,7 +315,7 @@ def test_random_arrangements_closure_equals_subsets():
         oracle = subsets_poset(arr)
         expected = fields(oracle)
         assert fields(intersection_poset(arr)) == expected
-        assert type_rows(classify(arr)) == incidence_rows(oracle)
+        assert type_rows(classify(arr, intersection_poset(arr))) == incidence_rows(oracle)
         if count <= 6:
             assert fields(closure_poset(arr)) == expected
 
@@ -329,7 +330,7 @@ def test_incidence_oracle_non_uniform_types():
         oracle = subsets_poset(arr)
         assert fields(intersection_poset(arr)) == fields(oracle)
         rows = incidence_rows(oracle)
-        assert type_rows(classify(arr)) == rows
+        assert type_rows(classify(arr, intersection_poset(arr))) == rows
         non_uniform += sum(not uniform for *_, uniform in rows)
     assert non_uniform >= 1
 
@@ -421,14 +422,14 @@ def test_ahlgren_poset_stable_mod_p(ahlgren, ahlgren_poset, p):
 def test_mod_p_detects_collapsing_hyperplanes():
     # x + 3y = x mod 3: the reduced arrangement degenerates
     arr = lines((1, 0, 0), (0, 1, 0), (1, 3, 0))
-    cmp = poset_matches_mod_p(arr, 3)
+    cmp = poset_matches_mod_p(arr, 3, intersection_poset(arr))
     assert not cmp.equal
 
 
 def test_mod_p_detects_changed_intersection():
     # over F_3 the lines x+y and x-2y coincide
     arr = lines((1, 1, 0), (1, -2, 0), (0, 0, 1))
-    cmp = poset_matches_mod_p(arr, 3)
+    cmp = poset_matches_mod_p(arr, 3, intersection_poset(arr))
     assert not cmp.equal
 
 
@@ -436,7 +437,7 @@ DIFF_FIELDS = ("missing", "extra", "changed_dim", "coincident")
 
 
 def comparison(arr, p) -> dict:
-    cmp = poset_matches_mod_p(arr, p)
+    cmp = poset_matches_mod_p(arr, p, intersection_poset(arr))
     return {field: getattr(cmp, field) for field in DIFF_FIELDS}
 
 
@@ -459,7 +460,7 @@ def test_mod_p_coincidence_compares_lines():
     arr = lines((1, 1, 0), (2, -1, 0), (0, 0, 1))
     assert subsets_poset_mod_p(arr, 3) == {}
     assert comparison(arr, 3) == oracle_comparison(arr, 3)
-    cmp = poset_matches_mod_p(arr, 3)
+    cmp = poset_matches_mod_p(arr, 3, intersection_poset(arr))
     assert cmp.coincident and not cmp.equal
 
 
@@ -468,19 +469,20 @@ def test_mod_p_coincidence_never_equal():
     arr = Arrangement.from_rows(1, [(1, 1), (1, -2)])
     assert intersection_poset(arr) == [] and subsets_poset_mod_p(arr, 3) == {}
     assert comparison(arr, 3) == oracle_comparison(arr, 3) == {**dict.fromkeys(DIFF_FIELDS, ()), "coincident": True}
-    cmp = poset_matches_mod_p(arr, 3)
+    cmp = poset_matches_mod_p(arr, 3, intersection_poset(arr))
     assert cmp.coincident and not cmp.equal
-    assert poset_matches_mod_p(arr, 5).equal
+    assert poset_matches_mod_p(arr, 5, intersection_poset(arr)).equal
 
 
 def test_mod_p_contract():
+    # Hyperplane.from_coeffs would divide out the content 3
+    bad = Arrangement(2, (Hyperplane((1, 0, 0)), Hyperplane((3, 3, 3))))
     with pytest.raises(ValueError, match="degenerates"):
-        # Hyperplane.from_coeffs would divide out the content 3
-        poset_matches_mod_p(Arrangement(2, (Hyperplane((1, 0, 0)), Hyperplane((3, 3, 3)))), 3)
+        poset_matches_mod_p(bad, 3, intersection_poset(bad))
     arr = lines((1, 1, 0), (1, -2, 0), (0, 0, 1))
     assert subsets_poset_mod_p(arr, 3) == {}
     assert comparison(arr, 3) == oracle_comparison(arr, 3)
-    assert poset_matches_mod_p(arr, 3).coincident
+    assert poset_matches_mod_p(arr, 3, intersection_poset(arr)).coincident
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -525,7 +527,7 @@ def test_triple_point_mod_a_large_prime():
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, q))
     assert subsets_poset_mod_p(arr, q) == {(0, 1, 2): 0}
     assert comparison(arr, q) == oracle_comparison(arr, q)
-    cmp = poset_matches_mod_p(arr, q)
+    cmp = poset_matches_mod_p(arr, q, intersection_poset(arr))
     assert not cmp.equal and not cmp.coincident
     assert cmp.missing == ((0, 1), (0, 2), (1, 2))
     assert cmp.extra == ((0, 1, 2),)
@@ -582,7 +584,7 @@ def test_canonical_line_representatives(v, c, p, data):
 @pytest.mark.parametrize("name", ["octic", "sextic"])
 def test_golden_classification(name):
     arr = load_bundled_arrangement(name)
-    payload = classify(arr).to_jsonable()
+    payload = classify(arr, intersection_poset(arr)).to_jsonable()
     golden = json.loads((GOLDEN / f"{name}_classification.json").read_text())
     assert payload == golden
 
@@ -599,6 +601,6 @@ def test_sextic_structure():
 
 def test_octic_resolvable():
     arr = load_bundled_arrangement("octic")
-    cls = classify(arr)
+    cls = classify(arr, intersection_poset(arr))
     assert cls.resolvable
     assert sum(r.count for r in cls.rows if r.dim == 1) == 24

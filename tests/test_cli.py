@@ -123,6 +123,19 @@ def test_verify_ahlgren_cli(capsys):
         "7,17321,,-88,17321,True",
         "11,162589,,540,162589,True",
     ]
+    # --brute-max is the one override of BRUTE_FORCE_LIMIT (13): p = 17 is
+    # counted exactly as well
+    code, out, _ = run(capsys, "verify-ahlgren", "--pmax", "17", "--brute-max", "17", "--csv")
+    assert code == 0
+    assert out.splitlines()[-1] == "17,1427779,1427779,594,1427779,True"
+
+
+def test_suite_has_no_brute_max(capsys):
+    # the suites count exactly to BRUTE_FORCE_LIMIT; only verify-ahlgren moves the cap
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "all", "--brute-max", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --brute-max 5" in capsys.readouterr().err
 
 
 def test_tensor_factor_cli(capsys):
@@ -220,6 +233,21 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     code = "import sys, cyarith.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_closed_pipe_ends_quietly():
+    # about 120 kB of JSON: more than a pipe holds, so the writer meets the
+    # closed pipe after the reader takes one line and leaves
+    src = Path(cyarith.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "cyarith.cli", "cm-coeffs", "--field", "i", "--weight", "2", "--pmax", "30000"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_euler_cli(capsys):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cyarith import pointcount
-from cyarith.arith import IdentityViolation, LegendreTable, odd_primes_up_to
+from cyarith.arith import IdentityViolation, legendre_table, odd_primes_up_to
 from cyarith.cli import main
 from cyarith.cmforms import EISENSTEIN, GAUSSIAN
 from cyarith.pointcount import (
@@ -36,7 +36,7 @@ def test_curve_model_validation():
 
 def test_elliptic_ap_examples():
     # enumeration oracle at p = 5: chi-values of x^3 - x over F_5 sum to +2
-    chi = LegendreTable(5).values
+    chi = legendre_table(5)
     assert sum(chi[(x**3 - x) % 5] for x in range(5)) == 2
     assert elliptic_ap(CURVE_GAUSSIAN, 5) == -2
     assert elliptic_ap(CURVE_EISENSTEIN, 7) == -1
@@ -195,7 +195,7 @@ def test_fast_brute_mismatch_is_a_fail_row(monkeypatch, capsys):
     assert (rows[7].count, rows[7].brute, rows[7].match) == (17322, 17321, False)
     assert all(r.match for p, r in rows.items() if p != 7)
 
-    [report] = run_suite("ahlgren", pmax=13, brute_max=13)
+    [report] = run_suite("ahlgren", pmax=13)
     assert report.status == "fail"
     assert main(["suite", "ahlgren", "--pmax", "13"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
@@ -204,23 +204,9 @@ def test_fast_brute_mismatch_is_a_fail_row(monkeypatch, capsys):
     assert (row["count"], row["brute"], row["match"]) == (17322, 17321, False)
 
 
-def test_suite_all_enumerates_each_prime_once(monkeypatch):
-    # suite eta and suite ahlgren both check the fivefold against the brute
-    # count through p = 13; the p^5 enumeration runs once per prime
-    enumerated = []
-    real = pointcount._ahlgren_value_tables
-    monkeypatch.setattr(pointcount, "_ahlgren_value_tables", lambda p: enumerated.append(p) or real(p))
-    run_suite("all")
-    assert enumerated == [3, 5, 7, 11, 13]
-
-
 def test_hasse_violation_is_a_fail_line(monkeypatch, capsys):
     # a character table of all ones gives a_p = -p, far outside the Hasse bound
-    class AllSquares:
-        def __init__(self, p):
-            self.values = [1] * p
-
-    monkeypatch.setattr(pointcount, "LegendreTable", AllSquares)
+    monkeypatch.setattr(pointcount, "legendre_table", lambda p: [1] * p)
     with pytest.raises(IdentityViolation, match="Hasse bound violated at p=13"):
         elliptic_ap(EllipticCurveModel(-1, 0), 13)
     assert main(["elliptic-ap", "--curve=-1,0", "--pmax", "13"]) == 1
