@@ -272,7 +272,6 @@ class TypeRow:
 
 @dataclass(frozen=True)
 class Classification:
-    ambient_dim: int
     rows: tuple[TypeRow, ...]
     resolvable: bool
     violators: tuple[Stratum, ...]
@@ -348,7 +347,7 @@ def classify(arr: Arrangement, poset: list[Stratum]) -> Classification:
             )
         )
     ok, violators = crepant_resolvable(arr, poset)
-    return Classification(n, tuple(rows), ok, tuple(violators))
+    return Classification(tuple(rows), ok, tuple(violators))
 
 
 def incidence_count_breaks(rows) -> list[tuple[int, int]]:
@@ -388,7 +387,6 @@ def crepant_resolvable(arr: Arrangement, poset: list[Stratum]):
 @dataclass(frozen=True)
 class BlowUpStep:
     stratum: Stratum
-    half_mult: int
     adds_exceptional: bool  # branch divisor picks up E exactly when mult is odd
 
 
@@ -407,7 +405,7 @@ def resolution_schedule(arr: Arrangement, poset: list[Stratum]) -> list[BlowUpSt
     centers = sorted(
         (s for s in poset if not s.near_pencil), key=lambda s: (s.dim, s.basis)
     )
-    return [BlowUpStep(s, s.mult // 2, s.mult % 2 == 1) for s in centers]
+    return [BlowUpStep(s, s.mult % 2 == 1) for s in centers]
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +455,6 @@ def _odd_prime_divisors(v: int):
 class ModPComparison:
     p: int
     equal: bool
-    missing: tuple[tuple[int, ...], ...]  # hyperplane index sets present over Q only
-    extra: tuple[tuple[int, ...], ...]  # present over F_p only
-    changed_dim: tuple[tuple[int, ...], ...]
-    coincident: bool  # two hyperplanes reduce to the same line mod p
 
 
 def _monic_mod(p: int, v) -> tuple[int, ...]:
@@ -485,7 +479,7 @@ def _reduced_flats(arr: Arrangement, p: int) -> dict[int, int] | None:
     residual of `_flats` is reduced in one pass: v - f w in one list,
     its first nonzero entry found by a plain loop, one inverse, one
     scaling.  The keys are masks, as in `Stratum.mask`, so
-    `poset_matches_mod_p` diffs them without building index tuples.
+    `poset_matches_mod_p` compares the two dicts as they stand.
     """
     require_odd_prime(p)
     lines = []
@@ -515,28 +509,14 @@ def _reduced_flats(arr: Arrangement, p: int) -> dict[int, int] | None:
 
 
 def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum]) -> ModPComparison:
-    """Diff the F_p intersection poset against the rational one.
+    """Compare the F_p intersection poset with the rational one.
 
     Flats on both sides are identified with their containing-hyperplane
-    sets (which span the defining forms), so poset equality is set
-    equality plus matching dimensions.  Both sides are keyed by mask, as
-    `_reduced_flats` returns them and as `Stratum.mask` gives them, and
-    diffed by set operations on the keys; only the flats that differ
-    become index tuples.  Two hyperplanes that coincide mod p never
-    compare equal, even when both posets are empty.
+    sets (which span the defining forms), so the posets are equal when
+    the same sets occur with the same dimensions.  Both sides are
+    {mask: dim}, as `_reduced_flats` returns them and as `Stratum.mask`
+    gives them, compared as dicts.  Two hyperplanes that coincide mod p
+    never compare equal, even when both posets are empty.
     """
     modp = _reduced_flats(arr, p)
-    coincident = modp is None
-    modp = modp or {}
-    rational = {s.mask: s.dim for s in poset}
-    missing = rational.keys() - modp.keys()
-    extra = modp.keys() - rational.keys()
-    changed = [mask for mask, _ in rational.items() - modp.items() if mask in modp]
-    equal = not (coincident or missing or extra or changed)
-    return ModPComparison(
-        p, equal, _sorted_indices(missing), _sorted_indices(extra), _sorted_indices(changed), coincident
-    )
-
-
-def _sorted_indices(masks) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(map(_indices, masks)))
+    return ModPComparison(p, modp is not None and modp == {s.mask: s.dim for s in poset})

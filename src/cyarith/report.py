@@ -79,7 +79,7 @@ class VerificationReport:
 
 
 def _plain(value):
-    if isinstance(value, (int, str, bool, type(None), float)):
+    if isinstance(value, (int, str, bool, type(None))):
         return value
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]

@@ -185,7 +185,7 @@ def suite_ahlgren(pmax: int) -> list[VerificationReport]:
         DERIVED,
     )
     report.check(
-        f"fast count == brute-force count for p <= {BRUTE_FORCE_LIMIT}",
+        f"fast count == brute-force count for p <= {min(pmax, BRUTE_FORCE_LIMIT)}",
         [r.p for r in rows if r.brute is not None and r.brute != r.count],
         [],
         DERIVED,

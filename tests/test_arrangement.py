@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from cyarith.arrangement import (
     Arrangement,
     Hyperplane,
+    _indices,
+    _reduced_flats,
     admissible,
     classify,
     crepant_resolvable,
@@ -163,7 +165,6 @@ def test_pencil_schedule_adds_exceptional():
     steps = resolution_schedule(arr, intersection_poset(arr))
     assert len(steps) == 1
     assert steps[0].adds_exceptional  # mult 3 is odd
-    assert steps[0].half_mult == 1
 
 
 def test_schedule_refuses_unresolvable():
@@ -433,45 +434,36 @@ def test_mod_p_detects_changed_intersection():
     assert not cmp.equal
 
 
-DIFF_FIELDS = ("missing", "extra", "changed_dim", "coincident")
+def comparison(arr, p) -> tuple[dict | None, bool]:
+    """The F_p flats of `_reduced_flats` as {index set: dim}, or None when
+    two hyperplanes coincide mod p, with `poset_matches_mod_p(...).equal`."""
+    modp = _reduced_flats(arr, p)
+    flats = None if modp is None else {_indices(mask): dim for mask, dim in modp.items()}
+    return flats, poset_matches_mod_p(arr, p, intersection_poset(arr)).equal
 
 
-def comparison(arr, p) -> dict:
-    cmp = poset_matches_mod_p(arr, p, intersection_poset(arr))
-    return {field: getattr(cmp, field) for field in DIFF_FIELDS}
-
-
-def oracle_comparison(arr, p, modp_oracle=subsets_poset_mod_p) -> dict:
-    """The diff fields of `poset_matches_mod_p`, as sorted index sets, from
-    the rational subset oracle and a mod-p oracle; two hyperplanes on one
-    line mod p are coincident, and the oracle then finds no flat."""
-    rational = {s.hyperplanes: s.dim for s in subsets_poset(arr)}
+def oracle_comparison(arr, p, modp_oracle=subsets_poset_mod_p) -> tuple[dict | None, bool]:
+    """`comparison` from a mod-p oracle and the rational subset oracle:
+    two hyperplanes on one line mod p give None, and never equal."""
     modp = modp_oracle(arr, p)
-    return {
-        "missing": tuple(sorted(rational.keys() - modp.keys())),
-        "extra": tuple(sorted(modp.keys() - rational.keys())),
-        "changed_dim": tuple(sorted(k for k in rational.keys() & modp.keys() if rational[k] != modp[k])),
-        "coincident": len({echelon_mod([h.coeffs], p) for h in arr.hyperplanes}) < arr.size,
-    }
+    if len({echelon_mod([h.coeffs], p) for h in arr.hyperplanes}) < arr.size:
+        modp = None
+    return modp, modp == {s.hyperplanes: s.dim for s in subsets_poset(arr)}
 
 
 def test_mod_p_coincidence_compares_lines():
     # (2, -1, 0) = 2 * (1, 1, 0) mod 3: the same line, not the same residues
     arr = lines((1, 1, 0), (2, -1, 0), (0, 0, 1))
     assert subsets_poset_mod_p(arr, 3) == {}
-    assert comparison(arr, 3) == oracle_comparison(arr, 3)
-    cmp = poset_matches_mod_p(arr, 3, intersection_poset(arr))
-    assert cmp.coincident and not cmp.equal
+    assert comparison(arr, 3) == oracle_comparison(arr, 3) == (None, False)
 
 
 def test_mod_p_coincidence_never_equal():
     # two points of P^1 meeting mod 3: both posets are empty, yet unequal
     arr = Arrangement.from_rows(1, [(1, 1), (1, -2)])
     assert intersection_poset(arr) == [] and subsets_poset_mod_p(arr, 3) == {}
-    assert comparison(arr, 3) == oracle_comparison(arr, 3) == {**dict.fromkeys(DIFF_FIELDS, ()), "coincident": True}
-    cmp = poset_matches_mod_p(arr, 3, intersection_poset(arr))
-    assert cmp.coincident and not cmp.equal
-    assert poset_matches_mod_p(arr, 5, intersection_poset(arr)).equal
+    assert comparison(arr, 3) == oracle_comparison(arr, 3) == (None, False)
+    assert comparison(arr, 5) == oracle_comparison(arr, 5) == ({}, True)
 
 
 def test_mod_p_contract():
@@ -481,14 +473,13 @@ def test_mod_p_contract():
         poset_matches_mod_p(bad, 3, intersection_poset(bad))
     arr = lines((1, 1, 0), (1, -2, 0), (0, 0, 1))
     assert subsets_poset_mod_p(arr, 3) == {}
-    assert comparison(arr, 3) == oracle_comparison(arr, 3)
-    assert poset_matches_mod_p(arr, 3, intersection_poset(arr)).coincident
+    assert comparison(arr, 3) == oracle_comparison(arr, 3) == (None, False)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_poset_mod_p_matches_subset_oracle(p):
     # random draws with coefficients in [-p-1, p+1]: about half reduce to a
-    # different poset, a few to coinciding planes ({} on both sides)
+    # different poset, a few to coinciding planes (None on both sides)
     rng = random.Random(1000 + p)
     changed = 0
     for _ in range(150):
@@ -504,34 +495,13 @@ def test_poset_mod_p_matches_subset_oracle(p):
     assert changed >= 10
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_mod_p_diff_fields_match_subset_oracles(p):
-    # missing, extra and changed_dim against the set differences of the two
-    # subset oracles, as sorted index sets; each field is seen nonempty
-    rng = random.Random(7 + p)
-    seen = {"missing": 0, "extra": 0, "changed_dim": 0}
-    for _ in range(150):
-        n = rng.choice((2, 3, 4))
-        arr = random_arrangement(rng, n, rng.randint(3, 7), bound=p + 1)
-        got, expected = comparison(arr, p), oracle_comparison(arr, p)
-        for field in seen:
-            assert got[field] == expected[field], field
-            seen[field] += bool(expected[field])
-    assert all(seen.values()), seen
-
-
 def test_triple_point_mod_a_large_prime():
     # x = 0, y = 0 and x + y + qz = 0 meet in three points over Q and in
     # one triple point mod q
     q = 2**31 - 1
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, q))
     assert subsets_poset_mod_p(arr, q) == {(0, 1, 2): 0}
-    assert comparison(arr, q) == oracle_comparison(arr, q)
-    cmp = poset_matches_mod_p(arr, q, intersection_poset(arr))
-    assert not cmp.equal and not cmp.coincident
-    assert cmp.missing == ((0, 1), (0, 2), (1, 2))
-    assert cmp.extra == ((0, 1, 2),)
-    assert cmp.changed_dim == ()
+    assert comparison(arr, q) == oracle_comparison(arr, q) == ({(0, 1, 2): 0}, False)
 
 
 LINE_PRIMES = (3, 5, 7, 11, 2**31 - 1)
@@ -572,9 +542,8 @@ def test_canonical_line_representatives(v, c, p, data):
         got = outcome(comparison, arr, p)
         assert got == outcome(oracle_comparison, arr, p)
         if shift == p and gcd(*v) % p and gcd(*w) % p:
-            # no flat mod p: every rational flat is missing
-            missing = tuple(sorted(s.hyperplanes for s in intersection_poset(arr)))
-            assert got == {"missing": missing, "extra": (), "changed_dim": (), "coincident": True}
+            # the same line mod p: no flat, and never equal
+            assert got == (None, False)
 
 
 # ---------------------------------------------------------------------------

@@ -355,6 +355,12 @@ def test_run_suite_accepts_pmax_3(name):
     assert suite_exit_code(run_suite(name, pmax=3)) == 0
 
 
+@pytest.mark.parametrize("pmax, cap", [(5, 5), (100, 13)])
+def test_suite_ahlgren_names_the_range_it_counted(pmax, cap):
+    (report,) = run_suite("ahlgren", pmax=pmax)
+    assert report.rows[1].input == f"fast count == brute-force count for p <= {cap}"
+
+
 def test_suite_pmax_2_is_an_error_line(capsys):
     code, out, err = run(capsys, "suite", "cm", "--pmax", "2")
     assert (code, out, err) == (1, "", "error: pmax must be at least 3\n")

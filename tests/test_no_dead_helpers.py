@@ -1,8 +1,8 @@
 """Code that nothing needs is deleted: every module-level private name
 (`_x`, not a dunder) that a module of the package defines is used
 somewhere in the package outside its own definition, and every public
-name and public method is read by the package, the benchmark or the
-test fixtures, not by its own tests alone."""
+name, public method and public dataclass field is read by the package,
+the benchmark or the test fixtures, not by its own tests alone."""
 
 import ast
 from pathlib import Path
@@ -28,10 +28,16 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = (*_FUNCTIONS, ast.ClassDef)
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
 def definitions(tree: ast.Module, public: bool = False) -> list[tuple[str, ast.AST]]:
     """Each module-level private function, class or assigned name, with
     the statement that defines it; with `public`, each public one instead,
-    and each public method of a module-level class after its class."""
+    and each public method of a module-level class, and each public
+    annotated field of a module-level dataclass, after its class."""
     wanted = is_public if public else is_private
     found = []
     for node in tree.body:
@@ -45,6 +51,9 @@ def definitions(tree: ast.Module, public: bool = False) -> list[tuple[str, ast.A
         found += [(name, node) for name in names if wanted(name)]
         if public and isinstance(node, ast.ClassDef):
             found += [(m.name, m) for m in node.body if isinstance(m, _FUNCTIONS) and wanted(m.name)]
+            if is_dataclass(node):
+                fields = [m for m in node.body if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)]
+                found += [(m.target.id, m) for m in fields if wanted(m.target.id)]
     return found
 
 
@@ -119,11 +128,13 @@ def test_public_detector_flags_each_kind():
         "    def _private(self):\n        pass\n"
         "    def __str__(self):\n        return helper()\n"
         "class Lonely:\n    pass\n"
+        "@dataclass(frozen=True)\n"
+        "class Pair:\n    left: int\n    unread: int\n    _hidden: int\n"
     )
     init = "from .lib import UNREAD, Lonely\n"
-    bench = "import lib\nlib.Box().read()\n"
+    bench = "import lib\nlib.Box().read()\nlib.Pair(1, 2, 3).left\n"
     trees = {"lib.py": ast.parse(lib), "__init__.py": ast.parse(init)}
-    flagged = ("Lonely", "UNREAD", "orphan", "selfish")
+    flagged = ("Lonely", "UNREAD", "orphan", "selfish", "unread")
     assert dead_helpers(trees, public=True, readers=[ast.parse(bench)]) == [f"lib.py: {name}" for name in flagged]
     # without the reader, nothing outside Box reads Box
     assert "lib.py: Box" in dead_helpers(trees, public=True)
