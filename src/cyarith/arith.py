@@ -255,19 +255,20 @@ def minors_by_size(matrix):
     """Every square minor of an integer matrix, one size at a time.
 
     Yields (k, minors) for k = 1 .. min(rows, cols), where `minors` maps
-    (row_mask, col_mask), the bitmasks of the chosen rows and columns, to
-    the determinant of that k x k submatrix.  Each size-k minor is its
-    Laplace expansion along its last row: k entries of that row times
-    size-(k-1) minors of the previous level, so a minor costs k products
-    and only two levels are held at once.
+    row_mask, the bitmask of k chosen rows, to {col_mask: determinant of
+    that k x k submatrix} over every choice of k columns, so the maximal
+    minors of one row set are one dict.  Each size-k minor is its Laplace
+    expansion along its last row: k entries of that row times size-(k-1)
+    minors of the previous level, so a minor costs k products and only
+    two levels are held at once.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     if any(len(row) != ncols for row in matrix):
         raise ValueError("ragged matrix")
-    prev = {(1 << r, 1 << c): x for r, row in enumerate(matrix) for c, x in enumerate(row)}
-    if not prev:
+    if not ncols:
         return
+    prev = {1 << r: {1 << c: x for c, x in enumerate(row)} for r, row in enumerate(matrix)}
     yield 1, prev
     for k in range(2, min(nrows, ncols) + 1):
         # column j of a k x k submatrix enters the last-row expansion with sign (-1)^(k-1+j)
@@ -279,15 +280,17 @@ def minors_by_size(matrix):
         for rows in combinations(range(nrows), k):
             row = matrix[rows[-1]]
             row_mask = sum(1 << r for r in rows)
-            sub = row_mask ^ (1 << rows[-1])
+            sub = prev[row_mask ^ (1 << rows[-1])]
+            minors = {}
             for col_mask, terms in plan:
                 v = 0
                 for c, sub_cols, odd in terms:
                     x = row[c]
                     if x:
-                        m = prev[sub, sub_cols]
+                        m = sub[sub_cols]
                         if m:
                             v = v - x * m if odd else v + x * m
-                level[row_mask, col_mask] = v
+                minors[col_mask] = v
+            level[row_mask] = minors
         yield k, level
         prev = level

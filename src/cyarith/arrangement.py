@@ -3,6 +3,11 @@
 crepant-resolvability criterion, blow-up scheduling, and good-reduction
 analysis.
 
+Flats are enumerated over Q only.  Whether the lattice survives reduction
+mod p is read off the square minors of the coefficient matrix, scanned
+once per arrangement: the F_p lattice is the rational one exactly when p
+divides no nonzero gcd of the maximal minors of a set of hyperplanes.
+
 Arrangements here are unions of hyperplanes, so every flat is a linear
 subspace and the smooth-intersection requirement on arrangements of
 general divisors holds automatically.
@@ -11,7 +16,7 @@ general divisors holds automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from math import comb, gcd
 
 from .arith import minors_by_size, require_odd_prime
@@ -153,38 +158,38 @@ def _reduce_q(v, w, col: int) -> tuple[int, ...]:
     return _pivot_q([a * x - b * y for x, y in zip(v, w)])
 
 
-def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[tuple[int, ...], ...], list[int]]]:
-    """Every flat of rank 1..n of the hyperplanes `vectors` (forms on
-    k^(n+1)), keyed by the bitmask of the hyperplanes containing it.
+def _flats(vectors, n: int) -> dict[int, tuple[int, tuple[tuple[int, ...], ...], list[int]]]:
+    """Every flat of rank 1..n over Q of the hyperplanes `vectors` (forms
+    on Q^(n+1)), keyed by the bitmask of the hyperplanes containing it.
 
     Value: (rank, rows, parents).  rows lists the residual each rank step
-    pivoted on, oldest first: each is scaled by `pivot` and is zero on the
-    pivot columns of the rows before it, so they are a triangular basis
-    of the flat's defining space.  parents are the masks of the flats of
-    rank one less that contain it (mask 0, the whole space, for a
-    hyperplane): the cover edges of the lattice.
+    pivoted on, oldest first: each is primitive with positive lead
+    (`_pivot_q`) and is zero on the pivot columns of the rows before it,
+    so they are a triangular basis of the flat's defining space.  parents
+    are the masks of the flats of rank one less that contain it (mask 0,
+    the whole space, for a hyperplane): the cover edges of the lattice.
 
     Flats are built one rank at a time, starting from the whole space
     (mask 0).  A flat keeps the residuals of the forms of the hyperplanes
     not containing it against its triangular basis: each reduced to zero
-    on every pivot column, then scaled by `pivot` to a canonical
+    on every pivot column, then scaled by `_pivot_q` to a canonical
     representative of its line.  Two such residuals span the same space
     over the flat exactly when they are equal, so the flat keeps them
     grouped, each distinct residual with the mask of its hyperplanes, and
     each group gives a covering flat with its full hyperplane set.  Every
     parent of a flat reaches it this way; the first builds it, clearing
-    the other groups' residuals on the new pivot column by
-    `reduce(v, w, col)`, once per group and only where the column is
+    the other groups' residuals on the new pivot column by fraction-free
+    `_reduce_q(v, w, col)`, once per group and only where the column is
     nonzero (a residual zero there is already reduced), and merging the
     groups whose residuals become equal.  Each later parent only adds its
     mask to the flat's parents.
 
-    `pivot` and `reduce` are the only field-specific inputs: fraction-free
-    integer arithmetic for Q, arithmetic mod p for F_p.
+    Over F_p no flat is enumerated: `poset_matches_mod_p` decides from
+    the minors whether the F_p lattice is this one.
     """
     groups: dict[tuple[int, ...], int] = {}
     for i, v in enumerate(vectors):
-        v = pivot(v)
+        v = _pivot_q(v)
         groups[v] = groups.get(v, 0) | 1 << i
     level = {0: ((), groups, [])}
     flats = {}
@@ -202,7 +207,7 @@ def _flats(vectors, n: int, pivot, reduce) -> dict[int, tuple[int, tuple[tuple[i
                     for r, m in groups.items():
                         if m != add:
                             if r[col]:
-                                r = reduce(r, w, col)
+                                r = _reduce_q(r, w, col)
                             rest[r] = rest.get(r, 0) | m
                 nxt[child] = (rows + (w,), rest, [mask])
         for mask, (rows, _, parents) in nxt.items():
@@ -233,7 +238,7 @@ def intersection_poset(arr: Arrangement) -> list[Stratum]:
     n = arr.dim
     vectors = [h.coeffs for h in arr.hyperplanes]
     strata = []
-    for mask, (rank, rows, parents) in _flats(vectors, n, _pivot_q, _reduce_q).items():
+    for mask, (rank, rows, parents) in _flats(vectors, n).items():
         if rank < 2:  # a single hyperplane
             continue
         covers = tuple(sorted(parents)) if rank > 2 else ()
@@ -419,19 +424,38 @@ class GoodReductionReport:
     max_abs_minor: int
 
 
+@lru_cache(maxsize=128)
+def _minor_scan(arr: Arrangement) -> tuple[int, frozenset[int], frozenset[int]]:
+    """Every square minor (all sizes) of the N x (n+1) coefficient matrix,
+    from one level-by-level Laplace pass (`arith.minors_by_size`).
+
+    Returns the largest |minor|, the distinct nonzero |minors|, and the
+    distinct nonzero g_R, where g_R is the gcd of the |R| x |R| minors of
+    the row set R (zero exactly when R is dependent over Q).  Nothing is
+    factored; `good_reduction_report` and every `poset_matches_mod_p`
+    read the one scan.
+    """
+    values: set[int] = set()
+    gcds: set[int] = set()
+    for _, level in minors_by_size(arr.coefficient_matrix()):
+        for minors in level.values():
+            values.update(map(abs, minors.values()))
+            gcds.add(gcd(*minors.values()))
+    values.discard(0)
+    gcds.discard(0)
+    return max(values, default=0), frozenset(values), frozenset(gcds)
+
+
 def good_reduction_report(arr: Arrangement) -> GoodReductionReport:
-    """Every square minor (all sizes) of the N x (n+1) coefficient matrix.
+    """The minors of the coefficient matrix, from the cached `_minor_scan`.
 
     Minors in {0, +-1} force the mod-p stratification to agree with the
     rational one at every odd prime.  Otherwise the odd primes dividing
-    some nonzero minor are the only candidates for a changed poset.  The
-    minors come from one level-by-level Laplace pass
-    (`arith.minors_by_size`), and each distinct |minor| is factored once.
+    some nonzero minor are the only candidates for a changed poset, a
+    superset of the primes where it changes (`poset_matches_mod_p`).
+    Each distinct |minor| is factored once.
     """
-    values: set[int] = set()
-    for _, level in minors_by_size(arr.coefficient_matrix()):
-        values.update(map(abs, level.values()))
-    max_abs = max(values, default=0)
+    max_abs, values, _ = _minor_scan(arr)
     exceptional = {q for v in values if v > 1 for q in _odd_prime_divisors(v)}
     return GoodReductionReport(max_abs <= 1, tuple(sorted(exceptional)), max_abs)
 
@@ -453,70 +477,26 @@ def _odd_prime_divisors(v: int):
 
 @dataclass(frozen=True)
 class ModPComparison:
-    p: int
     equal: bool
 
 
-def _monic_mod(p: int, v) -> tuple[int, ...]:
-    """The residue vector v scaled to lead coefficient 1 mod p."""
-    for lead in v:
-        if lead:
-            break
-    inv = pow(lead, -1, p)
-    return tuple([x * inv % p for x in v])
-
-
-def _reduced_flats(arr: Arrangement, p: int) -> dict[int, int] | None:
-    """Flats of the reduced arrangement over F_p, keyed by the bitmask of
-    their containing hyperplanes, value = dimension, or None when two
-    hyperplanes reduce to the same line mod p; a hyperplane that reduces
-    to zero mod p raises ValueError.
-
-    The same mask-keyed enumerator as `intersection_poset`, with every
-    residual reduced mod p and scaled to lead coefficient 1.  Each
-    hyperplane's form is reduced once, as `_monic_mod`, so two
-    hyperplanes coincide mod p exactly when their entries are equal.  Each
-    residual of `_flats` is reduced in one pass: v - f w in one list,
-    its first nonzero entry found by a plain loop, one inverse, one
-    scaling.  The keys are masks, as in `Stratum.mask`, so
-    `poset_matches_mod_p` compares the two dicts as they stand.
-    """
-    require_odd_prime(p)
-    lines = []
-    for h in arr.hyperplanes:
-        v = [c % p for c in h.coeffs]
-        if not any(v):
-            raise ValueError(f"a hyperplane degenerates to zero mod {p}")
-        lines.append(_monic_mod(p, v))
-    if len(set(lines)) != len(lines):
-        return None
-
-    def reduce(v, w, col: int) -> tuple[int, ...]:
-        f = v[col]
-        # unreduced, the lead is still exact: v is monic, so it leads before
-        # col (where w is 0), after col (f = 0), or at col with f = 1, which
-        # leaves every entry in (-p, p); the scaling reduces them all
-        u = [x - f * y for x, y in zip(v, w)]
-        for lead in u:
-            if lead:
-                break
-        inv = pow(lead, -1, p)
-        return tuple([x * inv % p for x in u])
-
-    n = arr.dim
-    flats = _flats(lines, n, partial(_monic_mod, p), reduce)
-    return {mask: n - rank for mask, (rank, _, _) in flats.items() if rank >= 2}
-
-
 def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum]) -> ModPComparison:
-    """Compare the F_p intersection poset with the rational one.
+    """Whether the F_p intersection poset equals the rational one.
 
     Flats on both sides are identified with their containing-hyperplane
-    sets (which span the defining forms), so the posets are equal when
-    the same sets occur with the same dimensions.  Both sides are
-    {mask: dim}, as `_reduced_flats` returns them and as `Stratum.mask`
-    gives them, compared as dicts.  Two hyperplanes that coincide mod p
-    never compare equal, even when both posets are empty.
+    sets, so the posets are equal exactly when every set of hyperplanes
+    keeps its rank mod p: when every set independent over Q stays
+    independent over F_p (ranks only drop mod p).  A set R of rows is
+    independent exactly when its maximal minors have a nonzero gcd g_R,
+    and stays so mod p exactly when p does not divide g_R.  So the answer
+    is read off the cached minor scan, a divisibility test per distinct
+    g_R, and `poset`, which the rational side would give, is not read.
+    Two hyperplanes that coincide mod p are an independent pair with p
+    dividing g_R, so they never compare equal, even when both posets are
+    empty.  A hyperplane that reduces to zero mod p raises ValueError.
+    Nothing is factored.
     """
-    modp = _reduced_flats(arr, p)
-    return ModPComparison(p, modp is not None and modp == {s.mask: s.dim for s in poset})
+    require_odd_prime(p)
+    if any(not any(c % p for c in h.coeffs) for h in arr.hyperplanes):
+        raise ValueError(f"a hyperplane degenerates to zero mod {p}")
+    return ModPComparison(all(g % p for g in _minor_scan(arr)[2]))

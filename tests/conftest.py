@@ -1,20 +1,20 @@
 import pytest
 
-from cyarith.arrangement import intersection_poset
+from cyarith.arrangement import _minor_scan, intersection_poset
 from cyarith.cmforms import normalize_prime_element
 from cyarith.qseries import unit_powers
 from cyarith.registry import load_bundled_arrangement
 from cyarith.tensor import tensor_sectors
 
 #: every cache in cyarith; test_caches.py fails when one is missing here
-CACHES = (normalize_prime_element, unit_powers, tensor_sectors)
+CACHES = (_minor_scan, normalize_prime_element, unit_powers, tensor_sectors)
 
 
 @pytest.fixture(autouse=True)
 def cold_caches():
     # every test starts with empty caches, so a patched is_normalized,
-    # _cornacchia, is_prime or _kronecker_mul is never masked by a trace or
-    # power an earlier test computed
+    # _cornacchia, is_prime or _kronecker_mul is never masked by a trace,
+    # power or minor scan an earlier test computed
     for cache in CACHES:
         cache.cache_clear()
 

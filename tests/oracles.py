@@ -13,10 +13,12 @@ from its own pivot rows.
 - `closure_poset` seeds with the pairwise intersections and intersects
   the frontier with one hyperplane at a time, breadth first.
 - `subsets_poset_mod_p` and `closure_poset_mod_p` are the same two
-  loops over F_p, the references for the flats that
-  `poset_matches_mod_p` compares: like it, they raise ValueError when a
-  hyperplane reduces to zero mod p, and find no flat when two
-  hyperplanes reduce to the same line.
+  loops over F_p, the references for `poset_matches_mod_p`, which
+  enumerates no F_p flat and answers from the gcds of the maximal minors
+  instead: the F_p lattice the oracles find must equal the rational one
+  exactly when it says so.  Like it, they raise ValueError when a
+  hyperplane reduces to zero mod p; they find no flat when two
+  hyperplanes reduce to the same line, which it never calls equal.
 - Near-pencil flags, cover edges and `incidence_rows` come from the
   hyperplane sets and dimensions those loops find, by their
   definitions: no cover edge of the engine is reused.
@@ -45,7 +47,8 @@ Minors (`cyarith.arith`, `cyarith.arrangement`).
   it to every square submatrix, the reference for the level-by-level
   Laplace pass `arith.minors_by_size`.
 - `good_reduction_scan` builds a `GoodReductionReport` from `all_minors`,
-  factoring every distinct |minor| by trial division.
+  factoring every distinct |minor| by trial division, the reference for
+  `good_reduction_report` on the cached minor scan.
 
 Tensor factors (`cyarith.tensor`).
 

@@ -257,7 +257,8 @@ def _minors_as_tuples(matrix):
     return sorted(
         (size, indices(rows), indices(cols), value)
         for size, level in minors_by_size(matrix)
-        for (rows, cols), value in level.items()
+        for rows, minors in level.items()
+        for cols, value in minors.items()
     )
 
 
@@ -303,9 +304,10 @@ def test_minors_by_size_shapes(shape):
 
 def test_minors_by_size_levels():
     levels = list(minors_by_size([[1, 2, 3], [4, 5, 6], [7, 8, 10]]))
-    assert [(k, len(level)) for k, level in levels] == [(1, 9), (2, 9), (3, 1)]
-    assert levels[1][1][0b011, 0b101] == 1 * 6 - 3 * 4
-    assert levels[2][1] == {(0b111, 0b111): -3}
+    # one dict of column sets per row set: 3 + 3 + 1 row sets, 9 + 9 + 1 minors
+    assert [(k, len(level), sum(map(len, level.values()))) for k, level in levels] == [(1, 3, 9), (2, 3, 9), (3, 1, 1)]
+    assert levels[1][1][0b011][0b101] == 1 * 6 - 3 * 4
+    assert levels[2][1] == {0b111: {0b111: -3}}
 
 
 def test_minors_by_size_rejects_ragged():

@@ -2,17 +2,17 @@ import json
 import random
 from itertools import combinations, product
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyarith import arrangement
 from cyarith.arrangement import (
     Arrangement,
     Hyperplane,
-    _indices,
-    _reduced_flats,
     admissible,
     classify,
     crepant_resolvable,
@@ -351,9 +351,18 @@ def test_canonical_form_iff_same_flat():
 
 @st.composite
 def arrangements(draw):
-    """2 to 8 distinct hyperplanes in P^2..P^4, coefficients in [-3, 3]."""
+    """2 to 8 distinct hyperplanes in P^2..P^4, coefficients in [-3, 3].
+
+    About half the draws are not essential: every row r is replaced by
+    (c.c) r - (r.c) c for one drawn point c, so all hyperplanes pass
+    through c and their forms span a proper subspace.
+    """
     n = draw(st.integers(2, 4))
     row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any)
+    c = draw(st.one_of(st.none(), row))
+    if c is not None:
+        cc = sum(x * x for x in c)
+        row = row.map(lambda r: [cc * x - sum(map(mul, r, c)) * y for x, y in zip(r, c)]).filter(any)
     rows = draw(st.lists(row, min_size=2, max_size=8, unique_by=lambda r: Hyperplane.from_coeffs(r).coeffs))
     return Arrangement.from_rows(n, rows)
 
@@ -434,65 +443,84 @@ def test_mod_p_detects_changed_intersection():
     assert not cmp.equal
 
 
-def comparison(arr, p) -> tuple[dict | None, bool]:
-    """The F_p flats of `_reduced_flats` as {index set: dim}, or None when
-    two hyperplanes coincide mod p, with `poset_matches_mod_p(...).equal`."""
-    modp = _reduced_flats(arr, p)
-    flats = None if modp is None else {_indices(mask): dim for mask, dim in modp.items()}
-    return flats, poset_matches_mod_p(arr, p, intersection_poset(arr)).equal
+def comparison(arr, p, modp_oracle=subsets_poset_mod_p) -> tuple[dict | None, bool]:
+    """The F_p flats of a mod-p oracle as {index set: dim}, or None when
+    two hyperplanes lie on one line mod p, and whether they equal the
+    rational subset oracle's flats (never with None).
 
-
-def oracle_comparison(arr, p, modp_oracle=subsets_poset_mod_p) -> tuple[dict | None, bool]:
-    """`comparison` from a mod-p oracle and the rational subset oracle:
-    two hyperplanes on one line mod p give None, and never equal."""
+    The package enumerates no F_p flat, so only its answer is checked:
+    `poset_matches_mod_p(...).equal` must be the oracles' answer.
+    """
     modp = modp_oracle(arr, p)
     if len({echelon_mod([h.coeffs], p) for h in arr.hyperplanes}) < arr.size:
         modp = None
-    return modp, modp == {s.hyperplanes: s.dim for s in subsets_poset(arr)}
+    equal = modp == {s.hyperplanes: s.dim for s in subsets_poset(arr)}
+    assert poset_matches_mod_p(arr, p, intersection_poset(arr)).equal is equal
+    return modp, equal
 
 
 def test_mod_p_coincidence_compares_lines():
     # (2, -1, 0) = 2 * (1, 1, 0) mod 3: the same line, not the same residues
     arr = lines((1, 1, 0), (2, -1, 0), (0, 0, 1))
     assert subsets_poset_mod_p(arr, 3) == {}
-    assert comparison(arr, 3) == oracle_comparison(arr, 3) == (None, False)
+    assert comparison(arr, 3) == (None, False)
 
 
 def test_mod_p_coincidence_never_equal():
     # two points of P^1 meeting mod 3: both posets are empty, yet unequal
     arr = Arrangement.from_rows(1, [(1, 1), (1, -2)])
     assert intersection_poset(arr) == [] and subsets_poset_mod_p(arr, 3) == {}
-    assert comparison(arr, 3) == oracle_comparison(arr, 3) == (None, False)
-    assert comparison(arr, 5) == oracle_comparison(arr, 5) == ({}, True)
+    assert comparison(arr, 3) == (None, False)
+    assert comparison(arr, 5) == ({}, True)
 
 
 def test_mod_p_contract():
     # Hyperplane.from_coeffs would divide out the content 3
     bad = Arrangement(2, (Hyperplane((1, 0, 0)), Hyperplane((3, 3, 3))))
-    with pytest.raises(ValueError, match="degenerates"):
+    with pytest.raises(ValueError, match="degenerates to zero mod 3"):
         poset_matches_mod_p(bad, 3, intersection_poset(bad))
+    with pytest.raises(ValueError, match="degenerates to zero mod 3"):
+        subsets_poset_mod_p(bad, 3)
     arr = lines((1, 1, 0), (1, -2, 0), (0, 0, 1))
+    for p in (2, 9):
+        with pytest.raises(ValueError, match="odd prime"):
+            poset_matches_mod_p(arr, p, intersection_poset(arr))
     assert subsets_poset_mod_p(arr, 3) == {}
-    assert comparison(arr, 3) == oracle_comparison(arr, 3) == (None, False)
+    assert comparison(arr, 3) == (None, False)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_poset_mod_p_matches_subset_oracle(p):
-    # random draws with coefficients in [-p-1, p+1]: about half reduce to a
-    # different poset, a few to coinciding planes (None on both sides)
+    # random draws with coefficients in [-p-1, p+1]: many reduce to a
+    # different poset, a few to coinciding planes (None)
     rng = random.Random(1000 + p)
     changed = 0
     for _ in range(150):
         n = rng.choice((2, 3, 4))
         arr = random_arrangement(rng, n, rng.randint(3, 7), bound=p + 1)
         got = comparison(arr, p)
-        assert got == oracle_comparison(arr, p)
         modp = subsets_poset_mod_p(arr, p)
         rational = {s.hyperplanes: s.dim for s in intersection_poset(arr)}
         if modp and modp != rational:
             changed += 1
-            assert got == oracle_comparison(arr, p, closure_poset_mod_p)
+            assert got == comparison(arr, p, closure_poset_mod_p)
     assert changed >= 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrangements(), st.sampled_from((3, 5, 7)))
+def test_poset_mod_p_matches_oracles_on_drawn_arrangements(arr, p):
+    # essential and non-essential arrangements, against both mod-p oracles
+    assert comparison(arr, p) == comparison(arr, p, closure_poset_mod_p)
+
+
+def test_triple_point_mod_3():
+    # x = 0, y = 0 and x + y + 3z = 0: three double points over Q; mod 3
+    # the three lines are concurrent and the whole set drops to rank 2
+    arr = lines((1, 0, 0), (0, 1, 0), (1, 1, 3))
+    for oracle in (subsets_poset_mod_p, closure_poset_mod_p):
+        assert comparison(arr, 3, oracle) == ({(0, 1, 2): 0}, False)
+        assert comparison(arr, 5, oracle) == ({(0, 1): 0, (0, 2): 0, (1, 2): 0}, True)
 
 
 def test_triple_point_mod_a_large_prime():
@@ -501,17 +529,26 @@ def test_triple_point_mod_a_large_prime():
     q = 2**31 - 1
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, q))
     assert subsets_poset_mod_p(arr, q) == {(0, 1, 2): 0}
-    assert comparison(arr, q) == oracle_comparison(arr, q) == ({(0, 1, 2): 0}, False)
+    assert comparison(arr, q) == ({(0, 1, 2): 0}, False)
+
+
+def test_mod_p_never_factors(monkeypatch):
+    # a 2x2 minor 1000003 * 1000033, which trial division would take a
+    # million steps to split: the mod-p answer reads only the minor scan
+    def refuse(v):
+        raise AssertionError(f"factored {v}")
+
+    monkeypatch.setattr(arrangement, "_odd_prime_divisors", refuse)
+    arr = lines((1, 0, 0), (0, 1, 0), (1, 1000003 * 1000033, 0))
+    poset = intersection_poset(arr)
+    assert poset_matches_mod_p(arr, 3, poset).equal
+    assert not poset_matches_mod_p(arr, 1000003, poset).equal
+    assert not poset_matches_mod_p(arr, 1000033, poset).equal
+    with pytest.raises(AssertionError, match="factored"):
+        good_reduction_report(arr)
 
 
 LINE_PRIMES = (3, 5, 7, 11, 2**31 - 1)
-
-
-def outcome(f, *args):
-    try:
-        return f(*args)
-    except ValueError as err:
-        return str(err)
 
 
 @settings(max_examples=200, deadline=None)
@@ -539,8 +576,7 @@ def test_canonical_line_representatives(v, c, p, data):
             arr = Arrangement.from_rows(len(v) - 1, [v, w])
         except ValueError:  # w is v's line over Q: v is a multiple of e_i
             continue
-        got = outcome(comparison, arr, p)
-        assert got == outcome(oracle_comparison, arr, p)
+        got = comparison(arr, p)
         if shift == p and gcd(*v) % p and gcd(*w) % p:
             # the same line mod p: no flat, and never equal
             assert got == (None, False)

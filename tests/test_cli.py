@@ -202,6 +202,16 @@ def test_classify_arrangement_check_prime_large(tmp_path, capsys):
     assert json.loads(out)["good_reduction"] == {"poset_matches_mod_2147483647": False}
 
 
+def test_classify_arrangement_check_prime_answers_per_prime(tmp_path, capsys):
+    # x = 0, y = 0, x + y + 3z = 0: concurrent mod 3, three double points mod 5
+    path = tmp_path / "triple3.arr"
+    path.write_text("2 3\n1 0 0\n0 1 0\n1 1 3\n")
+    for p, equal in (("3", "false"), ("5", "true")):
+        code, out, _ = run(capsys, "classify-arrangement", str(path), "--check-prime", p, "--json")
+        assert code == 0
+        assert f'"poset_matches_mod_{p}": {equal}' in out
+
+
 def test_classify_arrangement_csv_refuses_extra_results(capsys):
     # the CSV type table has no place for these results: refuse, do not drop
     for extra in (["--schedule"], ["--good-reduction"], ["--check-prime", "5"]):
