@@ -151,24 +151,6 @@ class IntPoly:
             return self
         return IntPoly(tuple(a * c**k for k, a in enumerate(self.coeffs)))
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            if k == 0:
-                parts.append(str(a))
-            else:
-                mag = "" if abs(a) == 1 else f"{abs(a)}*"
-                term = f"{mag}T" if k == 1 else f"{mag}T^{k}"
-                if not parts:
-                    parts.append(term if a > 0 else f"-{term}")
-                else:
-                    parts.append(f"+ {term}" if a > 0 else f"- {term}")
-        return " ".join(parts)
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
 
-from .arith import minors_by_size, require_odd_prime
+from .arith import is_prime, minors_by_size, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -453,26 +453,48 @@ def good_reduction_report(arr: Arrangement) -> GoodReductionReport:
     rational one at every odd prime.  Otherwise the odd primes dividing
     some nonzero minor are the only candidates for a changed poset, a
     superset of the primes where it changes (`poset_matches_mod_p`).
-    Each distinct |minor| is factored once.
+    Each distinct |minor| is factored once, by trial division below 1000
+    and then Pollard's rho, each piece proved prime by `is_prime`; a piece
+    at or above `PRIMALITY_LIMIT` raises ValueError.
     """
     max_abs, values, _ = _minor_scan(arr)
     exceptional = {q for v in values if v > 1 for q in _odd_prime_divisors(v)}
     return GoodReductionReport(max_abs <= 1, tuple(sorted(exceptional)), max_abs)
 
 
-def _odd_prime_divisors(v: int):
-    v = abs(v)
+def _odd_prime_divisors(v: int) -> set[int]:
+    """The odd primes dividing v > 0: trial division by the odd q < 1000,
+    then Pollard's rho (x -> x^2 + c from x = 2, Floyd's cycle test,
+    c = 1, 2, ...) splits every piece that `is_prime` rejects; `is_prime`
+    raises for a piece it cannot decide."""
     while v % 2 == 0:
         v //= 2
+    found = set()
     q = 3
-    while q * q <= v:
+    while q < 1000 and q * q <= v:
         if v % q == 0:
-            yield q
+            found.add(q)
             while v % q == 0:
                 v //= q
         q += 2
-    if v > 1:
-        yield v
+    pieces = [v] if v > 1 else []
+    while pieces:
+        n = pieces.pop()
+        if is_prime(n):
+            found.add(n)
+            continue
+        c, d = 0, n
+        while d == n:  # the cycle closed on n itself: the next c
+            c += 1
+            x = y = 2
+            d = 1
+            while d == 1:
+                x = (x * x + c) % n
+                y = (y * y + c) % n
+                y = (y * y + c) % n
+                d = gcd(x - y, n)
+        pieces += [d, n // d]
+    return found
 
 
 @dataclass(frozen=True)

@@ -234,16 +234,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, pmax=True, csv="CSV output where supported"):
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-        fmt.add_argument("--csv", action="store_true", help="CSV output where supported")
-        p.add_argument("--pmax", type=int, default=100, metavar="P", help="at least 3")
+        fmt.add_argument("--csv", action="store_true", help=csv)
+        if pmax:
+            p.add_argument("--pmax", type=int, default=100, metavar="P", help="at least 3")
 
     p = sub.add_parser("eta-expand", help="expand an eta product")
     p.add_argument("factors", help="comma list m:k, e.g. 8:2,4:2 for eta(q^8)^2 eta(q^4)^2")
     p.add_argument("-N", "--precision", type=int, default=50)
-    p.add_argument("--csv", action="store_true")
+    common(p, pmax=False)
     p.set_defaults(func=cmd_eta_expand)
 
     p = sub.add_parser("cm-coeffs", help="prime coefficients of a CM family form")
@@ -273,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify-arrangement", help="intersection-lattice classification")
     p.add_argument("file", help="arrangement file, or bundled name: ahlgren | octic | sextic")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true", help="the type table only (exit 2 with the options below)")
+    common(p, pmax=False, csv="the type table only (exit 2 with the options below)")
     p.add_argument("--schedule", action="store_true", help="include blow-up schedule")
     p.add_argument("--good-reduction", action="store_true")
     p.add_argument("--check-prime", type=int, default=None, metavar="P")

@@ -5,7 +5,8 @@ An eta product is expanded factor by factor, in x = q^g with g the gcd
 of its scales.  Each power E^k of the pentagonal series E is
 E^(k//2) E^(k - k//2) in its own variable, down to E^1 from the
 pentagonal number theorem, so an exponent costs one big-integer product
-and exponents share their intermediate powers (`unit_powers`).  A factor
+and exponents share their intermediate powers (`unit_powers`, which keeps
+the last 8 exponents used on a `functools.lru_cache`).  A factor
 in x^s multiplies the running product one residue class mod s at a time,
 each class a series in x^s of its own.  Every product is a Kronecker
 substitution (`arith._kronecker_mul`), and none of them carries the zeros
@@ -18,6 +19,7 @@ identically zero.  A QSeries never reads beyond its stated precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Mapping
 
@@ -70,45 +72,35 @@ def eta_unit_part(top: int) -> list[int]:
     return out
 
 
-class _UnitPowerCache:
-    """E^k truncated at q^top, E = prod_{n>=1} (1 - q^n), for the last
-    `size` exponents k used.
+#: 8 exponents: the bundled and benchmarked eta products use 2, 3, 4, 6,
+#: 8, 12 and 24, whose chains visit these and 1
+@lru_cache(maxsize=8)
+def _unit_power_list(k: int) -> list[int]:
+    return []  # the longest E^k built so far, grown in place by unit_powers
+
+
+def unit_powers(k: int, top: int) -> list[int]:
+    """E^k truncated at q^top, E = prod_{n>=1} (1 - q^n).
 
     E^1 is the pentagonal series, and E^k = E^(k//2) E^(k - k//2) is one
-    truncated Kronecker product of two powers taken from the cache itself,
-    so the exponents of one chain (24, 12, 6, 3, 2, 1) share their
-    intermediate powers.  An even k passes E^(k/2) as both factors, so the
-    product is a square.  Each k keeps the longest power computed so far,
-    and a shorter top is a prefix of it: truncation commutes with the
-    product.  The least recently used exponent is dropped first.
+    truncated Kronecker product of two cached powers, so the exponents of
+    one chain (24, 12, 6, 3, 2, 1) share their intermediate powers.  An
+    even k passes E^(k/2) as both factors, so the product is a square.
+    Each k keeps the longest power computed so far, and a shorter top is a
+    prefix of it: truncation commutes with the product.
     """
-
-    def __init__(self, size: int):
-        self.size = size
-        self.powers: dict[int, list[int]] = {}
-
-    def __call__(self, k: int, top: int) -> list[int]:
-        if k < 1 or top < 0:
-            raise ValueError(f"E^k to q^top needs k >= 1 and top >= 0, got k = {k}, top = {top}")
-        power = self.powers.pop(k, None)
-        if power is None or len(power) <= top:
-            if k == 1:
-                power = eta_unit_part(top)
-            else:
-                half = self(k // 2, top)
-                power = _kronecker_mul(half, half if k % 2 == 0 else self(k - k // 2, top), top)
-        self.powers[k] = power
-        while len(self.powers) > self.size:
-            del self.powers[next(iter(self.powers))]
+    if k < 1 or top < 0:
+        raise ValueError(f"E^k to q^top needs k >= 1 and top >= 0, got k = {k}, top = {top}")
+    power = _unit_power_list(k)
+    if len(power) > top:
         return power[: top + 1]
-
-    def cache_clear(self) -> None:
-        self.powers.clear()
-
-
-#: the bundled and benchmarked eta products use the exponents 2, 3, 4, 6,
-#: 8, 12 and 24, whose chains visit these and 1
-unit_powers = _UnitPowerCache(8)
+    if k == 1:
+        power = eta_unit_part(top)
+    else:
+        half = unit_powers(k // 2, top)
+        power = _kronecker_mul(half, half if k % 2 == 0 else unit_powers(k - k // 2, top), top)
+    _unit_power_list(k)[:] = power  # fetched again: the top of a chain is the most recently used
+    return power
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@ import pytest
 
 from cyarith.arrangement import _minor_scan, intersection_poset
 from cyarith.cmforms import normalize_prime_element
-from cyarith.qseries import unit_powers
+from cyarith.qseries import _unit_power_list
 from cyarith.registry import load_bundled_arrangement
 from cyarith.tensor import tensor_sectors
 
 #: every cache in cyarith; test_caches.py fails when one is missing here
-CACHES = (_minor_scan, normalize_prime_element, unit_powers, tensor_sectors)
+CACHES = (_minor_scan, normalize_prime_element, _unit_power_list, tensor_sectors)
 
 
 @pytest.fixture(autouse=True)

@@ -46,9 +46,12 @@ Minors (`cyarith.arith`, `cyarith.arrangement`).
 - `det` is fraction-free (Bareiss) elimination and `all_minors` applies
   it to every square submatrix, the reference for the level-by-level
   Laplace pass `arith.minors_by_size`.
+- `odd_prime_divisors_trial_division` tries every odd q up to sqrt(v),
+  with no bound on the work, the reference for the trial division and
+  Pollard rho of `arrangement._odd_prime_divisors`.
 - `good_reduction_scan` builds a `GoodReductionReport` from `all_minors`,
-  factoring every distinct |minor| by trial division, the reference for
-  `good_reduction_report` on the cached minor scan.
+  factoring every distinct |minor| by that trial division, the reference
+  for `good_reduction_report` on the cached minor scan.
 
 Tensor factors (`cyarith.tensor`).
 
@@ -462,20 +465,27 @@ def all_minors(matrix):
                 yield size, ridx, cidx, det(sub)
 
 
+def odd_prime_divisors_trial_division(v: int) -> set[int]:
+    """The odd primes dividing v > 0 by trial division up to sqrt(v), with
+    no bound on the work."""
+    while v % 2 == 0:
+        v //= 2
+    found = set()
+    q = 3
+    while q * q <= v:
+        if v % q == 0:
+            found.add(q)
+            while v % q == 0:
+                v //= q
+        q += 2
+    if v > 1:
+        found.add(v)
+    return found
+
+
 def good_reduction_scan(arr) -> GoodReductionReport:
     values = {abs(value) for _, _, _, value in all_minors(arr.coefficient_matrix())}
-    exceptional = set()
-    for v in values:
-        q = 2
-        while v > 1:
-            if q * q > v:
-                q = v
-            if v % q == 0:
-                v //= q
-                if q > 2:
-                    exceptional.add(q)
-            else:
-                q += 1
+    exceptional = {q for v in values if v > 1 for q in odd_prime_divisors_trial_division(v)}
     max_abs = max(values, default=0)
     return GoodReductionReport(max_abs <= 1, tuple(sorted(exceptional)), max_abs)
 

@@ -1,7 +1,7 @@
 import json
 import random
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from pathlib import Path
 
@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyarith import arrangement
+from cyarith.arith import PRIMALITY_LIMIT, is_prime
 from cyarith.arrangement import (
     Arrangement,
     Hyperplane,
@@ -35,6 +36,7 @@ from oracles import (
     echelon_mod,
     good_reduction_scan,
     incidence_rows,
+    odd_prime_divisors_trial_division,
     primitive_rows,
     rank,
     subsets_poset,
@@ -546,6 +548,35 @@ def test_mod_p_never_factors(monkeypatch):
     assert not poset_matches_mod_p(arr, 1000033, poset).equal
     with pytest.raises(AssertionError, match="factored"):
         good_reduction_report(arr)
+
+
+ODD_PRIMES = [q for q in range(3, 1200) if is_prime(q)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([2, *ODD_PRIMES]), min_size=1, max_size=6))
+def test_odd_prime_divisors_match_trial_division(primes):
+    # products of primes on both sides of the trial-division bound 1000,
+    # repeats included, so the rho step splits squares and products
+    v = prod(primes)
+    assert arrangement._odd_prime_divisors(v) == odd_prime_divisors_trial_division(v) == set(primes) - {2}
+
+
+@pytest.mark.parametrize(
+    "v, primes",
+    [(998244353 * 1000000007, {998244353, 1000000007}), (1009**2 * 1013, {1009, 1013}), (2**5 * 3**4, {3})],
+)
+def test_odd_prime_divisors_exact(v, primes):
+    assert arrangement._odd_prime_divisors(v) == primes
+
+
+def test_odd_prime_divisors_refuse_an_undecidable_cofactor():
+    # the cofactor after trial division is PRIMALITY_LIMIT itself, a strong
+    # pseudoprime with no factor below 1000, where is_prime gives no proof:
+    # an error, never a guess
+    v = 3 * PRIMALITY_LIMIT
+    with pytest.raises(ValueError, match="limit of the deterministic primality test"):
+        arrangement._odd_prime_divisors(v)
 
 
 LINE_PRIMES = (3, 5, 7, 11, 2**31 - 1)

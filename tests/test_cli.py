@@ -29,6 +29,13 @@ def test_eta_expand_json(capsys):
     assert data["5"] == -2 and data["13"] == 6 and data["17"] == 2
 
 
+def test_eta_expand_json_flag_is_the_default(capsys):
+    # --json names the default format, as for every other table subcommand
+    default = run(capsys, "eta-expand", "8:2,4:2", "-N", "17")
+    assert run(capsys, "eta-expand", "8:2,4:2", "-N", "17", "--json") == default
+    assert default[0] == 0
+
+
 def test_eta_expand_csv(capsys):
     code, out, _ = run(capsys, "eta-expand", "4:6", "-N", "9", "--csv")
     assert code == 0
@@ -200,6 +207,16 @@ def test_classify_arrangement_check_prime_large(tmp_path, capsys):
     assert code == 0
     assert '"poset_matches_mod_2147483647": false' in out
     assert json.loads(out)["good_reduction"] == {"poset_matches_mod_2147483647": False}
+
+
+def test_classify_arrangement_good_reduction_factors_large_minors(tmp_path, capsys):
+    # x, y and x + M y with M = 998244353 * 1000000007: the 2x2 minor M has
+    # no factor below 1000, so Pollard's rho splits it
+    path = tmp_path / "big.arr"
+    path.write_text("2 3\n1 0 0\n0 1 0\n1 998244359987710471 0\n")
+    code, out, _ = run(capsys, "classify-arrangement", str(path), "--good-reduction", "--json")
+    assert code == 0
+    assert json.loads(out)["good_reduction"]["exceptional_odd_primes"] == [998244353, 1000000007]
 
 
 def test_classify_arrangement_check_prime_answers_per_prime(tmp_path, capsys):
@@ -397,7 +414,12 @@ def test_pmax_3_is_accepted(command, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("cm-coeffs", "--field", "i", "--weight", "2", "--pmax", "13"), ("classify-arrangement", "octic")]
+    "argv",
+    [
+        ("cm-coeffs", "--field", "i", "--weight", "2", "--pmax", "13"),
+        ("classify-arrangement", "octic"),
+        ("eta-expand", "8:2,4:2", "-N", "17"),
+    ],
 )
 def test_json_and_csv_together_are_a_usage_error(argv, capsys):
     # one output format per run: argparse refuses the pair before any work

@@ -12,6 +12,7 @@ from cyarith.qseries import (
     EtaProduct,
     HeckeCoefficientSpec,
     QSeries,
+    _unit_power_list,
     eta_unit_part,
     hecke_expand,
     unit_powers,
@@ -178,7 +179,6 @@ def test_a_factor_in_q_to_the_m_makes_m_short_products(operands, factors):
     g = gcd(*(m for m, _ in factors))
     size = (precision - eta.q_shift) // g
     m = max(m for m, _ in factors) // g
-    unit_powers.cache_clear()
     for _, k in factors:
         unit_powers(k, size)
     operands.clear()
@@ -226,34 +226,47 @@ def test_even_exponents_square_one_list(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 30), st.integers(0, 300)), min_size=1, max_size=8))
 def test_cached_powers_are_the_truncated_powers(requests):
-    unit_powers.cache_clear()
+    _unit_power_list.cache_clear()
     for k, top in requests:
         power = unit_powers(k, top)
         assert power == eta_unit_power(k, top)
         assert power == pow_trunc(eta_unit_part(top), k, top)
-        assert len(unit_powers.powers) <= unit_powers.size
 
 
 def test_unit_powers_rejects_a_nonpositive_exponent_or_negative_top():
     for k, top in ((0, 10), (-2, 10), (3, -1)):
         with pytest.raises(ValueError, match="k >= 1 and top >= 0"):
             unit_powers(k, top)
-    assert not unit_powers.powers
+    assert _unit_power_list.cache_info().currsize == 0
 
 
-def test_power_cache_drops_the_least_recently_used_exponent():
+def test_power_cache_drops_the_least_recently_used_exponent(monkeypatch):
     # E^24 halves through 12, 6, 3 = 1 + 2 and 2 = 1 + 1, E^8 adds 4 and 8,
     # and E^5 = E^2 E^3 is a ninth exponent; a hit moves its exponent to
-    # the back, and the front one is dropped
-    assert unit_powers.size == 8
-    unit_powers(24, 10)
-    assert list(unit_powers.powers) == [1, 2, 3, 6, 12, 24]
-    unit_powers(8, 10)
-    assert list(unit_powers.powers) == [1, 3, 6, 12, 24, 2, 4, 8]
-    unit_powers(5, 10)
-    assert list(unit_powers.powers) == [6, 12, 24, 4, 8, 2, 3, 5]
-    unit_powers.cache_clear()
-    assert not unit_powers.powers
+    # the back, and the front one is dropped: E^1, used first by E^24 and
+    # E^8, whose top exponents are fetched again after their halves
+    assert _unit_power_list.cache_info().maxsize == 8
+    for k in (24, 8, 5):
+        unit_powers(k, 10)
+    built = Counter()
+    real_mul, real_unit = qseries._kronecker_mul, qseries.eta_unit_part
+
+    def counting_mul(a, b, top):
+        product = real_mul(a, b, top)
+        built[-product[1]] += 1
+        return product
+
+    def counting_unit(top):
+        built[1] += 1
+        return real_unit(top)
+
+    monkeypatch.setattr(qseries, "_kronecker_mul", counting_mul)
+    monkeypatch.setattr(qseries, "eta_unit_part", counting_unit)
+    for k in (2, 3, 4, 5, 6, 8, 12, 24):
+        assert unit_powers(k, 10) == pow_trunc(real_unit(10), k, 10)
+    assert not built
+    assert unit_powers(1, 10) == real_unit(10)
+    assert built == Counter({1: 1})
 
 
 # ---------------------------------------------------------------------------

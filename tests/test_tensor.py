@@ -286,6 +286,13 @@ def test_tensor_factor_rejects_non_euler_factors():
     assert tensor_euler_factor([g2] * 5) == verify_power_factorization(-2, 5, GAUSSIAN, 5).rhs
 
 
+def test_rejected_factors_are_named_by_their_repr():
+    with pytest.raises(ValueError, match=r"^not a local factor of degree <= 2: IntPoly\(\[1, 0, 0, 1\]\)$"):
+        euler_product([IntPoly((1, 0, 0, 1))])
+    with pytest.raises(ValueError, match=r"^not a degree-2 Euler factor: IntPoly\(\[1, 2\]\)$"):
+        tensor_euler_factor([IntPoly((1, 2))])
+
+
 def test_power_factorization_examples():
     # n = 2 at split 5: a^2 = s2 + 2p
     check = verify_power_factorization(-2, 5, GAUSSIAN, 2)
