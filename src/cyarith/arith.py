@@ -1,16 +1,19 @@
 """Exact arithmetic primitives shared by every other module.
 
-Everything is integer and exact: deterministic primality testing,
-Legendre symbols with per-prime lookup tables, integer polynomials in
-one formal variable T as values (`tensor.euler_product` multiplies
-them), truncated products of integer coefficient lists by Kronecker
+Everything is integer and exact: primality by one lazily built sieve
+below 2^16 and deterministic Miller-Rabin above it, Legendre symbols
+with per-prime lookup tables, integer polynomials in one formal
+variable T as values (`tensor.euler_product` multiplies them),
+truncated products of integer coefficient lists by Kronecker
 substitution, and every square minor of an integer matrix by one
 level-by-level Laplace pass.  No floating point anywhere.
 
-The Kronecker product packs each list into one Python int, one digit of
-`width` bytes per coefficient.  A digit of 1, 2, 4 or 8 bytes is a
-machine word, packed through `array` and read back through a
-`memoryview` cast; any other width goes through `int.to_bytes`.
+The Kronecker product packs each list into one Python int, one signed
+digit of `width` bytes per coefficient.  A digit of at most 8 bytes is
+cut out of one `array('q')` by `width` strided byte slices and read back
+by sign-extending every digit to 8 bytes the same way, so no Python code
+runs per coefficient; a wider digit goes through `int.to_bytes` one
+coefficient at a time.
 
 A checked identity that fails raises `IdentityViolation`, which the CLI
 reports as a failure with exit code 1.
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
 from math import isqrt
 
 # Strong-pseudoprime witnesses: the primes up to 41 decide every n below
@@ -45,16 +49,35 @@ class IdentityViolation(ArithmeticError):
     """
 
 
+#: is_prime reads a sieve below this bound, and runs Miller-Rabin at and above it
+_TABLE_LIMIT = 1 << 16
+
+
+def _sieve(n: int) -> bytearray:
+    """mark[i] = 1 exactly when i <= n is prime (n >= 1)."""
+    mark = bytearray([1]) * (n + 1)
+    mark[0] = mark[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if mark[p]:
+            mark[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return mark
+
+
+@lru_cache(maxsize=1)
+def _prime_table() -> bytes:
+    """The sieve below _TABLE_LIMIT, 64 KiB, built on first use."""
+    return bytes(_sieve(_TABLE_LIMIT - 1))
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < PRIMALITY_LIMIT;
-    a larger n raises ValueError rather than get an unproven answer."""
-    if n < 2:
-        return False
+    """Primality of n < PRIMALITY_LIMIT: a table lookup below 2^16, else
+    deterministic Miller-Rabin; a larger n raises ValueError rather than
+    get an unproven answer."""
+    if n < _TABLE_LIMIT:
+        return n >= 2 and _prime_table()[n] == 1
     if n >= PRIMALITY_LIMIT:
         raise ValueError(f"n = {n} is not below {PRIMALITY_LIMIT}, the limit of the deterministic primality test")
     for w in _MR_WITNESSES:
-        if n == w:
-            return True
         if n % w == 0:
             return False
     d = n - 1
@@ -76,15 +99,10 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve."""
+    """All primes <= n, read from the table below 2^16, else sieved."""
     if n < 2:
         return []
-    mark = bytearray([1]) * (n + 1)
-    mark[0] = mark[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if mark[p]:
-            mark[p * p :: p] = bytearray(len(mark[p * p :: p]))
-    return [i for i in range(2, n + 1) if mark[i]]
+    return list(compress(range(n + 1), _prime_table() if n < _TABLE_LIMIT else _sieve(n)))
 
 
 def odd_primes_up_to(n: int) -> list[int]:
@@ -159,24 +177,57 @@ class IntPoly:
 # Truncated products of coefficient lists by Kronecker substitution
 
 
-#: unsigned array typecode for each machine-word digit width in bytes
-_WORD_CODES = {array(code).itemsize: code for code in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
+#: `bytes.translate` tables: a byte -> 1 (resp. 0xff) when its top bit is set, else 0
+_SIGN_FLAG = bytes(128) + b"\x01" * 128
+_SIGN_FILL = bytes(128) + b"\xff" * 128
 
 
 def _pack(values: list[int], width: int) -> int:
-    """sum_i values[i] * 2^(8*width*i), built from bytes in one pass per sign."""
-    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in values)
-    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in values)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_i values[i] * X^i for X = 2^(8*width), every |values[i]| < X/2.
+
+    The values are laid out as `width`-byte two's-complement digits: up
+    to 8 bytes cut out of the little-endian words of one `array('q')` by
+    `width` strided slices, wider ones by `int.to_bytes`, one per value.
+    Read as one unsigned int, each negative digit counts X too many; the
+    borrows are taken back as one int built from the digits' top bytes.
+    """
+    if width > 8:
+        digits = b"".join(v.to_bytes(width, "little", signed=True) for v in values)
+    else:
+        words = array("q", values)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        raw = words.tobytes()
+        digits = bytearray(width * len(values))
+        for j in range(width):
+            digits[j::width] = raw[j::8]
+    borrow = bytearray(len(digits))
+    borrow[width - 1 :: width] = digits[width - 1 :: width].translate(_SIGN_FLAG)  # X/2^8 per negative digit, << 8 makes it X
+    return int.from_bytes(digits, "little") - (int.from_bytes(borrow, "little") << 8)
 
 
-def _pack_words(values: list[int], code: str, half: int) -> int:
-    """sum_i values[i] * X^i for machine-word digits: each digit biased by
-    half into an unsigned word in native order, the bias then subtracted."""
-    words = array(code, map(half.__add__, reversed(values) if _BIG_ENDIAN else values))
-    bias = array(code, [half]) * len(values)
-    return int.from_bytes(words, sys.byteorder) - int.from_bytes(bias, sys.byteorder)
+def _unpack(low: int, width: int, n: int) -> list[int]:
+    """The n signed two's-complement digits of X = 2^(8*width) in low.
+
+    A width of at most 8 bytes is sign-extended to 8-byte words by
+    strided slices and read as one `array('q')`; a wider digit is read by
+    `int.from_bytes`, one digit at a time.
+    """
+    raw = low.to_bytes(width * n, "little")
+    if width > 8:
+        return [int.from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, width * n, width)]
+    words = bytearray(8 * n)
+    for j in range(width):
+        words[j::8] = raw[j::width]
+    fill = raw[width - 1 :: width].translate(_SIGN_FILL)
+    for j in range(width, 8):
+        words[j::8] = fill
+    digits = array("q")
+    digits.frombytes(words)
+    if _BIG_ENDIAN:
+        digits.byteswap()
+    return digits.tolist()
 
 
 def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
@@ -184,24 +235,19 @@ def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
     ascending coefficient lists a and b.
 
     Kronecker substitution: each list is evaluated at X = 2^(8*width) as
-    one Python int, and a single bigint product holds the product
-    polynomial evaluated at X.  `width` bytes are enough that every output
-    coefficient c has |c| < X/2, so adding X/2 to every digit of the low
-    top+1 digits makes them all non-negative, and the digits split apart
-    in one pass.  Two digit encodings, exact for any signed integer input:
+    one Python int (`_pack`), and a single bigint product holds the
+    product polynomial evaluated at X.  `width` bytes are enough that
+    every output coefficient c has |c| < X/2, so adding X/2 to every digit
+    of the low top+1 digits makes them all non-negative and free of
+    borrows; flipping each digit's top bit back, one XOR with the same
+    X/2 pattern, leaves c mod X, the two's-complement digit that
+    `_unpack` reads.  Both steps cost a few byte-slice and bigint passes,
+    with no Python work per coefficient up to 8-byte digits.
 
-    - width 1, 2, 4 or 8 bytes: every input digit is biased by X/2 into
-      an unsigned machine word of an `array`, the bias is subtracted from
-      the packed int, and the product's digits are read back through a
-      `memoryview` cast;
-    - any other width: the positive and negative parts are packed by
-      `to_bytes` one digit at a time, and the product's digits are read
-      back by `from_bytes` one digit at a time.
-
-    The width is never rounded up to a word: a wider digit makes the
-    bigint product longer.  When a and b are the same list, it is packed
-    once and the int squared, which CPython does faster than a product of
-    two ints of the same size.
+    The width is never rounded up: a wider digit makes the bigint product
+    longer.  When a and b are the same list, it is packed once and the
+    int squared, which CPython does faster than a product of two ints of
+    the same size.
     """
     square = a is b
     a = a[: top + 1]
@@ -210,23 +256,13 @@ def _kronecker_mul(a: list[int], b: list[int], top: int) -> list[int]:
     if not any(a) or not any(b):
         return [0] * n
     # bound >= every |input| too, since both lists have a nonzero entry
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    bound = max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))
     width = (bound.bit_length() + 8) // 8  # bound < 2^(8*width - 1)
-    bits = 8 * width * n
-    half = 1 << (8 * width - 1)
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # X/2 in every digit
-    code = _WORD_CODES.get(width)
-    if code is None:
-        x = _pack(a, width)
-        y = x if square else _pack(b, width)
-        low = (x * y + offset) & ((1 << bits) - 1)
-        digits = low.to_bytes(width * n, "little")
-        return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width)]
-    x = _pack_words(a, code, half)
-    y = x if square else _pack_words(b, code, half)
-    low = (x * y + offset) & ((1 << bits) - 1)
-    words = memoryview(low.to_bytes(width * n, sys.byteorder)).cast(code)
-    return list(map(half.__rsub__, words[::-1] if _BIG_ENDIAN else words))
+    x = _pack(a, width)
+    y = x if square else _pack(b, width)
+    low = ((x * y + offset) & ((1 << (8 * width * n)) - 1)) ^ offset
+    return _unpack(low, width, n)
 
 
 # ---------------------------------------------------------------------------

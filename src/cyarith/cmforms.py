@@ -88,9 +88,12 @@ def cm_euler_factor(weight: int, field: CMField, p: int, ap: int | None = None) 
     split p: a_p = s_{k-1} from the curve trace ap, chi(p) = 1;
     inert p: a_p = 0, so the eigenvalues are +-p^((k-1)/2) for odd k
     (chi(p) = -1) and +-i p^((k-1)/2) for even k (chi(p) = 1).
+    A p that is not prime raises ValueError, whatever chi(p) is.
     """
     if weight < 2:
         raise ValueError("weight must be >= 2")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if field.is_ramified(p):
         raise ValueError(f"p = {p} is ramified in the CM field; no good Euler factor")
     trace = 0
@@ -283,11 +286,14 @@ class CMFormFamily:
 
     def ap(self, weight: int, p: int) -> int:
         """Prime coefficient of the weight-k form: s_{k-1} split, 0 inert
-        or ramified."""
+        or ramified.  A p that is not prime raises ValueError, at split p
+        through `curve_ap`."""
         if weight < 2:
             raise ValueError("weight must be >= 2")
         if self.field.is_split(p):
             return power_trace(self.curve_ap(p), p, weight - 1)
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         return 0
 
     def form(self, weight: int) -> CMForm:

@@ -4,12 +4,15 @@ of points on Ahlgren's affine fivefold, two ways that share no identity.
 The exact count takes, for each v, the histogram of the values
 s(s-1)(s-v) and counts the points through products of value classes in
 O(p^3) steps, with no character.  The fast count is a character-sum
-reduction whose p fibre sums come from one cyclic correlation, computed
-as a single Kronecker-substitution product."""
+reduction whose p fibre sums form one cyclic correlation: a single
+Kronecker-substitution product of two length-p lists, the fibre table
+and the reversed Legendre table, whose two halves fold into the p sums."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 
 from .arith import IdentityViolation, _kronecker_mul, legendre_table, odd_primes_up_to, require_odd_prime
 from .qseries import EtaProduct, QSeries
@@ -103,16 +106,19 @@ def ahlgren_count_fast(p: int) -> int:
     Full multiplicativity of chi (with chi(0) = 0) factors the
     twelve-factor character sum over F_p^5 into the per-coordinate sums
     S(v) = sum_s chi(s(s-1)) chi(s-v), one Legendre-family fiber per v.
-    All p of them form one cyclic correlation: with a_s = chi(s(s-1))
-    and b_t = chi(p-1-t mod p) for t < 2p-1 (the reversed table, twice),
-    the coefficient of x^(p-1+v) in a(x) b(x) is S(v).  One truncated
-    Kronecker product of two length-p lists gives them all.
+    All p of them form one cyclic correlation, folded from one product:
+    with a_s = chi(s(s-1)) and the reversed table r_t = chi(p-1-t), the
+    coefficient c_k of a(x) r(x) collects the terms s >= v of S(v) at
+    k = p-1+v and the terms s < v at k = v-1, so S(0) = c_(p-1) and
+    S(v) = c_(p-1+v) + c_(v-1) for v >= 1.  One Kronecker product of two
+    length-p lists gives them all.
     """
     require_odd_prime(p)
     chi = legendre_table(p)
     a = [chi[s * (s - 1) % p] for s in range(p)]
-    fibres = _kronecker_mul(a, chi[::-1] * 2, 2 * p - 2)[p - 1 :]
-    return p**5 + sum(s**4 for s in fibres)
+    c = _kronecker_mul(a, chi[::-1], 2 * p - 2)
+    fibres = map(add, c[p:], c[: p - 1])
+    return p**5 + c[p - 1] ** 4 + sum(map(pow, fibres, repeat(4)))
 
 
 def ahlgren_predicted(p: int, ap: int) -> int:

@@ -1,5 +1,6 @@
 import pytest
 
+from cyarith.arith import _prime_table
 from cyarith.arrangement import _minor_scan, intersection_poset
 from cyarith.cmforms import normalize_prime_element
 from cyarith.qseries import _unit_power_list
@@ -7,7 +8,7 @@ from cyarith.registry import load_bundled_arrangement
 from cyarith.tensor import tensor_sectors
 
 #: every cache in cyarith; test_caches.py fails when one is missing here
-CACHES = (_minor_scan, normalize_prime_element, _unit_power_list, tensor_sectors)
+CACHES = (_prime_table, _minor_scan, normalize_prime_element, _unit_power_list, tensor_sectors)
 
 
 @pytest.fixture(autouse=True)

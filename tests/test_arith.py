@@ -1,4 +1,3 @@
-from array import array
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -39,6 +38,16 @@ def test_is_prime_carmichael_and_large():
 
 def test_is_prime_agrees_with_sieve_to_1e5():
     assert [n for n in range(10**5 + 1) if is_prime(n)] == primes_up_to(10**5)
+
+
+def test_is_prime_and_primes_up_to_at_the_table_edge():
+    # the table answers below 2^16, Miller-Rabin from 2^16 on; 65537 is prime
+    for n, prime in ((-1, False), (0, False), (1, False), (2, True), (65535, False), (65536, False), (65537, True)):
+        assert is_prime(n) is prime, n
+    below = primes_up_to(65535)
+    assert len(below) == 6542 and below[-1] == 65521
+    assert primes_up_to(65536) == below
+    assert primes_up_to(65537) == below + [65537]
 
 
 def test_is_prime_strong_pseudoprimes_at_the_witness_boundary():
@@ -342,25 +351,31 @@ def test_kronecker_mul_digit_width_boundary(n):
     assert _kronecker_mul([-1] * n, [-1] * n, n - 1) == list(range(1, n + 1))
 
 
-# output bound -> digit width in bytes, on both sides of each word edge
+# output bound -> digit width in bytes, on both sides of each word edge,
+# of the 6|7 edge inside a word and of the 9|10 edge above one
 _EDGE_WIDTHS = {
     2**7 - 1: 1, 2**7: 2,
     2**15 - 1: 2, 2**15: 3,
     2**31 - 1: 4, 2**31: 5,
+    2**47 - 1: 6, 2**47: 7,
     2**63 - 1: 8, 2**63: 9,
+    2**71 - 1: 9, 2**71: 10,
 }  # fmt: skip
+
+
+def _record_widths(monkeypatch):
+    """The width of every list that _kronecker_mul packs, in order."""
+    widths = []
+    real_pack = arith._pack
+    monkeypatch.setattr(arith, "_pack", lambda v, w: widths.append(w) or real_pack(v, w))
+    return widths
 
 
 @pytest.mark.parametrize("bound", sorted(_EDGE_WIDTHS))
 def test_kronecker_mul_at_word_width_edges(bound, monkeypatch):
-    # inputs and outputs reach +-bound; widths 1, 2, 4 and 8 take the
-    # machine-word encoding, 3, 5 and 9 the to_bytes one
-    widths = []
-    real_pack, real_words = arith._pack, arith._pack_words
-    monkeypatch.setattr(arith, "_pack", lambda v, w: widths.append(w) or real_pack(v, w))
-    monkeypatch.setattr(
-        arith, "_pack_words", lambda v, code, half: widths.append(array(code).itemsize) or real_words(v, code, half)
-    )
+    # inputs and outputs reach +-bound; widths up to 8 take the strided
+    # array('q') encoding, 9 and 10 the to_bytes one
+    widths = _record_widths(monkeypatch)
     a = [bound, -bound, 0, 1, -1, bound, -bound]
     cases = [(a, [1], 6), (a, [-1], 8), ([-1], a, 4), ([1, 0, -1], [bound], 3)]
     if bound % 2 == 0:
@@ -371,19 +386,14 @@ def test_kronecker_mul_at_word_width_edges(bound, monkeypatch):
     assert set(widths) == {_EDGE_WIDTHS[bound]}
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_kronecker_mul_squares_one_list_once(width, monkeypatch):
     # a = [k, -k, 0, 1, -1] squared has output bound 5k^2 just below
     # 2^(8 width - 1), so the square takes exactly `width`-byte digits;
     # one list passed twice is packed once, at every top
     k = isqrt((2 ** (8 * width - 1) - 1) // 5)
     a = [k, -k, 0, 1, -1]
-    widths = []
-    real_pack, real_words = arith._pack, arith._pack_words
-    monkeypatch.setattr(arith, "_pack", lambda v, w: widths.append(w) or real_pack(v, w))
-    monkeypatch.setattr(
-        arith, "_pack_words", lambda v, code, half: widths.append(array(code).itemsize) or real_words(v, code, half)
-    )
+    widths = _record_widths(monkeypatch)
     for top in (0, 2, 4, 8, 12):
         widths.clear()
         assert _kronecker_mul(a, a, top) == mul_trunc(a, a, top)

@@ -249,8 +249,8 @@ def test_curve_ap_calls_neither_enumeration_nor_point_count(monkeypatch):
 
 
 def test_family_weights_share_one_cornacchia_per_split_prime(monkeypatch):
-    # and one primality test: inert primes take none, split ones take the
-    # cached normalize_prime_element's
+    # and one primality test per split prime, the cached
+    # normalize_prime_element's; an inert prime is tested once per weight
     calls = Counter()
     tested = Counter()
     real = cmforms._cornacchia
@@ -271,7 +271,8 @@ def test_family_weights_share_one_cornacchia_per_split_prime(monkeypatch):
         for weight in range(2, 8):
             hecke_expand(family.form(weight).hecke_spec(), 2000)
         assert calls == Counter((family.field, p) for p in _split_primes(family, 2000))
-        assert tested == Counter(_split_primes(family, 2000))
+        inert = [p for p in primes_up_to(2000) if p not in family.bad_primes and not family.field.is_split(p)]
+        assert tested == Counter(_split_primes(family, 2000)) + Counter(dict.fromkeys(inert, 6))
 
 
 def test_composite_split_n_is_rejected_on_every_path():
@@ -291,6 +292,20 @@ def test_composite_split_n_is_rejected_on_every_path():
     assert GAUSSIAN.chi(27) == -1
     with pytest.raises(ValueError, match="^p = 27 is not prime$"):
         GAUSSIAN_FAMILY.curve_ap(27)
+    # every composite n, inert, ramified or split, on every path that
+    # takes one; the Euler factor is given an a_p, so that only the
+    # primality test stands in its way at split n
+    for family, ns in ((GAUSSIAN_FAMILY, (15, 35, 6, 21)), (EISENSTEIN_FAMILY, (35, 65, 21, 49))):
+        assert sorted(family.field.chi(n) for n in ns) == [-1, -1, 0, 1]
+        for n in ns:
+            for weight in (2, 3):
+                for call in (
+                    family.curve_ap,
+                    lambda n: family.ap(weight, n),
+                    lambda n: cm_euler_factor(weight, family.field, n, 2),
+                ):
+                    with pytest.raises(ValueError, match=f"^p = {n} is not prime$"):
+                        call(n)
 
 
 def test_non_split_prime_is_rejected_before_cornacchia(monkeypatch):
