@@ -99,10 +99,10 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, read from the table below 2^16, else sieved."""
+    """All primes <= n, by one sieve."""
     if n < 2:
         return []
-    return list(compress(range(n + 1), _prime_table() if n < _TABLE_LIMIT else _sieve(n)))
+    return list(compress(range(n + 1), _sieve(n)))
 
 
 def odd_primes_up_to(n: int) -> list[int]:

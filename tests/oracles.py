@@ -26,6 +26,8 @@ from its own pivot rows.
 Series and point counts (`cyarith.arith`, `cyarith.qseries`,
 `cyarith.pointcount`).
 
+- `is_prime_trial_division` tries every d up to sqrt(n), the reference
+  for the sieve table that `arith.is_prime` reads below 2^16.
 - `legendre` is Euler's criterion a^((p-1)/2) mod p, the reference for
   the squares sieve of `arith.legendre_table` and for `CMField.chi`.
 - `mul_trunc` is the schoolbook truncated product, the reference for
@@ -384,6 +386,11 @@ def eta_unit_power(k: int, top: int) -> list[int]:
             s += c * (kj - n) * f[n - j]
         f[n] = s // n
     return f
+
+
+def is_prime_trial_division(n: int) -> bool:
+    """n >= 2 with no divisor d in [2, sqrt(n)]."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def legendre(a: int, p: int) -> int:

@@ -18,7 +18,7 @@ from cyarith.arith import (
     primes_up_to,
     require_odd_prime,
 )
-from oracles import all_minors, det, echelon, echelon_mod, legendre, mul_trunc, poly_mul, poly_pow, primitive_rows, rank
+from oracles import all_minors, det, echelon, echelon_mod, is_prime_trial_division, legendre, mul_trunc, poly_mul, poly_pow, primitive_rows, rank
 
 SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 31, 97)
 
@@ -40,6 +40,11 @@ def test_is_prime_agrees_with_sieve_to_1e5():
     assert [n for n in range(10**5 + 1) if is_prime(n)] == primes_up_to(10**5)
 
 
+def test_is_prime_table_agrees_with_trial_division():
+    # every n the table answers, against a reference that shares no sieve
+    assert [n for n in range(1 << 16) if is_prime(n)] == [n for n in range(1 << 16) if is_prime_trial_division(n)]
+
+
 def test_is_prime_and_primes_up_to_at_the_table_edge():
     # the table answers below 2^16, Miller-Rabin from 2^16 on; 65537 is prime
     for n, prime in ((-1, False), (0, False), (1, False), (2, True), (65535, False), (65536, False), (65537, True)):
@@ -54,6 +59,10 @@ def test_is_prime_strong_pseudoprimes_at_the_witness_boundary():
     # least strong pseudoprimes to bases {2}, {2,3}, {2,3,5}, {2,3,5,7}; the
     # last is where the four small witnesses stop being enough
     for n in (2047, 1_373_653, 25_326_001, 3_215_031_751):
+        assert not is_prime(n)
+    # the least base-2 strong pseudoprimes above 2^16, where Miller-Rabin
+    # (not the table) answers
+    for n in (74665, 80581, 85489, 88357, 90751):
         assert not is_prime(n)
     # both sides of the boundary against trial division
     small = primes_up_to(isqrt(3_215_031_800))
