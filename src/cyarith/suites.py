@@ -15,7 +15,6 @@ from .arrangement import (
     incidence_count_breaks,
     intersection_poset,
     poset_matches_mod_p,
-    resolution_schedule,
 )
 from .cmforms import normalize_prime_element
 from .euler import (
@@ -83,11 +82,11 @@ def suite_cm(pmax: int) -> list[VerificationReport]:
         # Inert p: the matrix is antidiagonal, trace 0 for both parities.
         # This is the prime coefficient of the weight-(n+1) form of the
         # family.  Oracle: the trace of alpha^n, powered by exact
-        # multiplication in the order.  At n = 1 the coefficient and alpha
-        # come from the same Cornacchia, so that row compares it with
-        # itself; n >= 2 checks the Lucas power traces.
-        powers = dict(alphas)
-        for n in range(1, 7):
+        # multiplication in the order, against the Lucas power traces.
+        # n = 1 is left out: there the coefficient and alpha come from the
+        # same Cornacchia, and the row above checks alpha.
+        powers = {p: alpha * alpha for p, alpha in alphas.items()}
+        for n in range(2, 7):
             computed = {p: family.ap(n + 1, p) for p in good}
             expected = {p: powers[p].trace if p in powers else 0 for p in good}
             quot.check(f"d={field.d}, n={n}, p<={pmax}", computed, expected, DERIVED)
@@ -180,7 +179,7 @@ def suite_ahlgren(pmax: int) -> list[VerificationReport]:
     rows = verify_ahlgren(pmax, brute_max=BRUTE_FORCE_LIMIT)
     report.check(
         f"N(p) = p^5 + 2p^3 - 4p^2 - 9p - 1 - a_p for odd p <= {pmax}",
-        [r.p for r in rows if not r.match],
+        [r.p for r in rows if r.count != r.predicted],
         [],
         DERIVED,
     )
@@ -230,23 +229,6 @@ def suite_arrangement() -> list[VerificationReport]:
     )
     reports.append(table)
 
-    sched = VerificationReport("resolution-schedule")
-    steps = resolution_schedule(arr, poset)
-    sched.check(
-        "centers ordered by ascending dimension",
-        [s.stratum.dim for s in steps] == sorted(s.stratum.dim for s in steps),
-        True,
-        DERIVED,
-    )
-    sched.check(
-        "exceptional divisor joins branch locus exactly at odd multiplicity",
-        all(step.adds_exceptional == (step.stratum.mult % 2 == 1) for step in steps),
-        True,
-        DERIVED,
-    )
-    sched.notes.append(f"{len(steps)} blow-up centers")
-    reports.append(sched)
-
     red = VerificationReport("good-reduction")
     rep = good_reduction_report(arr)
     red.check("all coefficient-matrix minors in {0, +-1}", rep.all_unimodular, True, PUBLISHED)
@@ -268,12 +250,6 @@ def suite_euler() -> list[VerificationReport]:
         "borcea-voisin euler numbers",
         [double_cover_euler(KummerData(24, e), ELLIPTIC_BLOCK).e_cover for e in range(-18, 21, 2)],
         [-108, -96, -84, -72, -60, -48, -36, -24, -12, 0, 12, 24, 36, 48, 60, 72, 84, 96, 108, 120],
-        PUBLISHED,
-    )
-    report.check(
-        "K3 with sextic branch x elliptic block",
-        double_cover_euler(KummerData(24, -18), ELLIPTIC_BLOCK).e_cover,
-        -108,
         PUBLISHED,
     )
     return [report]
@@ -305,8 +281,11 @@ def run_suite(name: str, pmax: int = 100) -> list[VerificationReport]:
     for sub in _RUNNERS if name == "all" else (name,):
         try:
             reports += _RUNNERS[sub](pmax)
-        except IdentityViolation as exc:
-            # one FAIL report for the broken sub-suite; the others still run
+        except (IdentityViolation, ValueError) as exc:
+            # one FAIL report for the broken sub-suite; the others still run.
+            # name and pmax are checked above and the sub-suites read only
+            # bundled data, so a ValueError here is a bound check that
+            # tripped on a computed value
             failed = VerificationReport(f"suite {sub}")
             failed.check(f"identity violated: {exc}", False, True, DERIVED)
             reports.append(failed)

@@ -100,6 +100,6 @@ def test_criterion_8_euler_calculus():
 
 def test_criterion_9_invariant_dimensions():
     dims = [f"{group}, n={n}" for group in ("Z3", "Z4", "Z2diag") for n in range(1, 11)]
-    quot = [f"d={f.field.d}, n={n}, p<=197" for f in FAMILIES.values() for n in range(1, 7)]
+    quot = [f"d={f.field.d}, n={n}, p<=197" for f in FAMILIES.values() for n in range(2, 7)]
     rows = {"invariant-tensor-dimensions": dims, "quotient-frobenius-traces": quot}
-    _accept("criterion 9: invariant dimensions n <= 10; quotient traces n <= 6, p <= 197", "cm", rows, 197)
+    _accept("criterion 9: invariant dimensions n <= 10; quotient traces 2 <= n <= 6, p <= 197", "cm", rows, 197)

@@ -472,6 +472,23 @@ def test_inconsistent_tensor_power_sums_fail_only_the_tensor_suite(monkeypatch, 
     assert "[PASS] quotient-frobenius-traces" in out and "[PASS] double-cover-euler-calculus" in out
 
 
+def test_bound_check_tripped_by_a_computed_value_fails_only_its_suite(monkeypatch, capsys):
+    # s_m + 1 for m >= 2 pushes a_5 of the weight-4 form past the Ramanujan
+    # bound, a ValueError inside hecke_expand: `suite all` prints a FAIL
+    # report for the cm sub-suite and still runs the other five
+    real = cmforms.power_trace
+    monkeypatch.setattr(cmforms, "power_trace", lambda a, p, m: real(a, p, m) + (m >= 2))
+    code, out, err = run(capsys, "suite", "all")
+    assert code == 1
+    assert err == ""
+    message = "identity violated: a_5 = 23 violates the Ramanujan bound for weight 4"
+    assert f"[FAIL] suite cm\n  FAIL {message}" in out
+    claims = {line.split("] ", 1)[1] for line in out.splitlines() if line.startswith("[")}
+    others = {r.claim for sub in ("eta", "tensor", "ahlgren", "arrangement", "euler") for r in run_suite(sub)}
+    assert claims == others | {"suite cm"}
+    assert "Traceback" not in out
+
+
 def test_opposite_normalization_fails_the_normalized_element_row(monkeypatch):
     # alpha = -1 in place of alpha = 1 modulo (2 + 2i), resp. 3: the
     # enumerated and the fast trace both flip sign, and only the curve's
@@ -483,13 +500,15 @@ def test_opposite_normalization_fails_the_normalized_element_row(monkeypatch):
 
 
 def test_wrong_fast_trace_fails_the_quotient_rows(monkeypatch):
-    # a curve_ap that is not the trace of alpha fails the quotient rows
-    # (n = 1 compares the two directly), and alpha itself still passes
+    # a curve_ap that is not the trace of alpha fails the quotient rows:
+    # negated, it flips the power trace s_n at odd n only, and alpha itself
+    # still passes
     real = cmforms.CMFormFamily.curve_ap
     monkeypatch.setattr(cmforms.CMFormFamily, "curve_ap", lambda self, p: -real(self, p))
-    statuses = {r.claim: r.status for r in run_suite("cm", pmax=30)}
-    assert statuses["quotient-frobenius-traces"] == "fail"
-    assert statuses["normalized-prime-elements"] == "pass"
+    reports = {r.claim: r for r in run_suite("cm", pmax=30)}
+    failed = {row.input for row in reports["quotient-frobenius-traces"].rows if not row.ok}
+    assert failed == {f"d={d}, n={n}, p<=30" for d in (4, 3) for n in (3, 5)}
+    assert reports["normalized-prime-elements"].status == "pass"
 
 
 def test_twisted_family_curve_fails_the_normalized_element_row(monkeypatch):
