@@ -102,9 +102,9 @@ class Stratum:
     is subset testing on the masks.
 
     basis: primitive integer rows of the reduced echelon form over Q of
-    the defining linear forms, back-substituted from the pivot rows of
-    the flat engine -- the canonical key for the flat, the same for any
-    spanning set of rows.
+    the defining linear forms, in pivot-column order, kept reduced by the
+    flat engine as each rank step adds a row -- the canonical key for the
+    flat, the same for any spanning set of rows.
 
     covers: masks, ascending, of the strata one dimension up that contain
     this one -- its cover edges in the intersection lattice.  Single
@@ -158,102 +158,74 @@ def _reduce_q(v, w, col: int) -> tuple[int, ...]:
     return _pivot_q([a * x - b * y for x, y in zip(v, w)])
 
 
-def _flats(vectors, n: int) -> dict[int, tuple[int, tuple[tuple[int, ...], ...], list[int]]]:
-    """Every flat of rank 1..n over Q of the hyperplanes `vectors` (forms
-    on Q^(n+1)), keyed by the bitmask of the hyperplanes containing it.
-
-    Value: (rank, rows, parents).  rows lists the residual each rank step
-    pivoted on, oldest first: each is primitive with positive lead
-    (`_pivot_q`) and is zero on the pivot columns of the rows before it,
-    so they are a triangular basis of the flat's defining space.  parents
-    are the masks of the flats of rank one less that contain it (mask 0,
-    the whole space, for a hyperplane): the cover edges of the lattice.
-
-    Flats are built one rank at a time, starting from the whole space
-    (mask 0).  A flat keeps the residuals of the forms of the hyperplanes
-    not containing it against its triangular basis: each reduced to zero
-    on every pivot column, then scaled by `_pivot_q` to a canonical
-    representative of its line.  Two such residuals span the same space
-    over the flat exactly when they are equal, so the flat keeps them
-    grouped, each distinct residual with the mask of its hyperplanes, and
-    each group gives a covering flat with its full hyperplane set.  Every
-    parent of a flat reaches it this way; the first builds it, clearing
-    the other groups' residuals on the new pivot column by fraction-free
-    `_reduce_q(v, w, col)`, once per group and only where the column is
-    nonzero (a residual zero there is already reduced), and merging the
-    groups whose residuals become equal.  Each later parent only adds its
-    mask to the flat's parents.
-
-    Over F_p no flat is enumerated: `poset_matches_mod_p` decides from
-    the minors whether the F_p lattice is this one.
-    """
-    groups: dict[tuple[int, ...], int] = {}
-    for i, v in enumerate(vectors):
-        v = _pivot_q(v)
-        groups[v] = groups.get(v, 0) | 1 << i
-    level = {0: ((), groups, [])}
-    flats = {}
-    for rank in range(1, n + 1):
-        nxt = {}
-        for mask, (rows, groups, _) in level.items():
-            for w, add in groups.items():
-                child = mask | add
-                if child in nxt:
-                    nxt[child][2].append(mask)
-                    continue
-                rest: dict[tuple[int, ...], int] = {}
-                if rank < n:  # a rank-n flat is a point: one more hyperplane empties it
-                    col = _pivot_col(w)
-                    for r, m in groups.items():
-                        if m != add:
-                            if r[col]:
-                                r = _reduce_q(r, w, col)
-                            rest[r] = rest.get(r, 0) | m
-                nxt[child] = (rows + (w,), rest, [mask])
-        for mask, (rows, _, parents) in nxt.items():
-            flats[mask] = (rank, rows, parents)
-        level = nxt
-    return flats
-
-
 def _indices(mask: int) -> tuple[int, ...]:
     return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def intersection_poset(arr: Arrangement) -> list[Stratum]:
-    """All flats obtainable as intersections of >= 2 hyperplanes.
+    """All flats obtainable as intersections of >= 2 hyperplanes, by one
+    fraction-free elimination over Q.
 
-    The flats come from the mask-keyed enumerator `_flats` over Q, with
-    fraction-free integer reduction.  Each flat's canonical basis is
-    its `_flats` rows in reduced echelon form, by back-substitution:
-    newest row first, each clears its pivot column from the rows before
-    it with `_reduce_q`.  Multiplicity is the full containing-hyperplane
-    count, dimension is n - rank; empty intersections (rank n+1) are
-    never built.
+    Flats are built one rank at a time, starting from the whole space
+    (mask 0), and keyed by the bitmask of the hyperplanes containing them.
+    Each flat carries its basis in reduced echelon form (rows primitive
+    with positive lead, each zero on the pivot columns of the others) and
+    the residuals of the forms of the hyperplanes not containing it: each
+    reduced to zero on every pivot column, then scaled by `_pivot_q` to a
+    canonical representative of its line.  Two such residuals span the
+    same space over the flat exactly when they are equal, so the flat
+    keeps them grouped, each distinct residual with the mask of its
+    hyperplanes, and each group w gives a covering flat with its full
+    hyperplane set.  Every parent of a flat reaches it this way; the first
+    builds it, clearing the new pivot column `col` of w by fraction-free
+    `_reduce_q(r, w, col)` from its own basis rows and from the other
+    groups' residuals, only where the column is nonzero (a row zero there
+    is already reduced), merging the groups whose residuals become equal,
+    and adding w to the basis.  Each later parent only adds a cover edge.
 
-    A flat's covers are its `_flats` parents, none at rank 2, where the
-    parents are single hyperplanes.  Strata are ordered by descending
-    dimension, then multiplicity, then basis.
+    A flat's basis is thus the canonical key of its defining space, the
+    same for any spanning set of rows.  Multiplicity is the full
+    containing-hyperplane count, dimension is n - rank; empty
+    intersections (rank n+1) are never built.  A flat's covers are its
+    parents, none at rank 2, where the parents are single hyperplanes.
+    Strata are ordered by descending dimension, then multiplicity, then
+    basis.
+
+    Over F_p no flat is enumerated: `poset_matches_mod_p` decides from
+    the minors whether the F_p lattice is this one.
     """
     n = arr.dim
-    vectors = [h.coeffs for h in arr.hyperplanes]
+    groups: dict[tuple[int, ...], int] = {}
+    for i, h in enumerate(arr.hyperplanes):
+        v = _pivot_q(h.coeffs)  # a directly built Hyperplane need not be primitive
+        groups[v] = groups.get(v, 0) | 1 << i
+    level = {0: ((), groups, [])}
     strata = []
-    for mask, (rank, rows, parents) in _flats(vectors, n).items():
-        if rank < 2:  # a single hyperplane
-            continue
-        covers = tuple(sorted(parents)) if rank > 2 else ()
-        near = any(c.bit_count() == mask.bit_count() - 1 for c in covers)
-        # each row is zero on the pivot columns of the rows before it, so
-        # clearing newest first never refills a cleared column
-        rows = list(rows)
-        cols = [_pivot_col(w) for w in rows]
-        for k in range(rank - 1, 0, -1):
-            w, col = rows[k], cols[k]
-            for j in range(k):
-                if rows[j][col]:
-                    rows[j] = _reduce_q(rows[j], w, col)
-        basis = tuple(w for _, w in sorted(zip(cols, rows)))
-        strata.append(Stratum(basis, n - rank, _indices(mask), near, covers))
+    for rank in range(1, n + 1):
+        nxt = {}
+        for mask, (basis, groups, _) in level.items():
+            for w, add in groups.items():
+                child = mask | add
+                if child in nxt:
+                    nxt[child][2].append(mask)
+                    continue
+                col = _pivot_col(w)
+                rows = [_reduce_q(r, w, col) if r[col] else r for r in basis]
+                rows.append(w)
+                rest: dict[tuple[int, ...], int] = {}
+                if rank < n:  # a rank-n flat is a point: one more hyperplane empties it
+                    for r, m in groups.items():
+                        if m != add:
+                            if r[col]:
+                                r = _reduce_q(r, w, col)
+                            rest[r] = rest.get(r, 0) | m
+                nxt[child] = (tuple(sorted(rows, key=_pivot_col)), rest, [mask])
+        if rank > 1:  # a rank-1 flat is a single hyperplane
+            for mask, (basis, _, parents) in nxt.items():
+                covers = tuple(sorted(parents)) if rank > 2 else ()
+                near = any(c.bit_count() == mask.bit_count() - 1 for c in covers)
+                strata.append(Stratum(basis, n - rank, _indices(mask), near, covers))
+        level = nxt
     strata.sort(key=lambda s: (-s.dim, s.mult, s.basis))
     return strata
 

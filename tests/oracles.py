@@ -6,8 +6,8 @@ mask-keyed engine: every rank and canonical key comes from a full
 `Fraction` echelon form over Q (or `echelon_mod` over F_p), of a
 candidate's rows or of a smaller subset's key plus one row.
 `primitive_rows(echelon(rows))` of a stratum's hyperplane forms is also
-the reference for `Stratum.basis`, which the engine back-substitutes
-from its own pivot rows.
+the reference for `Stratum.basis`, the reduced echelon form that the
+engine keeps for each flat as it adds one pivot row per rank.
 
 - `subsets_poset` ranks every subset of >= 2 hyperplanes.
 - `closure_poset` seeds with the pairwise intersections and intersects

@@ -352,12 +352,14 @@ def test_canonical_form_iff_same_flat():
 
 
 @st.composite
-def arrangements(draw):
+def arrangements(draw, scaled=False):
     """2 to 8 distinct hyperplanes in P^2..P^4, coefficients in [-3, 3].
 
     About half the draws are not essential: every row r is replaced by
     (c.c) r - (r.c) c for one drawn point c, so all hyperplanes pass
-    through c and their forms span a proper subspace.
+    through c and their forms span a proper subspace.  With `scaled`,
+    some rows enter as `Hyperplane(k r)`, k in 2..3, built directly and
+    so neither primitive nor sign-normalized.
     """
     n = draw(st.integers(2, 4))
     row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any)
@@ -366,14 +368,23 @@ def arrangements(draw):
         cc = sum(x * x for x in c)
         row = row.map(lambda r: [cc * x - sum(map(mul, r, c)) * y for x, y in zip(r, c)]).filter(any)
     rows = draw(st.lists(row, min_size=2, max_size=8, unique_by=lambda r: Hyperplane.from_coeffs(r).coeffs))
-    return Arrangement.from_rows(n, rows)
+    if not scaled:
+        return Arrangement.from_rows(n, rows)
+    ks = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    return Arrangement(
+        n,
+        tuple(
+            Hyperplane(tuple(k * x for x in r)) if k > 1 else Hyperplane.from_coeffs(r)
+            for r, k in zip(rows, ks)
+        ),
+    )
 
 
 @settings(max_examples=200, deadline=None)
-@given(arrangements())
+@given(arrangements(scaled=True))
 def test_canonical_basis_equals_fraction_echelon(arr):
-    # the back-substituted pivot rows against a Fraction echelon form of
-    # every containing hyperplane's form
+    # the basis the engine keeps reduced rank by rank, against a Fraction
+    # echelon form of every containing hyperplane's form
     for s in intersection_poset(arr):
         forms = [arr.hyperplanes[i].coeffs for i in s.hyperplanes]
         assert s.basis == primitive_rows(echelon(forms))
