@@ -18,22 +18,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
+from operator import index
 
 from .arith import is_prime, minors_by_size, require_odd_prime
 
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Primitive, sign-normalized integer coefficient vector in P^n."""
+    """A hyperplane of P^n, built from any nonzero integer vector on its
+    line and held as `coeffs`, the line's primitive vector with positive
+    lead: equal lines give equal Hyperplanes, and no row vanishes mod p.
+    A non-integer coefficient is a TypeError, the zero vector a ValueError.
+    """
 
     coeffs: tuple[int, ...]
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "Hyperplane":
-        v = [int(c) for c in coeffs]
+    def __post_init__(self):
+        v = [index(c) for c in self.coeffs]
         if not any(v):
             raise ValueError("zero vector is not a hyperplane")
-        return cls(_pivot_q(v))
+        object.__setattr__(self, "coeffs", _pivot_q(v))
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class Arrangement:
 
     @classmethod
     def from_rows(cls, dim: int, rows) -> "Arrangement":
-        return cls(dim, tuple(Hyperplane.from_coeffs(r) for r in rows))
+        return cls(dim, tuple(Hyperplane(tuple(r)) for r in rows))
 
     @property
     def size(self) -> int:
@@ -96,10 +100,11 @@ def load_arrangement(path) -> Arrangement:
 class Stratum:
     """A flat cut out by >= 2 hyperplanes of the arrangement.
 
-    hyperplanes: indices of every hyperplane containing the flat.  Their
-    forms span the flat's defining space, so this set (or `mask`, the
-    same set as a bitmask) determines the flat, and containment of flats
-    is subset testing on the masks.
+    mask: the bitmask of every hyperplane containing the flat, bit i for
+    the arrangement's hyperplane i.  Their forms span the flat's defining
+    space, so the mask determines the flat, and containment of flats is
+    subset testing on the masks.  `hyperplanes` (the set bits, ascending)
+    and `mult` (their number) are read off it.
 
     basis: primitive integer rows of the reduced echelon form over Q of
     the defining linear forms, in pivot-column order, kept reduced by the
@@ -117,20 +122,17 @@ class Stratum:
 
     basis: tuple[tuple[int, ...], ...]
     dim: int
-    hyperplanes: tuple[int, ...]
+    mask: int
     near_pencil: bool = False
     covers: tuple[int, ...] = ()
 
     @property
-    def mult(self) -> int:
-        return len(self.hyperplanes)
+    def hyperplanes(self) -> tuple[int, ...]:
+        return tuple([i for i in range(self.mask.bit_length()) if self.mask >> i & 1])
 
     @property
-    def mask(self) -> int:
-        m = 0
-        for i in self.hyperplanes:
-            m |= 1 << i
-        return m
+    def mult(self) -> int:
+        return self.mask.bit_count()
 
 
 def _pivot_col(v) -> int:
@@ -156,10 +158,6 @@ def _reduce_q(v, w, col: int) -> tuple[int, ...]:
     """Clear column `col` of v with w, fraction-free, then `_pivot_q`."""
     a, b = w[col], v[col]
     return _pivot_q([a * x - b * y for x, y in zip(v, w)])
-
-
-def _indices(mask: int) -> tuple[int, ...]:
-    return tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def intersection_poset(arr: Arrangement) -> list[Stratum]:
@@ -195,11 +193,7 @@ def intersection_poset(arr: Arrangement) -> list[Stratum]:
     the minors whether the F_p lattice is this one.
     """
     n = arr.dim
-    groups: dict[tuple[int, ...], int] = {}
-    for i, h in enumerate(arr.hyperplanes):
-        v = _pivot_q(h.coeffs)  # a directly built Hyperplane need not be primitive
-        groups[v] = groups.get(v, 0) | 1 << i
-    level = {0: ((), groups, [])}
+    level = {0: ((), {h.coeffs: 1 << i for i, h in enumerate(arr.hyperplanes)}, [])}
     strata = []
     for rank in range(1, n + 1):
         nxt = {}
@@ -224,7 +218,7 @@ def intersection_poset(arr: Arrangement) -> list[Stratum]:
             for mask, (basis, _, parents) in nxt.items():
                 covers = tuple(sorted(parents)) if rank > 2 else ()
                 near = any(c.bit_count() == mask.bit_count() - 1 for c in covers)
-                strata.append(Stratum(basis, n - rank, _indices(mask), near, covers))
+                strata.append(Stratum(basis, n - rank, mask, near, covers))
         level = nxt
     strata.sort(key=lambda s: (-s.dim, s.mult, s.basis))
     return strata
@@ -490,10 +484,7 @@ def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum]) -> ModPC
     g_R, and `poset`, which the rational side would give, is not read.
     Two hyperplanes that coincide mod p are an independent pair with p
     dividing g_R, so they never compare equal, even when both posets are
-    empty.  A hyperplane that reduces to zero mod p raises ValueError.
-    Nothing is factored.
+    empty.  Nothing is factored.
     """
     require_odd_prime(p)
-    if any(not any(c % p for c in h.coeffs) for h in arr.hyperplanes):
-        raise ValueError(f"a hyperplane degenerates to zero mod {p}")
     return ModPComparison(all(g % p for g in _minor_scan(arr)[2]))

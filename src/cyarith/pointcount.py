@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add
+from operator import add, index
 
 from .arith import IdentityViolation, _kronecker_mul, legendre_table, odd_primes_up_to, require_odd_prime
 from .qseries import EtaProduct, QSeries
@@ -23,12 +23,14 @@ BRUTE_FORCE_LIMIT = 13
 
 @dataclass(frozen=True)
 class EllipticCurveModel:
-    """y^2 = x^3 + a*x + b with integer coefficients and nonzero discriminant."""
+    """y^2 = x^3 + a*x + b, a and b integers (else TypeError), nonzero discriminant."""
 
     a: int
     b: int
 
     def __post_init__(self):
+        object.__setattr__(self, "a", index(self.a))
+        object.__setattr__(self, "b", index(self.b))
         if self.discriminant == 0:
             raise ValueError("singular model: discriminant is zero")
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import index
 from typing import Callable, Mapping
 
 from .arith import _kronecker_mul, primes_up_to
@@ -108,13 +109,14 @@ class EtaProduct:
     """prod_i eta(q^(m_i))^(k_i), held as ((m_1, k_1), (m_2, k_2), ...).
 
     The eta prefactors contribute q^(sum m_i k_i / 24); the sum must be
-    divisible by 24 for the product to be an integral q-series.
+    divisible by 24 for the product to be an integral q-series.  A scale
+    or exponent that is not an integer is a TypeError.
     """
 
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple((int(m), int(k)) for m, k in self.factors))
+        object.__setattr__(self, "factors", tuple((index(m), index(k)) for m, k in self.factors))
         if not self.factors:
             raise ValueError("an eta product needs at least one factor")
         for m, k in self.factors:

@@ -265,7 +265,7 @@ def _canonical(rows):
 
 
 def _strata(found) -> list[Stratum]:
-    strata = [Stratum(basis, dim, members) for basis, (dim, members) in found.items()]
+    strata = [Stratum(basis, dim, sum(1 << i for i in members)) for basis, (dim, members) in found.items()]
     by_mask = {s.mask: s for s in strata}
     flagged = []
     for s in strata:

@@ -59,7 +59,7 @@ def random_arrangement(rng, n, count, bound=2):
     # past that many, count them all
     if count > (2 * bound + 1) ** n:
         rows = product(range(-bound, bound + 1), repeat=n + 1)
-        available = len({Hyperplane.from_coeffs(row).coeffs for row in rows if any(row)})
+        available = len({Hyperplane(tuple(row)).coeffs for row in rows if any(row)})
         if count > available:
             raise ValueError(f"only {available} hyperplanes in P^{n} with coefficients in [-{bound}, {bound}]")
     seen = set()
@@ -68,7 +68,7 @@ def random_arrangement(rng, n, count, bound=2):
         row = tuple(rng.randint(-bound, bound) for _ in range(n + 1))
         if not any(row):
             continue
-        h = Hyperplane.from_coeffs(row)
+        h = Hyperplane(tuple(row))
         if h.coeffs not in seen:
             seen.add(h.coeffs)
             rows.append(h.coeffs)
@@ -95,10 +95,22 @@ def type_rows(cls):
 
 
 def test_hyperplane_normalization():
-    assert Hyperplane.from_coeffs((-2, 0, 2)).coeffs == (1, 0, -1)
-    assert Hyperplane.from_coeffs((0, 3, -6)).coeffs == (0, 1, -2)
-    with pytest.raises(ValueError):
-        Hyperplane.from_coeffs((0, 0, 0))
+    assert Hyperplane((-2, 0, 2)).coeffs == (1, 0, -1)
+    assert Hyperplane((0, 3, -6)).coeffs == (0, 1, -2)
+    with pytest.raises(ValueError, match="zero vector"):
+        Hyperplane((0, 0, 0))
+    # a directly built Hyperplane is its line, so these are duplicates
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Arrangement(2, (Hyperplane((1, 0, 0)), Hyperplane((2, 0, 0)), Hyperplane((0, 1, 0))))
+    with pytest.raises(TypeError):
+        Arrangement.from_rows(1, [[1.5, 0], [0, 1]])
+    # a non-primitive row is its primitive line: no spurious exceptional prime 3
+    direct = Arrangement(2, (Hyperplane((1, 0, 0)), Hyperplane((0, 1, 0)), Hyperplane((3, 3, 3))))
+    parsed = lines((1, 0, 0), (0, 1, 0), (1, 1, 1))
+    assert good_reduction_report(direct) == good_reduction_report(parsed)
+    assert good_reduction_report(direct).all_unimodular
+    assert intersection_poset(direct) == intersection_poset(parsed)
+    assert poset_matches_mod_p(direct, 3, intersection_poset(direct)).equal
 
 
 def test_arrangement_rejects_duplicates():
@@ -358,8 +370,10 @@ def arrangements(draw, scaled=False):
     About half the draws are not essential: every row r is replaced by
     (c.c) r - (r.c) c for one drawn point c, so all hyperplanes pass
     through c and their forms span a proper subspace.  With `scaled`,
-    some rows enter as `Hyperplane(k r)`, k in 2..3, built directly and
-    so neither primitive nor sign-normalized.
+    each row enters as `Hyperplane(k r)`, k in 1..3, built directly from
+    a vector that need be neither primitive nor sign-normalized: the type
+    normalizes it to its line's primitive vector with positive lead, so
+    the engine needs no normalization of its own.
     """
     n = draw(st.integers(2, 4))
     row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any)
@@ -367,17 +381,11 @@ def arrangements(draw, scaled=False):
     if c is not None:
         cc = sum(x * x for x in c)
         row = row.map(lambda r: [cc * x - sum(map(mul, r, c)) * y for x, y in zip(r, c)]).filter(any)
-    rows = draw(st.lists(row, min_size=2, max_size=8, unique_by=lambda r: Hyperplane.from_coeffs(r).coeffs))
+    rows = draw(st.lists(row, min_size=2, max_size=8, unique_by=lambda r: Hyperplane(tuple(r)).coeffs))
     if not scaled:
         return Arrangement.from_rows(n, rows)
     ks = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
-    return Arrangement(
-        n,
-        tuple(
-            Hyperplane(tuple(k * x for x in r)) if k > 1 else Hyperplane.from_coeffs(r)
-            for r, k in zip(rows, ks)
-        ),
-    )
+    return Arrangement(n, tuple(Hyperplane(tuple(k * x for x in r)) for r, k in zip(rows, ks)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -488,12 +496,8 @@ def test_mod_p_coincidence_never_equal():
 
 
 def test_mod_p_contract():
-    # Hyperplane.from_coeffs would divide out the content 3
-    bad = Arrangement(2, (Hyperplane((1, 0, 0)), Hyperplane((3, 3, 3))))
-    with pytest.raises(ValueError, match="degenerates to zero mod 3"):
-        poset_matches_mod_p(bad, 3, intersection_poset(bad))
-    with pytest.raises(ValueError, match="degenerates to zero mod 3"):
-        subsets_poset_mod_p(bad, 3)
+    # a Hyperplane divides out its content, so no row vanishes mod p
+    assert Hyperplane((3, 3, 3)).coeffs == (1, 1, 1)
     arr = lines((1, 1, 0), (1, -2, 0), (0, 0, 1))
     for p in (2, 9):
         with pytest.raises(ValueError, match="odd prime"):
@@ -602,8 +606,8 @@ LINE_PRIMES = (3, 5, 7, 11, 2**31 - 1)
 )
 def test_canonical_line_representatives(v, c, p, data):
     # over Q: one primitive vector with positive lead per line
-    h = Hyperplane.from_coeffs(v)
-    assert Hyperplane.from_coeffs([c * x for x in v]) == h
+    h = Hyperplane(tuple(v))
+    assert Hyperplane(tuple(c * x for x in v)) == h
     assert gcd(*h.coeffs) == 1
     assert next(x for x in h.coeffs if x) > 0
     assert all(x * hy == y * hx for x, hx in zip(v, h.coeffs) for y, hy in zip(v, h.coeffs))

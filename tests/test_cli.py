@@ -167,14 +167,16 @@ def test_classify_arrangement_bundled(capsys):
     assert [(t["dim"], t["mult"], t["count"]) for t in data["types"]] == [(0, 2, 3), (0, 3, 4)]
 
 
-def test_classify_arrangement_ahlgren_golden(capsys):
-    # the 452-flat lattice: type table with flags and incidence vectors,
-    # the 109-step schedule, the minor scan and the F_5 comparison
+@pytest.mark.parametrize("name", ["ahlgren", "octic", "sextic"])
+def test_classify_arrangement_golden(capsys, name):
+    # the type table with flags and incidence vectors, the schedule with
+    # every center's basis (109, 30 and 7 steps), the minor scan and the
+    # F_5 comparison
     code, out, _ = run(
-        capsys, "classify-arrangement", "ahlgren", "--schedule", "--good-reduction", "--check-prime", "5", "--json"
+        capsys, "classify-arrangement", name, "--schedule", "--good-reduction", "--check-prime", "5", "--json"
     )
     assert code == 0
-    assert out == (GOLDEN / "ahlgren_classify_arrangement.json").read_text()
+    assert out == (GOLDEN / f"{name}_classify_arrangement.json").read_text()
 
 
 def test_classify_arrangement_file_and_options(tmp_path, capsys):

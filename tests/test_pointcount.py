@@ -29,6 +29,10 @@ from oracles import ahlgren_count_enumeration, ahlgren_count_loop, legendre_fami
 def test_curve_model_validation():
     with pytest.raises(ValueError, match="singular"):
         EllipticCurveModel(0, 0)
+    # a float coefficient would otherwise fail only inside elliptic_ap,
+    # as a list index of the character sum
+    with pytest.raises(TypeError):
+        EllipticCurveModel(-1.0, 0)
     assert CURVE_GAUSSIAN.discriminant == 64
     assert not CURVE_EISENSTEIN.is_good(3)
     assert CURVE_EISENSTEIN.is_good(5)

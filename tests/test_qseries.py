@@ -293,6 +293,12 @@ def test_eta_product_rejects_fractional_shift():
 
 
 
+def test_eta_product_rejects_non_integer_factors():
+    # int() would truncate this silently to eta(q^8)^2 eta(q^4)^2
+    with pytest.raises(TypeError):
+        EtaProduct(((8.7, 2), (4, 2.9)))
+
+
 def test_eta_product_rejects_no_factors():
     # gcd() of no scales is 0, so an empty product could not expand
     with pytest.raises(ValueError, match="at least one factor"):
