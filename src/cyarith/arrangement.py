@@ -42,15 +42,20 @@ class Hyperplane:
 
 @dataclass(frozen=True)
 class Arrangement:
-    """N distinct hyperplanes in P^dim."""
+    """N distinct hyperplanes in P^dim, held as a tuple; a non-integer dim or
+    an entry that is not a `Hyperplane` is a TypeError."""
 
     dim: int
     hyperplanes: tuple[Hyperplane, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", index(self.dim))
+        object.__setattr__(self, "hyperplanes", tuple(self.hyperplanes))
         if self.dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         for h in self.hyperplanes:
+            if not isinstance(h, Hyperplane):
+                raise TypeError(f"{h!r} is not a Hyperplane")
             if len(h.coeffs) != self.dim + 1:
                 raise ValueError(
                     f"hyperplane {h.coeffs} has {len(h.coeffs)} coordinates, "

@@ -254,8 +254,8 @@ class CMFormFamily:
     The weight-2 coefficients at split primes are the traces of the
     normalized prime elements; the reference curve is what their point
     counts must equal (`suite cm` checks it), never counted here.  Inert
-    primes contribute 0 and the bad prime, the one that ramifies in the
-    field, is excluded from every comparison.
+    primes contribute 0; the bad prime, the one that ramifies in the
+    field, has no a_p (`ap` raises) and is left out of every comparison.
     """
 
     field: CMField
@@ -285,16 +285,14 @@ class CMFormFamily:
         return 0
 
     def ap(self, weight: int, p: int) -> int:
-        """Prime coefficient of the weight-k form: s_{k-1} split, 0 inert
-        or ramified.  A p that is not prime raises ValueError, at split p
-        through `curve_ap`."""
+        """Prime coefficient of the weight-k form at a good prime: s_{k-1}
+        of the curve trace at split p, 0 at inert p.  p is checked by
+        `curve_ap` alone, so the bad prime and non-primes raise ValueError
+        as they do there."""
         if weight < 2:
             raise ValueError("weight must be >= 2")
-        if self.field.is_split(p):
-            return power_trace(self.curve_ap(p), p, weight - 1)
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        return 0
+        trace = self.curve_ap(p)
+        return power_trace(trace, p, weight - 1) if self.field.is_split(p) else 0
 
     def form(self, weight: int) -> CMForm:
         return CMForm(self, weight)

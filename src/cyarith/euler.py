@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import IdentityViolation
-
 
 @dataclass(frozen=True)
 class KummerData:
@@ -46,10 +44,8 @@ def fold_elliptic(n: int) -> KummerData:
 
 
 def iterated_elliptic_euler(n: int) -> int:
-    """Closed form (6^n + 3(-2)^n)/2 for the n-fold elliptic quotient."""
+    """Closed form (6^n + 3(-2)^n)/2 for the n-fold elliptic quotient;
+    both terms are even for n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 6**n + 3 * (-2) ** n
-    if total % 2:
-        raise IdentityViolation(f"6^{n} + 3(-2)^{n} = {total} is odd")
-    return total // 2
+    return (6**n + 3 * (-2) ** n) // 2

@@ -113,9 +113,9 @@ def ahlgren_count_fast(p: int) -> int:
     coefficient c_k of a(x) r(x) collects the terms s >= v of S(v) at
     k = p-1+v and the terms s < v at k = v-1, so S(0) = c_(p-1) and
     S(v) = c_(p-1+v) + c_(v-1) for v >= 1.  One Kronecker product of two
-    length-p lists gives them all.
+    length-p lists gives them all.  A p that is not an odd prime raises
+    ValueError from `legendre_table`.
     """
-    require_odd_prime(p)
     chi = legendre_table(p)
     a = [chi[s * (s - 1) % p] for s in range(p)]
     c = _kronecker_mul(a, chi[::-1], 2 * p - 2)

@@ -1,9 +1,7 @@
-import json
 import random
 from itertools import combinations, product
 from math import gcd, prod
 from operator import mul
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,8 +40,6 @@ from oracles import (
     subsets_poset,
     subsets_poset_mod_p,
 )
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def lines(*rows):
@@ -116,6 +112,18 @@ def test_hyperplane_normalization():
 def test_arrangement_rejects_duplicates():
     with pytest.raises(ValueError, match="distinct"):
         lines((1, 0, 0), (2, 0, 0))
+
+
+def test_arrangement_checks_its_inputs():
+    h = (Hyperplane((1, 0, 0)), Hyperplane((0, 1, 0)), Hyperplane((1, 1, 1)))
+    with pytest.raises(TypeError):
+        Arrangement(2.0, h[:2])
+    with pytest.raises(TypeError, match=r"\(1, 0, 0\) is not a Hyperplane"):
+        Arrangement(2, ((1, 0, 0), (0, 1, 0)))
+    # a list is stored as a tuple, so the cached minor scan can hash it
+    listed = Arrangement(2, list(h))
+    assert listed.hyperplanes == h
+    assert good_reduction_report(listed) == good_reduction_report(Arrangement(2, h))
 
 
 def test_parse_errors():
@@ -629,15 +637,7 @@ def test_canonical_line_representatives(v, c, p, data):
 
 
 # ---------------------------------------------------------------------------
-# bundled arrangements: golden classifications
-
-
-@pytest.mark.parametrize("name", ["octic", "sextic"])
-def test_golden_classification(name):
-    arr = load_bundled_arrangement(name)
-    payload = classify(arr, intersection_poset(arr)).to_jsonable()
-    golden = json.loads((GOLDEN / f"{name}_classification.json").read_text())
-    assert payload == golden
+# bundled arrangements
 
 
 def test_sextic_structure():

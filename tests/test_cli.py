@@ -342,11 +342,13 @@ def test_suite_json_deterministic(capsys):
     [
         (("suite", "all", "--json"), 2, "suite_all.json"),
         (("tensor-factor", "--pmax", "100", "--csv"), 0, "tensor_factor_p100.csv"),
+        (("verify-ahlgren", "--pmax", "3000", "--csv"), 0, "verify_ahlgren_p3000.csv"),
     ],
 )
 def test_outputs_reproduce_their_goldens_byte_for_byte(capsys, argv, code, golden):
     # the committed outputs: every report of `suite all` (exit 2 for the one
-    # (0,9) N2 discrepancy) and the weight-4 x weight-3 Euler factor table
+    # (0,9) N2 discrepancy), the weight-4 x weight-3 Euler factor table and
+    # Ahlgren's count against its prediction at the 429 odd primes to 3000
     got, out, err = run(capsys, *argv)
     assert (got, err) == (code, "")
     assert out.encode() == (GOLDEN / golden).read_bytes()

@@ -137,6 +137,13 @@ def test_fast_equals_fibre_loop():
         assert ahlgren_count_fast(p) == ahlgren_count_loop(p), p
 
 
+def test_fast_count_rejects_a_modulus_that_is_not_an_odd_prime():
+    # the check is legendre_table's, the fast count's first call
+    for p in (1, 2, 4, 9, 15):
+        with pytest.raises(ValueError, match="modulus must be an odd prime"):
+            ahlgren_count_fast(p)
+
+
 def test_bruteforce_cap():
     with pytest.raises(ValueError, match="brute-force cap"):
         ahlgren_count_bruteforce(17)
