@@ -53,14 +53,11 @@ class Arrangement:
         object.__setattr__(self, "hyperplanes", tuple(self.hyperplanes))
         if self.dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        for h in self.hyperplanes:
+        for i, h in enumerate(self.hyperplanes):
             if not isinstance(h, Hyperplane):
                 raise TypeError(f"{h!r} is not a Hyperplane")
             if len(h.coeffs) != self.dim + 1:
-                raise ValueError(
-                    f"hyperplane {h.coeffs} has {len(h.coeffs)} coordinates, "
-                    f"expected {self.dim + 1}"
-                )
+                raise ValueError(f"hyperplane {i}, {h.coeffs}, has {len(h.coeffs)} coordinates, expected {self.dim + 1}")
         if len(set(self.hyperplanes)) != len(self.hyperplanes):
             raise ValueError("hyperplanes must be pairwise distinct")
 
@@ -77,7 +74,8 @@ class Arrangement:
 
 
 def parse_arrangement(text: str) -> Arrangement:
-    """Text format: first line `n N`, then N lines of n+1 integers."""
+    """Text format: first line `n N`, then N lines of n+1 integers; the
+    length of each row is checked by `Arrangement`, by 0-based row index."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty arrangement file")
@@ -87,13 +85,7 @@ def parse_arrangement(text: str) -> Arrangement:
     n, count = int(head[0]), int(head[1])
     if len(lines) - 1 != count:
         raise ValueError(f"expected {count} hyperplane rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        entries = [int(tok) for tok in ln.split()]
-        if len(entries) != n + 1:
-            raise ValueError(f"row {ln!r} has {len(entries)} entries, expected {n + 1}")
-        rows.append(entries)
-    return Arrangement.from_rows(n, rows)
+    return Arrangement.from_rows(n, [[int(tok) for tok in ln.split()] for ln in lines[1:]])
 
 
 def load_arrangement(path) -> Arrangement:

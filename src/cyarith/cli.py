@@ -248,14 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eta_expand)
 
     p = sub.add_parser("cm-coeffs", help="prime coefficients of a CM family form")
-    p.add_argument("--field", choices=("i", "zeta3"), required=True)
+    p.add_argument("--field", choices=tuple(registry.FAMILIES), required=True)
     p.add_argument("--weight", type=int, required=True)
     common(p)
     p.set_defaults(func=cmd_cm_coeffs)
 
     p = sub.add_parser("gross-normalize", help="normalized prime element above a split p")
     p.add_argument("p", type=int)
-    p.add_argument("--field", choices=("i", "zeta3"), default="i")
+    p.add_argument("--field", choices=tuple(registry.FAMILIES), default="i")
     p.set_defaults(func=cmd_gross_normalize)
 
     p = sub.add_parser("elliptic-ap", help="Frobenius traces of y^2 = x^3 + Ax + B")

@@ -8,7 +8,7 @@ from importlib import resources
 
 from .arrangement import Arrangement, parse_arrangement
 from .cmforms import EISENSTEIN, GAUSSIAN, CMFormFamily
-from .pointcount import AHLGREN_ETA, EllipticCurveModel
+from .pointcount import EllipticCurveModel
 from .qseries import EtaProduct
 
 # ---------------------------------------------------------------------------
@@ -30,7 +30,7 @@ CURVE_EISENSTEIN_TWIST = EllipticCurveModel(0, -16)
 GAUSSIAN_FAMILY = CMFormFamily(GAUSSIAN, CURVE_GAUSSIAN, "gaussian")
 EISENSTEIN_FAMILY = CMFormFamily(EISENSTEIN, CURVE_EISENSTEIN, "eisenstein")
 
-FAMILIES = {"i": GAUSSIAN_FAMILY, "zeta3": EISENSTEIN_FAMILY}
+FAMILIES = {family.field.name: family for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY)}
 
 # ---------------------------------------------------------------------------
 # Eta products
@@ -39,7 +39,6 @@ ETA_WEIGHT2_GAUSSIAN = EtaProduct(((8, 2), (4, 2)))  # level 32
 ETA_WEIGHT3_GAUSSIAN = EtaProduct(((4, 6),))  # level 16
 ETA_WEIGHT2_EISENSTEIN = EtaProduct(((9, 2), (3, 2)))  # level 27
 ETA_WEIGHT4_EISENSTEIN = EtaProduct(((3, 8),))  # level 9
-ETA_WEIGHT6_LEVEL4 = AHLGREN_ETA  # the Ahlgren-identity form
 
 # ---------------------------------------------------------------------------
 # Transcribed printed coefficients (expected values with published-table

@@ -24,7 +24,7 @@ from .euler import (
     fold_elliptic,
     iterated_elliptic_euler,
 )
-from .pointcount import BRUTE_FORCE_LIMIT, ahlgren_count_bruteforce, ahlgren_predicted, elliptic_ap, verify_ahlgren
+from .pointcount import AHLGREN_ETA, BRUTE_FORCE_LIMIT, ahlgren_count_bruteforce, ahlgren_predicted, elliptic_ap, verify_ahlgren
 from .qseries import hecke_expand
 from .report import DERIVED, PUBLISHED, VerificationReport
 from .tensor import invariant_tensor_dimension, verify_g4xg3, verify_power_factorization
@@ -44,11 +44,11 @@ def suite_eta() -> list[VerificationReport]:
         report.check(f"{eta}: c_n = 0 at unprinted n <= {top}", unprinted, [], PUBLISHED)
     # eta(q^2)^12 has no printed coefficients; its oracle is the exact
     # fivefold count through p = 13 (solved for a_p)
-    series = registry.ETA_WEIGHT6_LEVEL4.expand(BRUTE_FORCE_LIMIT)
+    series = AHLGREN_ETA.expand(BRUTE_FORCE_LIMIT)
     primes = odd_primes_up_to(BRUTE_FORCE_LIMIT)
     computed = {p: series.coeff(p) for p in primes}
     expected = {p: ahlgren_predicted(p, 0) - ahlgren_count_bruteforce(p) for p in primes}
-    report.check(str(registry.ETA_WEIGHT6_LEVEL4), computed, expected, DERIVED)
+    report.check(str(AHLGREN_ETA), computed, expected, DERIVED)
     return [report]
 
 
@@ -56,13 +56,11 @@ def suite_cm(pmax: int) -> list[VerificationReport]:
     reports = []
 
     printed = VerificationReport("grossencharakter-power-coefficients")
-    for family in registry.FAMILIES.values():
-        for (family_name, weight), coeffs in registry.PRINTED_CM_COEFFS.items():
-            if family_name != family.name:
-                continue
-            series = hecke_expand(family.form(weight).hecke_spec(), max(coeffs))
-            computed = {n: series.coeff(n) for n in sorted(coeffs)}
-            printed.check(f"{family_name} weight {weight}", computed, dict(sorted(coeffs.items())), PUBLISHED)
+    families = {family.name: family for family in registry.FAMILIES.values()}
+    for (family_name, weight), coeffs in registry.PRINTED_CM_COEFFS.items():
+        series = hecke_expand(families[family_name].form(weight).hecke_spec(), max(coeffs))
+        computed = {n: series.coeff(n) for n in sorted(coeffs)}
+        printed.check(f"{family_name} weight {weight}", computed, dict(sorted(coeffs.items())), PUBLISHED)
     reports.append(printed)
 
     norm = VerificationReport("normalized-prime-elements")

@@ -19,12 +19,12 @@ into the lower half of the factor by Newton's identities, to degree
 h = 2^(n-1) only, and mirrors it: Poincare duality makes the eigenvalues
 invariant under lambda -> D/lambda, D the product of the determinants,
 so c_(2h-k) = D^(h-k) c_k.  The product side (`euler_product`)
-multiplies the local factors of degree <= 2 into one coefficient list at
-full degree, one pass per factor, so every product has a small integer
-on one side.  It runs in T, or in T^2 when every factor is even in T, as
-all of them are at an inert prime.  It never uses the functional
-equation, so each mirrored coefficient is still compared with one
-computed independently.
+multiplies its degree-2 Euler factors 1 + b T + c T^2, the CM factors
+and the Dirichlet pairs, into one coefficient list at full degree, one
+pass per factor, so every product has a small integer on one side.  It
+runs in T, or in U = T^2 when every b is 0, as at an inert prime.  It
+never uses the functional equation, so each mirrored coefficient is
+still compared with one computed independently.
 """
 
 from __future__ import annotations
@@ -81,9 +81,8 @@ def tensor_euler_factor(factors) -> IntPoly:
     sums = [1] * half
     det = 1
     for factor, j in repeats.items():
-        if factor.degree != 2 or factor.coeff(0) != 1:
-            raise ValueError(f"not a degree-2 Euler factor: {factor}")
-        t, d = -factor.coeff(1), factor.coeff(2)
+        b, d = _euler_coefficients(factor)
+        t = -b
         det *= d**j
         prev, cur = 2, t
         for m in range(half):
@@ -98,36 +97,35 @@ def tensor_euler_factor(factors) -> IntPoly:
     return IntPoly(coeffs)
 
 
+def _euler_coefficients(factor: IntPoly) -> tuple[int, int]:
+    """(b, c) of a degree-2 Euler factor 1 + b T + c T^2; anything else is a ValueError."""
+    if factor.degree != 2 or factor.coeff(0) != 1:
+        raise ValueError(f"not a degree-2 Euler factor: {factor}")
+    return factor.coeff(1), factor.coeff(2)
+
+
 def euler_product(factors) -> IntPoly:
-    """Product of local factors of degree <= 2, one fused pass per factor:
-    coefficient m of out * (a + b T + c T^2) is a out_m + b out_{m-1} +
-    c out_{m-2}, so every product is a short coefficient times a long one.
-    The a column is skipped for the constant term 1 of an Euler factor,
-    and the c column for a linear factor.  When every factor is even,
-    a + c T^2 (every factor at an inert prime), the product runs in
-    U = T^2 on half as many coefficients, each factor linear in U, and is
-    spread back onto the even powers of T.  A factor of degree > 2 raises
-    ValueError."""
-    abc = []
-    for factor in factors:
-        if factor.degree > 2:
-            raise ValueError(f"not a local factor of degree <= 2: {factor}")
-        abc.append((factor.coeff(0), factor.coeff(1), factor.coeff(2)))
-    if any(b for _, b, _ in abc):
-        return IntPoly(_fused_product(abc))
-    half = _fused_product([(a, c, 0) for a, _, c in abc])
+    """Product of degree-2 Euler factors 1 + b T + c T^2, one fused pass
+    per factor: coefficient m of out * (1 + b T + c T^2) is out_m +
+    b out_(m-1) + c out_(m-2), so every product is a short coefficient
+    times a long one.  When every b is 0 (every factor at an inert prime)
+    the product runs in U = T^2 on half as many coefficients, each factor
+    1 + c U, and is spread back onto the even powers of T.  Any other
+    factor raises `tensor_euler_factor`'s ValueError."""
+    bc = [_euler_coefficients(factor) for factor in factors]
+    if any(b for b, _ in bc):
+        return IntPoly(_fused_product(bc))
+    half = _fused_product([(c, 0) for _, c in bc])
     out = [0] * (2 * len(half) - 1)
     out[::2] = half
     return IntPoly(out)
 
 
-def _fused_product(abc) -> list[int]:
-    """Coefficients of the product of the a + b T + c T^2 in `abc`."""
+def _fused_product(bc) -> list[int]:
+    """Coefficients of the product of the 1 + b T + c T^2 in `bc`."""
     out = [1]
-    for a, b, c in abc:
+    for b, c in bc:
         shifted = [0] + out
-        if a != 1:
-            out = [a * x for x in out]
         if c:
             out = [x + b * y + c * z for x, y, z in zip(out + [0, 0], shifted + [0], [0] + shifted)]
         else:

@@ -131,8 +131,11 @@ def test_parse_errors():
         parse_arrangement("bogus\n1 0 0")
     with pytest.raises(ValueError, match="rows"):
         parse_arrangement("2 3\n1 0 0\n0 1 0")
-    with pytest.raises(ValueError, match="entries"):
+    # a row's length is checked by Arrangement, which names the row's index
+    with pytest.raises(ValueError, match=r"^hyperplane 0, \(1, 0\), has 2 coordinates, expected 3$"):
         parse_arrangement("2 1\n1 0")
+    with pytest.raises(ValueError, match=r"^hyperplane 2, \(0, 1, 0, 3\), has 4 coordinates, expected 3$"):
+        parse_arrangement("2 4\n1 0 0\n0 1 0\n0 2 0 6\n1 1 1")
     with pytest.raises(ValueError, match="empty"):
         parse_arrangement("  \n ")
 

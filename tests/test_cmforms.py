@@ -89,10 +89,13 @@ def test_euler_factor_inert_examples():
 
 
 def test_euler_factor_ramified_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ramified"):
         cm_euler_factor(2, GAUSSIAN, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ramified"):
         cm_euler_factor(2, EISENSTEIN, 3)
+    # a literal trace does not get past the check
+    with pytest.raises(ValueError, match="ramified"):
+        cm_euler_factor(2, EISENSTEIN, 3, 0)
 
 
 def test_inert_prime_square_coefficients():
@@ -449,8 +452,6 @@ def test_quotient_traces_match_hecke_coefficients():
 
 
 def test_family_bad_prime_handling():
-    with pytest.raises(ValueError):
-        cm_euler_factor(2, EISENSTEIN, 3, EISENSTEIN_FAMILY.curve_ap(3))
     for family in (GAUSSIAN_FAMILY, EISENSTEIN_FAMILY):
         (bad,) = family.bad_primes
         with pytest.raises(ValueError, match="bad prime"):

@@ -17,13 +17,13 @@ from cyarith.qseries import (
     hecke_expand,
     unit_powers,
 )
+from cyarith.pointcount import AHLGREN_ETA
 from oracles import eta_unit_power, hecke_expand_trial_division, mul_trunc, pow_trunc
 from cyarith.registry import (
     ETA_WEIGHT2_EISENSTEIN,
     ETA_WEIGHT2_GAUSSIAN,
     ETA_WEIGHT3_GAUSSIAN,
     ETA_WEIGHT4_EISENSTEIN,
-    ETA_WEIGHT6_LEVEL4,
     EISENSTEIN_FAMILY,
     GAUSSIAN_FAMILY,
     PRINTED_ETA_COEFFS,
@@ -281,7 +281,7 @@ def test_printed_eta_expansions():
 
 
 def test_eta_weight6_level4_known_prefix():
-    series = ETA_WEIGHT6_LEVEL4.expand(13)
+    series = AHLGREN_ETA.expand(13)
     assert [series.coeff(p) for p in (3, 5, 7, 11, 13)] == [-12, 54, -88, 540, -418]
 
 
@@ -307,7 +307,7 @@ def test_eta_product_rejects_no_factors():
 
 def test_q_shift_bookkeeping():
     assert ETA_WEIGHT2_GAUSSIAN.q_shift == 1
-    assert ETA_WEIGHT6_LEVEL4.q_shift == 1
+    assert AHLGREN_ETA.q_shift == 1
     assert EtaProduct(((1, 48),)).q_shift == 2
     s = EtaProduct(((1, 48),)).expand(10)
     assert s.coeff(1) == 0 and s.coeff(2) == 1
