@@ -109,11 +109,10 @@ def odd_primes_up_to(n: int) -> list[int]:
     return [p for p in primes_up_to(n) if p > 2]
 
 
-def require_odd_prime(p: int) -> int:
-    """Validate p as an odd prime; every modulus in the toolkit is odd."""
+def require_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime; every modulus in the toolkit is odd."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")
-    return p
 
 
 def legendre_table(p: int) -> list[int]:

@@ -43,7 +43,8 @@ class Hyperplane:
 @dataclass(frozen=True)
 class Arrangement:
     """N distinct hyperplanes in P^dim, held as a tuple; a non-integer dim or
-    an entry that is not a `Hyperplane` is a TypeError."""
+    an entry that is not a `Hyperplane` is a TypeError.  A row of the wrong
+    length, or a repeat, is a ValueError naming its rows by 0-based index."""
 
     dim: int
     hyperplanes: tuple[Hyperplane, ...]
@@ -53,13 +54,14 @@ class Arrangement:
         object.__setattr__(self, "hyperplanes", tuple(self.hyperplanes))
         if self.dim < 1:
             raise ValueError("ambient dimension must be >= 1")
+        first = {}
         for i, h in enumerate(self.hyperplanes):
             if not isinstance(h, Hyperplane):
                 raise TypeError(f"{h!r} is not a Hyperplane")
             if len(h.coeffs) != self.dim + 1:
                 raise ValueError(f"hyperplane {i}, {h.coeffs}, has {len(h.coeffs)} coordinates, expected {self.dim + 1}")
-        if len(set(self.hyperplanes)) != len(self.hyperplanes):
-            raise ValueError("hyperplanes must be pairwise distinct")
+            if first.setdefault(h, i) != i:
+                raise ValueError(f"hyperplanes must be pairwise distinct: {first[h]} and {i} are both {h.coeffs}")
 
     @classmethod
     def from_rows(cls, dim: int, rows) -> "Arrangement":
@@ -74,18 +76,24 @@ class Arrangement:
 
 
 def parse_arrangement(text: str) -> Arrangement:
-    """Text format: first line `n N`, then N lines of n+1 integers; the
-    length of each row is checked by `Arrangement`, by 0-based row index."""
+    """Text format: first line `n N`, then N lines of n+1 integers; an error
+    in a row names the row by its 0-based index."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty arrangement file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"malformed header {lines[0]!r}: expected `n N`")
-    n, count = int(head[0]), int(head[1])
+    try:
+        n, count = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"malformed header {lines[0]!r}: expected `n N`") from None
     if len(lines) - 1 != count:
         raise ValueError(f"expected {count} hyperplane rows, found {len(lines) - 1}")
-    return Arrangement.from_rows(n, [[int(tok) for tok in ln.split()] for ln in lines[1:]])
+    hyperplanes = []
+    for i, ln in enumerate(lines[1:]):
+        try:
+            hyperplanes.append(Hyperplane(tuple(map(int, ln.split()))))
+        except ValueError as exc:
+            raise ValueError(f"hyperplane {i}: {exc}") from None
+    return Arrangement(n, tuple(hyperplanes))
 
 
 def load_arrangement(path) -> Arrangement:
@@ -314,8 +322,8 @@ def classify(arr: Arrangement, poset: list[Stratum]) -> Classification:
                 incidence_uniform=uniform,
             )
         )
-    ok, violators = crepant_resolvable(arr, poset)
-    return Classification(tuple(rows), ok, tuple(violators))
+    violators = crepant_resolvable(arr, poset)
+    return Classification(tuple(rows), not violators, tuple(violators))
 
 
 def incidence_count_breaks(rows) -> list[tuple[int, int]]:
@@ -346,10 +354,9 @@ def incidence_count_breaks(rows) -> list[tuple[int, int]]:
     return breaks
 
 
-def crepant_resolvable(arr: Arrangement, poset: list[Stratum]):
-    """True iff every stratum is near-pencil or admissible, plus violators."""
-    violators = [s for s in poset if not (s.near_pencil or admissible(s.dim, s.mult, arr.dim))]
-    return not violators, violators
+def crepant_resolvable(arr: Arrangement, poset: list[Stratum]) -> list[Stratum]:
+    """The strata neither near-pencil nor admissible: none iff crepant-resolvable."""
+    return [s for s in poset if not (s.near_pencil or admissible(s.dim, s.mult, arr.dim))]
 
 
 @dataclass(frozen=True)
@@ -370,8 +377,8 @@ def resolution_schedule(arr: Arrangement, poset: list[Stratum]) -> list[BlowUpSt
     of the bundled sextic (3 double, 4 triple points) the double cover
     after this stage keeps 12 A1 points and has e = 12, not the K3's 24.
     """
-    ok, violators = crepant_resolvable(arr, poset)
-    if not ok:
+    violators = crepant_resolvable(arr, poset)
+    if violators:
         raise ValueError(f"arrangement is not crepant-resolvable: {len(violators)} violating strata")
     centers = sorted(
         (s for s in poset if not s.near_pencil), key=lambda s: (s.dim, s.basis)

@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tensor_factor)
 
     p = sub.add_parser("classify-arrangement", help="intersection-lattice classification")
-    p.add_argument("file", help="arrangement file, or bundled name: ahlgren | octic | sextic")
+    p.add_argument("file", help="arrangement file, or bundled name: " + " | ".join(registry.ARRANGEMENT_FILES))
     common(p, pmax=False, csv="the type table only (exit 2 with the options below)")
     p.add_argument("--schedule", action="store_true", help="include blow-up schedule")
     p.add_argument("--good-reduction", action="store_true")

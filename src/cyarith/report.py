@@ -36,12 +36,11 @@ class VerificationReport:
     #: rows whose failure is a table discrepancy rather than a broken identity
     discrepancy_rows: list[ReportRow] = field(default_factory=list)
 
-    def check(self, input_desc: str, computed, expected, source: str) -> bool:
-        ok = computed == expected
-        self.rows.append(ReportRow(input_desc, computed, expected, source, ok))
-        return ok
+    def check(self, input_desc: str, computed, expected, source: str) -> None:
+        """Record a row that passes iff computed == expected."""
+        self.rows.append(ReportRow(input_desc, computed, expected, source, computed == expected))
 
-    def compare_published(self, input_desc: str, computed, expected) -> bool:
+    def compare_published(self, input_desc: str, computed, expected) -> None:
         """Published-table comparison: a mismatch is a discrepancy, not a failure."""
         ok = computed == expected
         row = ReportRow(input_desc, computed, expected, PUBLISHED, ok)
@@ -49,7 +48,6 @@ class VerificationReport:
             self.rows.append(row)
         else:
             self.discrepancy_rows.append(row)
-        return ok
 
     @property
     def status(self) -> str:

@@ -40,18 +40,16 @@ from .cmforms import CMField, cm_euler_factor
 from .registry import GAUSSIAN_FAMILY
 
 
-def char_poly_from_power_sums(sums: list[int], degree: int) -> IntPoly:
-    """det(1 - Frob T) from power sums tr(Frob^m), m = 1..degree.
+def char_poly_from_power_sums(sums: list[int]) -> IntPoly:
+    """det(1 - Frob T) from power sums tr(Frob^m), m = 1..len(sums).
 
     Newton's identities for the coefficients c_k = (-1)^k e_k themselves:
     k c_k = -sum_{i=1..k} c_{k-i} p_i, one dot product and one division
     per step.  Every c_k must come out integral; a failed division means
     the trace data was inconsistent, and raises IdentityViolation.
     """
-    if len(sums) < degree:
-        raise ValueError("need power sums up to the degree")
     c = [1]
-    for k in range(1, degree + 1):
+    for k in range(1, len(sums) + 1):
         ck, rem = divmod(-sum(map(mul, reversed(c), sums)), k)
         if rem:
             raise IdentityViolation(f"non-integer Newton step at k = {k}: inconsistent traces")
@@ -71,12 +69,10 @@ def tensor_euler_factor(factors) -> IntPoly:
     products, a factor repeated j times entering as s_m^j, are the power
     sums of the tensor product.  Newton's identities turn them into
     c_0 .. c_h, and the upper half is that lower half mirrored and scaled
-    by powers of D.  No factors give the trivial degree-1 factor 1 - T.
+    by powers of D.
     """
     repeats = Counter(factors)
     n = sum(repeats.values())
-    if not n:
-        return IntPoly((1, -1))
     half = 2 ** (n - 1)
     sums = [1] * half
     det = 1
@@ -88,7 +84,7 @@ def tensor_euler_factor(factors) -> IntPoly:
         for m in range(half):
             sums[m] *= cur**j
             prev, cur = cur, t * cur - d * prev
-    lower = char_poly_from_power_sums(sums, half)
+    lower = char_poly_from_power_sums(sums)
     coeffs = [lower.coeff(k) for k in range(half + 1)]
     scale = 1
     for k in range(half - 1, -1, -1):

@@ -83,7 +83,7 @@ def test_is_prime_at_the_end_of_its_deterministic_range():
 
 
 def test_require_odd_prime():
-    assert require_odd_prime(7) == 7
+    require_odd_prime(7)
     for bad in (2, 4, 9, 1, -3, 15):
         with pytest.raises(ValueError):
             require_odd_prime(bad)

@@ -138,6 +138,18 @@ def test_parse_errors():
         parse_arrangement("2 4\n1 0 0\n0 1 0\n0 2 0 6\n1 1 1")
     with pytest.raises(ValueError, match="empty"):
         parse_arrangement("  \n ")
+    # a non-integer header is a malformed header; a bad row names its index
+    with pytest.raises(ValueError, match=r"^malformed header 'x 2': expected `n N`$"):
+        parse_arrangement("x 2\n1 0 0\n0 1 0")
+    with pytest.raises(ValueError, match=r"^hyperplane 1: invalid literal for int\(\) with base 10: 'x'$"):
+        parse_arrangement("2 2\n1 0 0\n1 x 0")
+    with pytest.raises(ValueError, match=r"^hyperplane 0: invalid literal for int\(\) with base 10: '1\.5'$"):
+        parse_arrangement("2 2\n1.5 0 0\n0 1 0")
+    with pytest.raises(ValueError, match=r"^hyperplane 1: zero vector is not a hyperplane$"):
+        parse_arrangement("2 3\n1 0 0\n0 0 0\n0 1 0")
+    # the first repeat is named with the row it repeats
+    with pytest.raises(ValueError, match=r"^hyperplanes must be pairwise distinct: 1 and 3 are both \(0, 1, 0\)$"):
+        parse_arrangement("2 4\n1 0 0\n0 1 0\n0 0 1\n0 -2 0")
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +172,13 @@ def test_three_concurrent_lines():
 
 def test_four_concurrent_lines_not_resolvable():
     arr = lines((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0))
-    ok, violators = crepant_resolvable(arr, intersection_poset(arr))
-    assert not ok
+    violators = crepant_resolvable(arr, intersection_poset(arr))
     assert [(v.dim, v.mult) for v in violators] == [(0, 4)]
 
 
 def test_two_lines_resolvable():
     arr = lines((1, 0, 0), (0, 1, 0))
-    ok, violators = crepant_resolvable(arr, intersection_poset(arr))
-    assert ok and not violators
+    assert crepant_resolvable(arr, intersection_poset(arr)) == []
 
 
 def test_admissible_examples():

@@ -167,18 +167,6 @@ def test_classify_arrangement_bundled(capsys):
     assert [(t["dim"], t["mult"], t["count"]) for t in data["types"]] == [(0, 2, 3), (0, 3, 4)]
 
 
-@pytest.mark.parametrize("name", ["ahlgren", "octic", "sextic"])
-def test_classify_arrangement_golden(capsys, name):
-    # the type table with flags and incidence vectors, the schedule with
-    # every center's basis (109, 30 and 7 steps), the minor scan and the
-    # F_5 comparison
-    code, out, _ = run(
-        capsys, "classify-arrangement", name, "--schedule", "--good-reduction", "--check-prime", "5", "--json"
-    )
-    assert code == 0
-    assert out == (GOLDEN / f"{name}_classify_arrangement.json").read_text()
-
-
 def test_classify_arrangement_file_and_options(tmp_path, capsys):
     path = tmp_path / "pencil.arr"
     path.write_text("2 3\n1 0 0\n0 1 0\n1 1 0\n")
@@ -337,23 +325,19 @@ def test_suite_json_deterministic(capsys):
     assert all(rep["status"] == "pass" for rep in payload["reports"])
 
 
-@pytest.mark.parametrize(
-    "argv, code, golden",
-    [
-        (("suite", "all", "--json"), 2, "suite_all.json"),
-        (("tensor-factor", "--pmax", "100", "--csv"), 0, "tensor_factor_p100.csv"),
-        (("verify-ahlgren", "--pmax", "3000", "--csv"), 0, "verify_ahlgren_p3000.csv"),
-        (("cm-coeffs", "--field", "i", "--weight", "5", "--pmax", "3000", "--csv"), 0, "cm_coeffs_i_w5_p3000.csv"),
-        (("cm-coeffs", "--field", "zeta3", "--weight", "7", "--pmax", "3000", "--csv"), 0, "cm_coeffs_zeta3_w7_p3000.csv"),
-        (("euler", "--iterate", "30"), 0, "euler_iterate30.json"),
-    ],
-)
+def _golden_commands() -> list[tuple[tuple[str, ...], int, str]]:
+    """(argv, exit code, golden) for each line of tests/goldens.txt."""
+    out = []
+    for line in (Path(__file__).parent / "goldens.txt").read_text().splitlines():
+        if line and not line.startswith("#"):
+            code, golden, *argv = line.split()
+            out.append((tuple(argv), int(code), golden))
+    return out
+
+
+@pytest.mark.parametrize("argv, code, golden", _golden_commands())
 def test_outputs_reproduce_their_goldens_byte_for_byte(capsys, argv, code, golden):
-    # the committed outputs: every report of `suite all` (exit 2 for the one
-    # (0,9) N2 discrepancy), the weight-4 x weight-3 Euler factor table,
-    # Ahlgren's count against its prediction at the 429 odd primes to 3000,
-    # the prime coefficients of one odd-weight form of each CM family to
-    # 3000 (each `--field` tag), and the Euler number of the 30-fold cover
+    # every committed output with its exit code; goldens.txt says what each shows
     got, out, err = run(capsys, *argv)
     assert (got, err) == (code, "")
     assert out.encode() == (GOLDEN / golden).read_bytes()
@@ -473,7 +457,7 @@ def test_inconsistent_tensor_power_sums_fail_only_the_tensor_suite(monkeypatch, 
     # an IdentityViolation, so `suite all` prints a FAIL report for the
     # tensor sub-suite and still runs the others
     real = tensor.char_poly_from_power_sums
-    monkeypatch.setattr(tensor, "char_poly_from_power_sums", lambda sums, degree: real([degree] + sums[:-1], degree))
+    monkeypatch.setattr(tensor, "char_poly_from_power_sums", lambda sums: real([len(sums)] + sums[:-1]))
     code, out, err = run(capsys, "suite", "all")
     assert code == 1
     assert err == ""

@@ -165,28 +165,22 @@ def test_mirrored_tensor_powers_match_the_oracle_to_300():
                 assert verify_power_factorization(ap, p, field, n).lhs == expected, (field.d, n, p)
 
 
-def test_empty_tensor_product_is_the_trivial_factor():
-    # no factors: degree 2^0 = 1, the odd degree with no mirror
-    assert tensor_euler_factor([]) == IntPoly((1, -1)) == tensor_euler_factor_full_degree([])
-
-
 def test_char_poly_rejects_inconsistent_traces():
     with pytest.raises(IdentityViolation, match="Newton"):
-        char_poly_from_power_sums([1, 0], 2)  # e_2 = (1*1 - 0)/2 not integral
+        char_poly_from_power_sums([1, 0])  # e_2 = (1*1 - 0)/2 not integral
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(-50, 50), max_size=8), st.integers(0, 8))
-def test_char_poly_matches_the_signed_newton_loop(sums, extra):
+@given(st.lists(st.integers(-50, 50), max_size=8))
+def test_char_poly_matches_the_signed_newton_loop(sums):
     # arbitrary sums: both loops give the same polynomial or fail at the same k
-    degree = min(len(sums), extra)
     try:
-        expected = char_poly_signed_newton(sums, degree)
+        expected = char_poly_signed_newton(sums, len(sums))
     except IdentityViolation as exc:
         with pytest.raises(IdentityViolation, match=str(exc)):
-            char_poly_from_power_sums(sums, degree)
+            char_poly_from_power_sums(sums)
     else:
-        assert char_poly_from_power_sums(sums, degree) == expected
+        assert char_poly_from_power_sums(sums) == expected
 
 
 def test_g4xg3_computes_one_curve_ap_per_prime(monkeypatch):
