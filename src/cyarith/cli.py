@@ -9,9 +9,12 @@ breaks mid-computation (`IdentityViolation`) is one `FAIL` line on
 stderr and exit code 1, never a traceback; inside `suite` it is a `FAIL`
 report for its sub-suite, and the other sub-suites still run.  Every
 subcommand that takes `--pmax` rejects values below 3 the same way
-(`error: ...`, exit 1): no odd prime lies below 3.  A reader that closes
-stdout early (`| head`) ends the command with exit code 1 and nothing on
-stderr.
+(`error: ...`, exit 1): no odd prime lies below 3.  An `-N` or `--pmax`
+too large to size a table ends the same way (`error: cannot fit 'int'
+into an index-sized integer`), as does a table that does not fit in
+memory (`error: out of memory`); no option is capped.  A reader that
+closes stdout early (`| head`) ends the command with exit code 1 and
+nothing on stderr.
 
 The table subcommands (eta-expand, cm-coeffs, elliptic-ap,
 verify-ahlgren, tensor-factor, classify-arrangement) print through one
@@ -304,8 +307,11 @@ def main(argv=None) -> int:
     except IdentityViolation as exc:
         print(f"FAIL identity violated: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -1,15 +1,21 @@
 """Bundled reference objects: curves, eta products, CM families, the
 transcribed singularity table for the twelve-plane arrangement, and the
-packaged arrangement files."""
+packaged arrangement files.
+
+The arrangement engine (`cyarith.arrangement`) loads with the first
+bundled arrangement, inside `load_bundled_arrangement`: the CM, eta and
+tensor code that reads this module never pays for it."""
 
 from __future__ import annotations
 
-from importlib import resources
+from typing import TYPE_CHECKING
 
-from .arrangement import Arrangement, parse_arrangement
 from .cmforms import EISENSTEIN, GAUSSIAN, CMFormFamily
 from .pointcount import EllipticCurveModel
 from .qseries import EtaProduct
+
+if TYPE_CHECKING:
+    from .arrangement import Arrangement
 
 # ---------------------------------------------------------------------------
 # Reference curves
@@ -76,6 +82,10 @@ def load_bundled_arrangement(name: str) -> Arrangement:
         fname = ARRANGEMENT_FILES[name]
     except KeyError:
         raise ValueError(f"unknown bundled arrangement {name!r}") from None
+    from importlib import resources
+
+    from .arrangement import parse_arrangement
+
     text = resources.files("cyarith.data").joinpath(fname).read_text(encoding="ascii")
     return parse_arrangement(text)
 

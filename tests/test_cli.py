@@ -10,6 +10,7 @@ import pytest
 import cyarith
 from cyarith import cmforms, registry, tensor
 from cyarith.cli import main
+from cyarith.qseries import EtaProduct
 from cyarith.report import suite_exit_code
 from cyarith.suites import SUITES, run_suite
 
@@ -243,13 +244,35 @@ def test_classify_arrangement_missing_file(capsys):
     assert code == 1
 
 
-def test_cli_import_loads_neither_fractions_nor_decimal():
-    # no float and no Fraction in the package: a cold CLI start pays for neither
+def fresh_python(code: str) -> str:
+    """The stdout of `code` run in a new interpreter that imports cyarith
+    from this checkout.  conftest.py imports six cyarith modules first,
+    arrangement among them, so only a fresh interpreter shows what an
+    import brings in."""
     src = Path(cyarith.__file__).parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # no float and no Fraction in the package: a cold CLI start pays for neither
     code = "import sys, cyarith.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert fresh_python(code) == "[]\n"
+
+
+def test_cm_and_tensor_stack_loads_the_arrangement_engine_only_on_demand():
+    # the registry imports cyarith.arrangement inside its loader, so the
+    # modular side never pays for the arrangement engine it does not run
+    code = (
+        "import sys\n"
+        "import cyarith.registry, cyarith.tensor, cyarith.cmforms, cyarith.qseries, cyarith.pointcount\n"
+        "print('cyarith.arrangement' in sys.modules)\n"
+        "from cyarith.registry import ARRANGEMENT_FILES, load_bundled_arrangement\n"
+        "print([len(load_bundled_arrangement(name).hyperplanes) for name in ARRANGEMENT_FILES])\n"
+    )
+    assert fresh_python(code) == "False\n[12, 8, 6]\n"
+    code = "import sys, cyarith.arrangement; print(sorted(m for m in sys.modules if m.startswith('cyarith')))"
+    assert fresh_python(code) == "['cyarith', 'cyarith.arith', 'cyarith.arrangement']\n"
 
 
 def test_closed_pipe_ends_quietly():
@@ -404,6 +427,37 @@ def test_pmax_3_is_accepted(command, capsys):
     code, out, err = run(capsys, command, *_PMAX_COMMANDS[command], "--pmax", "3", "--csv")
     assert (code, err) == (0, "")
     assert out.splitlines()[1].startswith("3,")  # one row, for p = 3
+
+
+#: past the index range: the first table sized by it overflows before
+#: anything is allocated
+HUGE = str(10**23)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command, *_PMAX_COMMANDS[command], "--pmax", HUGE] for command in _PMAX_COMMANDS),
+        ["verify-ahlgren", "--pmax", HUGE],
+        ["suite", "all", "--pmax", HUGE],
+        ["eta-expand", "1:24", "-N", HUGE],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_oversized_integer_is_an_error_line(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
+    # the branch an allocation that fails would take; nothing is allocated here
+    def exhausted(self, precision):
+        raise MemoryError
+
+    monkeypatch.setattr(EtaProduct, "expand", exhausted)
+    code, out, err = run(capsys, "eta-expand", "1:24", "-N", "50")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize(
