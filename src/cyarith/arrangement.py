@@ -398,40 +398,38 @@ class GoodReductionReport:
 
 
 @lru_cache(maxsize=128)
-def _minor_scan(arr: Arrangement) -> tuple[int, frozenset[int], frozenset[int]]:
+def _minor_scan(arr: Arrangement) -> tuple[int, frozenset[int]]:
     """Every square minor (all sizes) of the N x (n+1) coefficient matrix,
     from one level-by-level Laplace pass (`arith.minors_by_size`).
 
-    Returns the largest |minor|, the distinct nonzero |minors|, and the
-    distinct nonzero g_R, where g_R is the gcd of the |R| x |R| minors of
-    the row set R (zero exactly when R is dependent over Q).  Nothing is
-    factored; `good_reduction_report` and every `poset_matches_mod_p`
-    read the one scan.
+    Returns the largest |minor| and the distinct nonzero g_R, where g_R is
+    the gcd of the |R| x |R| minors of the row set R (zero exactly when R
+    is dependent over Q).  Nothing is factored; `good_reduction_report`
+    and every `poset_matches_mod_p` read the one scan.
     """
-    values: set[int] = set()
+    values: set[int] = set()  # signed: abs is taken once per distinct value
     gcds: set[int] = set()
     for _, level in minors_by_size(arr.coefficient_matrix()):
         for minors in level.values():
-            values.update(map(abs, minors.values()))
+            values.update(minors.values())
             gcds.add(gcd(*minors.values()))
-    values.discard(0)
     gcds.discard(0)
-    return max(values, default=0), frozenset(values), frozenset(gcds)
+    return max(map(abs, values), default=0), frozenset(gcds)
 
 
 def good_reduction_report(arr: Arrangement) -> GoodReductionReport:
     """The minors of the coefficient matrix, from the cached `_minor_scan`.
 
     Minors in {0, +-1} force the mod-p stratification to agree with the
-    rational one at every odd prime.  Otherwise the odd primes dividing
-    some nonzero minor are the only candidates for a changed poset, a
-    superset of the primes where it changes (`poset_matches_mod_p`).
-    Each distinct |minor| is factored once, by trial division below 1000
-    and then Pollard's rho, each piece proved prime by `is_prime`; a piece
-    at or above `PRIMALITY_LIMIT` raises ValueError.
+    rational one at every odd prime.  The exceptional odd primes are
+    exactly those where it changes, the odd p for which
+    `poset_matches_mod_p` is false: the odd prime divisors of the
+    distinct nonzero g_R.  Each g_R is factored once, by trial division
+    below 1000 and then Pollard's rho, each piece proved prime by
+    `is_prime`; a piece at or above `PRIMALITY_LIMIT` raises ValueError.
     """
-    max_abs, values, _ = _minor_scan(arr)
-    exceptional = {q for v in values if v > 1 for q in _odd_prime_divisors(v)}
+    max_abs, gcds = _minor_scan(arr)
+    exceptional = {q for g in gcds if g > 1 for q in _odd_prime_divisors(g)}
     return GoodReductionReport(max_abs <= 1, tuple(sorted(exceptional)), max_abs)
 
 
@@ -491,4 +489,4 @@ def poset_matches_mod_p(arr: Arrangement, p: int, poset: list[Stratum]) -> ModPC
     empty.  Nothing is factored.
     """
     require_odd_prime(p)
-    return ModPComparison(all(g % p for g in _minor_scan(arr)[2]))
+    return ModPComparison(all(g % p for g in _minor_scan(arr)[1]))

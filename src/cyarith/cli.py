@@ -38,7 +38,6 @@ from .arrangement import (
     good_reduction_report,
     intersection_poset,
     load_arrangement,
-    poset_matches_mod_p,
     resolution_schedule,
 )
 from .cmforms import normalize_prime_element
@@ -153,12 +152,8 @@ def cmd_tensor_factor(args) -> int:
 
 
 def cmd_classify_arrangement(args) -> int:
-    if args.csv and (args.schedule or args.good_reduction or args.check_prime is not None):
-        print(
-            "--csv holds the type table only; use --json with --schedule, "
-            "--good-reduction or --check-prime",
-            file=sys.stderr,
-        )
+    if args.csv and (args.schedule or args.good_reduction):
+        print("--csv holds the type table only; use --json with --schedule or --good-reduction", file=sys.stderr)
         return 2
     try:
         if args.file in registry.ARRANGEMENT_FILES:
@@ -188,9 +183,6 @@ def cmd_classify_arrangement(args) -> int:
             "exceptional_odd_primes": list(rep.exceptional_odd_primes),
             "max_abs_minor": rep.max_abs_minor,
         }
-    if args.check_prime is not None:
-        cmp = poset_matches_mod_p(arr, args.check_prime, poset)
-        payload.setdefault("good_reduction", {})[f"poset_matches_mod_{args.check_prime}"] = cmp.equal
     columns = ("label", "dim", "mult", "count", "near_pencil", "admissible", "incidence")
     rows = [[row[c] for c in columns] for row in payload["types"]]
     rows.append(["resolvable", payload["resolvable"]])
@@ -280,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, pmax=False, csv="the type table only (exit 2 with the options below)")
     p.add_argument("--schedule", action="store_true", help="include blow-up schedule")
     p.add_argument("--good-reduction", action="store_true")
-    p.add_argument("--check-prime", type=int, default=None, metavar="P")
     p.set_defaults(func=cmd_classify_arrangement)
 
     p = sub.add_parser("euler", help="double-cover Euler-characteristic calculus")

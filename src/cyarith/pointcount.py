@@ -45,7 +45,8 @@ class EllipticCurveModel:
     def __str__(self) -> str:
         terms = "x^3"
         if self.a:
-            terms += f" + {self.a}*x" if self.a > 0 else f" - {-self.a}*x"
+            coeff = "" if abs(self.a) == 1 else f"{abs(self.a)}*"
+            terms += f" + {coeff}x" if self.a > 0 else f" - {coeff}x"
         if self.b:
             terms += f" + {self.b}" if self.b > 0 else f" - {-self.b}"
         return f"y^2 = {terms}"

@@ -65,14 +65,16 @@ def suite_cm(pmax: int) -> list[VerificationReport]:
 
     norm = VerificationReport("normalized-prime-elements")
     quot = VerificationReport("quotient-frobenius-traces")
+    curve_aps = {}  # family name -> {p: a_p of its curve}, each counted once
     for family in registry.FAMILIES.values():
         field = family.field
         good = family.good_primes(pmax)
+        aps = curve_aps[family.name] = {p: elliptic_ap(family.curve, p) for p in good}
         alphas = {p: normalize_prime_element(p, field) for p in good if field.is_split(p)}
         computed = {p: alpha.trace for p, alpha in alphas.items()}
         # oracle: the curve's own point count, which shares no step with
         # Cornacchia; this row is the independent check of alpha
-        expected = {p: elliptic_ap(family.curve, p) for p in alphas}
+        expected = {p: aps[p] for p in alphas}
         norm.check(f"trace of normalized element, d={field.d}, p<={pmax}", computed, expected, DERIVED)
         # tr Frob_p on the 2-dimensional invariant piece of the n-fold
         # quotient.  Split p: the invariant subspace is spanned by the two
@@ -98,9 +100,13 @@ def suite_cm(pmax: int) -> list[VerificationReport]:
         dims.check(f"Z2diag, n={n}", invariant_tensor_dimension("Z2diag", n), 2**n, DERIVED)
     reports.append(dims)
 
+    def mismatches(aps, series):
+        """The primes where a curve trace differs from the eta coefficient."""
+        return [p for p, ap in aps.items() if ap != series.coeff(p)]
+
     gauss = VerificationReport("gaussian-model-audit")
     series = registry.ETA_WEIGHT2_GAUSSIAN.expand(pmax)
-    mism = model_mismatch_primes(registry.CURVE_GAUSSIAN, series, pmax)
+    mism = mismatches(curve_aps[registry.GAUSSIAN_FAMILY.name], series)
     gauss.check(f"y^2 = x^3 - x vs eta(q^8)^2 eta(q^4)^2, odd good p <= {pmax}", mism, [], DERIVED)
     reports.append(gauss)
 
@@ -108,10 +114,12 @@ def suite_cm(pmax: int) -> list[VerificationReport]:
     # nose, while the twist y^2 = x^3 - 16 flips sign at split p = 3 mod 4
     audit = VerificationReport("eisenstein-model-audit")
     series = registry.ETA_WEIGHT2_EISENSTEIN.expand(pmax)
-    mism = model_mismatch_primes(registry.CURVE_EISENSTEIN, series, pmax)
+    family = registry.EISENSTEIN_FAMILY
+    mism = mismatches(curve_aps[family.name], series)
     audit.check(f"y^2 = x^3 + 16 vs eta(q^9)^2 eta(q^3)^2, odd good p <= {pmax}", mism, [], DERIVED)
-    twist_mism = model_mismatch_primes(registry.CURVE_EISENSTEIN_TWIST, series, pmax)
-    field = registry.EISENSTEIN_FAMILY.field
+    twist = {p: elliptic_ap(registry.CURVE_EISENSTEIN_TWIST, p) for p in family.good_primes(pmax)}
+    twist_mism = mismatches(twist, series)
+    field = family.field
     twist_expected = [p for p in odd_primes_up_to(pmax) if p % 4 == 3 and field.is_split(p)]
     audit.check(
         f"y^2 = x^3 - 16 mismatch set == split primes = 3 mod 4, p <= {pmax}",
@@ -125,17 +133,6 @@ def suite_cm(pmax: int) -> list[VerificationReport]:
     )
     reports.append(audit)
     return reports
-
-
-def model_mismatch_primes(curve, eta_series, pmax: int) -> list[int]:
-    """Odd good primes where the curve trace differs from the eta coefficient."""
-    out = []
-    for p in odd_primes_up_to(min(pmax, eta_series.precision)):
-        if not curve.is_good(p):
-            continue
-        if elliptic_ap(curve, p) != eta_series.coeff(p):
-            out.append(p)
-    return out
 
 
 def suite_tensor(pmax: int) -> list[VerificationReport]:

@@ -51,9 +51,10 @@ Minors (`cyarith.arith`, `cyarith.arrangement`).
 - `odd_prime_divisors_trial_division` tries every odd q up to sqrt(v),
   with no bound on the work, the reference for the trial division and
   Pollard rho of `arrangement._odd_prime_divisors`.
-- `good_reduction_scan` builds a `GoodReductionReport` from `all_minors`,
-  factoring every distinct |minor| by that trial division, the reference
-  for `good_reduction_report` on the cached minor scan.
+- `good_reduction_scan` builds a `GoodReductionReport` from `all_minors`:
+  it groups the minors by row set R, takes g_R as the gcd of R's
+  |R| x |R| minors and factors each g_R > 1 by that trial division, the
+  reference for `good_reduction_report` on the cached minor scan.
 
 Tensor factors (`cyarith.tensor`).
 
@@ -491,9 +492,12 @@ def odd_prime_divisors_trial_division(v: int) -> set[int]:
 
 
 def good_reduction_scan(arr) -> GoodReductionReport:
-    values = {abs(value) for _, _, _, value in all_minors(arr.coefficient_matrix())}
-    exceptional = {q for v in values if v > 1 for q in odd_prime_divisors_trial_division(v)}
-    max_abs = max(values, default=0)
+    by_rows: dict[tuple[int, ...], list[int]] = {}
+    for _, rows, _, value in all_minors(arr.coefficient_matrix()):
+        by_rows.setdefault(rows, []).append(value)
+    row_gcds = {gcd(*values) for values in by_rows.values()}
+    exceptional = {q for g in row_gcds if g > 1 for q in odd_prime_divisors_trial_division(g)}
+    max_abs = max((abs(v) for values in by_rows.values() for v in values), default=0)
     return GoodReductionReport(max_abs <= 1, tuple(sorted(exceptional)), max_abs)
 
 

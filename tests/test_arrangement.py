@@ -451,18 +451,31 @@ def test_good_reduction_matches_bareiss_scan_bundled(name):
     assert good_reduction_report(arr) == good_reduction_scan(arr)
 
 
-def test_good_reduction_matches_bareiss_scan_random():
-    # the shapes of the lattice benchmark, with coefficients up to 5 so that
-    # some minors have large odd prime factors
+def drawn_arrangements():
+    """40 arrangements in the shapes of the lattice benchmark, with
+    coefficients up to 5 so that some minors have large odd prime factors."""
     rng = random.Random(2024)
-    exceptional = set()
     for _ in range(40):
         n = rng.choice((2, 3, 4))
-        arr = random_arrangement(rng, n, rng.randint(2, 9), bound=rng.choice((1, 2, 5)))
+        yield random_arrangement(rng, n, rng.randint(2, 9), bound=rng.choice((1, 2, 5)))
+
+
+def test_good_reduction_matches_bareiss_scan_random():
+    exceptional = set()
+    for arr in drawn_arrangements():
         rep = good_reduction_report(arr)
         assert rep == good_reduction_scan(arr)
         exceptional.update(rep.exceptional_odd_primes)
     assert max(exceptional) > 100
+
+
+def test_exceptional_primes_are_where_the_f_p_lattice_changes():
+    # exactly those primes, not the odd divisors of every nonzero minor
+    primes = {p for p in range(3, 201, 2) if is_prime(p)}
+    for arr in drawn_arrangements():
+        poset = intersection_poset(arr)
+        changed = {p for p in primes if not poset_matches_mod_p(arr, p, poset).equal}
+        assert set(good_reduction_report(arr).exceptional_odd_primes) & primes == changed
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -179,25 +179,26 @@ def test_classify_arrangement_file_and_options(tmp_path, capsys):
     assert data["good_reduction"]["all_minors_unimodular"] is True
 
 
-def test_classify_arrangement_check_prime_alone(capsys):
-    # --check-prime runs the mod-p comparison without --good-reduction
-    code, out, _ = run(capsys, "classify-arrangement", "octic", "--check-prime", "5", "--json")
+def test_classify_arrangement_good_reduction_octic(capsys):
+    # the octic's lattice is the same at every odd prime; --check-prime,
+    # which asked for one prime at a time, is gone
+    code, out, _ = run(capsys, "classify-arrangement", "octic", "--good-reduction", "--json")
     assert code == 0
-    assert json.loads(out)["good_reduction"] == {"poset_matches_mod_5": True}
-    code, _, err = run(capsys, "classify-arrangement", "octic", "--check-prime", "9")
-    assert code == 1
-    assert "odd prime" in err
+    assert json.loads(out)["good_reduction"]["exceptional_odd_primes"] == []
+    with pytest.raises(SystemExit) as exc:
+        main(["classify-arrangement", "octic", "--check-prime", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --check-prime 5" in capsys.readouterr().err
 
 
-def test_classify_arrangement_check_prime_large(tmp_path, capsys):
+def test_classify_arrangement_good_reduction_large_prime(tmp_path, capsys):
     # x = 0, y = 0, x + y + qz = 0: three double points over Q, one triple
     # point mod q = 2^31 - 1
     path = tmp_path / "triple.arr"
     path.write_text("2 3\n1 0 0\n0 1 0\n1 1 2147483647\n")
-    code, out, _ = run(capsys, "classify-arrangement", str(path), "--check-prime", "2147483647", "--json")
+    code, out, _ = run(capsys, "classify-arrangement", str(path), "--good-reduction", "--json")
     assert code == 0
-    assert '"poset_matches_mod_2147483647": false' in out
-    assert json.loads(out)["good_reduction"] == {"poset_matches_mod_2147483647": False}
+    assert json.loads(out)["good_reduction"]["exceptional_odd_primes"] == [2147483647]
 
 
 def test_classify_arrangement_good_reduction_factors_large_minors(tmp_path, capsys):
@@ -208,22 +209,27 @@ def test_classify_arrangement_good_reduction_factors_large_minors(tmp_path, caps
     code, out, _ = run(capsys, "classify-arrangement", str(path), "--good-reduction", "--json")
     assert code == 0
     assert json.loads(out)["good_reduction"]["exceptional_odd_primes"] == [998244353, 1000000007]
+    # M = PRIMALITY_LIMIT has no proven factorization: no list, an error line
+    limit = cyarith.arith.PRIMALITY_LIMIT
+    path.write_text(f"2 3\n1 0 0\n0 1 0\n1 {limit} 0\n")
+    code, out, err = run(capsys, "classify-arrangement", str(path), "--good-reduction", "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: n = {limit} is not below")
 
 
-def test_classify_arrangement_check_prime_answers_per_prime(tmp_path, capsys):
+def test_classify_arrangement_good_reduction_names_the_changed_prime(tmp_path, capsys):
     # x = 0, y = 0, x + y + 3z = 0: concurrent mod 3, three double points mod 5
     path = tmp_path / "triple3.arr"
     path.write_text("2 3\n1 0 0\n0 1 0\n1 1 3\n")
-    for p, equal in (("3", "false"), ("5", "true")):
-        code, out, _ = run(capsys, "classify-arrangement", str(path), "--check-prime", p, "--json")
-        assert code == 0
-        assert f'"poset_matches_mod_{p}": {equal}' in out
+    code, out, _ = run(capsys, "classify-arrangement", str(path), "--good-reduction", "--json")
+    assert code == 0
+    assert json.loads(out)["good_reduction"]["exceptional_odd_primes"] == [3]
 
 
 def test_classify_arrangement_csv_refuses_extra_results(capsys):
     # the CSV type table has no place for these results: refuse, do not drop
-    for extra in (["--schedule"], ["--good-reduction"], ["--check-prime", "5"]):
-        code, out, err = run(capsys, "classify-arrangement", "octic", "--csv", *extra)
+    for extra in ("--schedule", "--good-reduction"):
+        code, out, err = run(capsys, "classify-arrangement", "octic", "--csv", extra)
         assert (code, out) == (2, "")
         assert "--json" in err
     code, out, _ = run(capsys, "classify-arrangement", "octic", "--csv")
@@ -413,6 +419,7 @@ _PMAX_COMMANDS = {
     "cm-coeffs": ["--field", "i", "--weight", "3"],
     "elliptic-ap": ["--curve=-1,0"],
     "tensor-factor": [],
+    "verify-ahlgren": [],
 }
 
 
@@ -438,7 +445,6 @@ HUGE = str(10**23)
     "argv",
     [
         *([command, *_PMAX_COMMANDS[command], "--pmax", HUGE] for command in _PMAX_COMMANDS),
-        ["verify-ahlgren", "--pmax", HUGE],
         ["suite", "all", "--pmax", HUGE],
         ["eta-expand", "1:24", "-N", HUGE],
     ],

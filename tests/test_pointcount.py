@@ -34,6 +34,9 @@ def test_curve_model_validation():
     with pytest.raises(TypeError):
         EllipticCurveModel(-1.0, 0)
     assert CURVE_GAUSSIAN.discriminant == 64
+    # a coefficient +-1 of x prints as a bare x
+    assert str(EllipticCurveModel(1, 1)) == "y^2 = x^3 + x + 1"
+    assert str(EllipticCurveModel(-2, 3)) == "y^2 = x^3 - 2*x + 3"
     assert not CURVE_EISENSTEIN.is_good(3)
     assert CURVE_EISENSTEIN.is_good(5)
 
@@ -196,7 +199,7 @@ def test_verify_ahlgren_rows():
 def test_fast_brute_mismatch_is_a_fail_row(monkeypatch, capsys):
     # a wrong fast count at p = 7 must surface as a FAIL row, not a traceback
     real = pointcount.ahlgren_count_fast
-    monkeypatch.setattr(pointcount, "ahlgren_count_fast", lambda p: real(p) + (p == 7))
+    monkeypatch.setattr(pointcount, "ahlgren_count_fast", lambda p: real(p) + (p in (7, 17)))
     rows = {r.p: r for r in verify_ahlgren(13, brute_max=13)}
     assert (rows[7].count, rows[7].brute, rows[7].match) == (17322, 17321, False)
     assert all(r.match for p, r in rows.items() if p != 7)
@@ -208,6 +211,10 @@ def test_fast_brute_mismatch_is_a_fail_row(monkeypatch, capsys):
     assert main(["verify-ahlgren", "--pmax", "13", "--brute-max", "13"]) == 1
     row = next(r for r in json.loads(capsys.readouterr().out) if r["p"] == 7)
     assert (row["count"], row["brute"], row["match"]) == (17322, 17321, False)
+    # past every brute count, the prediction alone must fail the row
+    assert main(["verify-ahlgren", "--pmax", "17"]) == 1
+    row = json.loads(capsys.readouterr().out)[-1]
+    assert (row["p"], row["count"], row["brute"], row["predicted"], row["match"]) == (17, 1427780, None, 1427779, False)
 
 
 def test_hasse_violation_is_a_fail_line(monkeypatch, capsys):
@@ -218,4 +225,4 @@ def test_hasse_violation_is_a_fail_line(monkeypatch, capsys):
     assert main(["elliptic-ap", "--curve=-1,0", "--pmax", "13"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "FAIL identity violated: Hasse bound violated at p=5 for y^2 = x^3 - 1*x\n"
+    assert captured.err == "FAIL identity violated: Hasse bound violated at p=5 for y^2 = x^3 - x\n"

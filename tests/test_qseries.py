@@ -448,6 +448,10 @@ def test_ramanujan_bound_on_registry_forms():
 
 
 def test_qseries_never_reads_beyond_precision():
+    # a cusp form has c_0 = 0 and at least that one value
+    for values in ((1, 2), ()):
+        with pytest.raises(ValueError, match="c_0 = 0"):
+            QSeries(values)
     s = QSeries((0, 1, 2, 3))
     with pytest.raises(IndexError):
         s.coeff(4)
